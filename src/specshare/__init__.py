@@ -17,10 +17,9 @@ from .allocation import (
     LocalAction,
     Violation,
     clamp_local,
-    enumerate_global,
     validate,
 )
-from .channel import ChannelSnapshot, compute_snapshot, fading_gain, path_loss_db
+from .channel import ChannelSnapshot, compute_snapshot, path_loss_db
 from .metrics import (
     RewardNorms,
     StepMetrics,

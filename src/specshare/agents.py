@@ -21,15 +21,17 @@ the concatenated observation every step.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 import numpy as np
 
+from . import ppo
 from .allocation import AllocationState, EnumerationCapError
-from .channel import associate_users, co_channel_interference, dbm_to_watts, link_gains
-from .config import ScenarioConfig
+from .channel import associate_users, co_channel_interference, link_gains
+from .config import PpoConfig, ScenarioConfig
 from .env import SpectrumSharingEnv, episode_summary
-from .metrics import jain_fairness
+from .metrics import jain_fairness, sinr, spectral_efficiency, user_rate
 from .ppo import (
     ActionSchema,
     Adam,
@@ -86,7 +88,7 @@ def _local_schema(cfg: ScenarioConfig) -> ActionSchema:
     )
 
 
-# -- transition bookkeeping -----------------------------------------------------
+# -- policy slots ----------------------------------------------------------------
 
 
 class _Pending:
@@ -103,15 +105,24 @@ class _Pending:
         self.rewards: list[float] = []
 
 
-class _TierStore:
-    """Per-entity pending decisions + episode trajectories for one policy."""
+class _PolicySlot:
+    """One PPO policy and its bookkeeping.
 
-    def __init__(self):
+    Owns the net and its Adam state, each entity's pending decision and
+    episode trajectory, and the batch buffer, which feeds one PPO update
+    once it holds ``threshold`` transitions.
+    """
+
+    def __init__(self, net: PolicyNet, ppo_cfg: PpoConfig, threshold: int):
+        self.net = net
+        self.opt = Adam(net.params, ppo_cfg.learning_rate)
+        self.threshold = threshold
         self.pending: dict = {}
         self.trajs: dict = {}
+        self.buffer: list[dict] = []
 
-    def start(self, entity, obs, cat, cont, logp, value, done_flag=False) -> None:
-        self.flush(entity, done=done_flag)
+    def start(self, entity, obs, cat, cont, logp, value) -> None:
+        self.flush(entity, done=False)
         self.pending[entity] = _Pending(obs, cat, cont, logp, value)
 
     def reward(self, entity, r: float) -> None:
@@ -133,14 +144,20 @@ class _TierStore:
         for entity in list(self.pending):
             self.flush(entity, done)
 
-    def drain(self, gamma: float, lam: float) -> list[dict]:
-        out = [t.finalize(gamma, lam) for t in self.trajs.values() if len(t)]
+    def end_episode(self, ppo_cfg: PpoConfig, rng: np.random.Generator) -> bool:
+        """Move the episode's trajectories into the buffer and update once it
+        holds a batch; True when an update ran."""
+        self.buffer.extend(
+            t.finalize(ppo_cfg.discount, ppo_cfg.gae_lambda) for t in self.trajs.values() if len(t)
+        )
         self.trajs.clear()
-        return out
-
-
-def _concat_batches(parts: list[dict]) -> dict:
-    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
+        if sum(part["obs"].shape[0] for part in self.buffer) < self.threshold:
+            return False
+        batch = {k: np.concatenate([part[k] for part in self.buffer], axis=0) for k in self.buffer[0]}
+        # looked up on the module at call time, so a replaced ppo.ppo_update is the one that runs
+        ppo.ppo_update(self.net, batch, ppo_cfg, rng, optimizer=self.opt)
+        self.buffer = []
+        return True
 
 
 # -- agents ---------------------------------------------------------------------
@@ -194,13 +211,11 @@ def count_joint_candidates(cfg: ScenarioConfig) -> int:
 def exhaustive_solve(cfg: ScenarioConfig, cap: int | None = None) -> dict:
     """Enumerate every joint (global, regional) allocation under frozen fading.
 
-    Local actions are fixed to the heuristic used by the exhaustive agent:
-    full access on granted subbands, equal power split, no movement.  The
-    best candidate maximizes network spectral efficiency, with network
-    fairness breaking ties.  Requires fading_frozen.
+    Local actions are fixed to a heuristic: full access on granted subbands,
+    equal power split, no movement; the best candidate's local action is
+    returned under "local".  The best candidate maximizes network spectral
+    efficiency, with network fairness breaking ties.  Requires fading_frozen.
     """
-    import itertools
-
     if not cfg.fading_frozen:
         raise ValueError("exhaustive_solve requires fading_frozen=true")
     cap = cfg.exhaustive_cap if cap is None else cap
@@ -213,20 +228,19 @@ def exhaustive_solve(cfg: ScenarioConfig, cap: int | None = None) -> dict:
     topo = build_topology(cfg, np.random.default_rng(cfg.seed))
     home = np.stack([nd.position for nd in topo.transmitters()])
     gains = link_gains(topo, home, rng=None, frozen=True)
-    power = dbm_to_watts([nd.tx_power_dbm for nd in topo.transmitters()])
+    power = topo.tx_power_w
     noise = cfg.noise_power_w
     n, m = cfg.num_subbands, cfg.nodes_per_region
     n_regions = cfg.num_regions
-    per_band = cfg.subband_bandwidth
-    region_beam = [topo.beam_of_region(r) for r in range(n_regions)]
 
     best = None
     for combo in itertools.product(range(cfg.beams + 1), repeat=n):
         combo_arr = np.asarray(combo)
+        global_alloc = slots_to_global(combo_arr, cfg.beams)
         granted_cols = [np.nonzero(combo_arr == beam + 1)[0] for beam in range(cfg.beams)]
         region_options = []
         for region in range(n_regions):
-            cols = granted_cols[region_beam[region]]
+            cols = granted_cols[topo.region_beam[region]]
             region_options.append(
                 [
                     (cols, np.asarray(assign))
@@ -245,9 +259,9 @@ def exhaustive_solve(cfg: ScenarioConfig, cap: int | None = None) -> dict:
                 regional, counts[:, None], out=np.zeros(regional.shape), where=counts[:, None] > 0
             )
             alloc = AllocationState(
-                global_alloc=slots_to_global(combo_arr, cfg.beams),
+                global_alloc=global_alloc,
                 regional=regional,
-                beta=regional.copy(),
+                beta=regional,
                 alpha=alpha,
                 dp=np.zeros((cfg.num_transmitters, 2)),
             )
@@ -259,28 +273,37 @@ def exhaustive_solve(cfg: ScenarioConfig, cap: int | None = None) -> dict:
             served = np.nonzero(assoc >= 0)[0]
             if served.size:
                 rows = assoc[served]
-                active = regional[rows].astype(float)
-                signal = gains[rows, served][:, None] * alpha[rows] * power[rows, None] * active
-                snr = signal / (interference[served] + noise)
-                rates[served] = per_band * np.log2(1.0 + snr).sum(axis=1)
-            eta = rates.sum() / cfg.total_bandwidth
+                snr = sinr(
+                    gains[rows, served][:, None],
+                    alpha[rows] * regional[rows],
+                    power[rows, None],
+                    interference[served],
+                    noise,
+                )
+                rates[served] = user_rate(snr, cfg.total_bandwidth, n)
+            eta = spectral_efficiency(rates, cfg.total_bandwidth)
             fair = jain_fairness(rates)
             if best is None or eta > best["eta"] or (eta == best["eta"] and fair > best["fairness"]):
                 best = {
-                    "eta": float(eta),
-                    "fairness": float(fair),
-                    "global": alloc.global_alloc.copy(),
+                    "eta": eta,
+                    "fairness": fair,
+                    "global": global_alloc.copy(),
                     "regional": {
                         region: regional[region * m : (region + 1) * m].copy()
                         for region in range(n_regions)
                     },
+                    "local": {"beta": regional, "alpha": alpha, "dp": alloc.dp},
                 }
     best["candidates"] = total
     return best
 
 
 class ExhaustiveAgent:
-    """Replays the exhaustive-search optimum; heuristic local actions."""
+    """Replays the exhaustive-search optimum and its heuristic local action.
+
+    The problem (config, frozen fading, UAVs at home) is solved once per
+    episode, in ``begin_episode``, and the result is replayed at every step.
+    """
 
     kind = "exhaustive"
     trainable = False
@@ -292,21 +315,7 @@ class ExhaustiveAgent:
     def begin_episode(self, env: SpectrumSharingEnv) -> None:
         if not self.cfg.fading_frozen:
             raise ValueError("exhaustive agent requires fading_frozen=true")
-        self.solution = sol = exhaustive_solve(self.cfg)
-        # heuristic local action: full access on granted subbands, equal power
-        granted = np.concatenate(
-            [sol["regional"][region] for region in range(self.cfg.num_regions)], axis=0
-        )
-        counts = granted.sum(axis=1)
-        alpha = np.divide(
-            granted, counts[:, None], out=np.zeros(granted.shape, dtype=float),
-            where=counts[:, None] > 0,
-        )
-        self._local = {
-            "beta": granted,
-            "alpha": alpha,
-            "dp": np.zeros((self.cfg.num_transmitters, 2)),
-        }
+        self.solution = exhaustive_solve(self.cfg)
 
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
         cfg = self.cfg
@@ -318,7 +327,7 @@ class ExhaustiveAgent:
             bundle["global"] = sol["global"]
         if t % cfg.decision_intervals[1] == 0:
             bundle["regional"] = sol["regional"]
-        bundle["local"] = self._local
+        bundle["local"] = sol["local"]
         return bundle
 
     def record(self, rewards: dict, done: bool) -> None:
@@ -329,7 +338,9 @@ class ExhaustiveAgent:
 
 
 class _PpoAgentBase:
-    """Shared machinery: nets, stores, episodic finishing, updates, checkpoints."""
+    """Shared machinery of the learned agents: policy slots, episode ends,
+    checkpoints.  Each agent class still defines its own ``act``, ``record``
+    and ``end_episode``, so per-class tracing finds all three."""
 
     trainable = True
 
@@ -339,15 +350,29 @@ class _PpoAgentBase:
         self.rng = np.random.default_rng((cfg.seed, rng_tag))
         self.updates = 0
         self.episodes_trained = 0
+        self.slots: dict[str, _PolicySlot] = {}
 
-    def _new_net(self, input_dim: int, schema: ActionSchema) -> PolicyNet:
-        return PolicyNet(input_dim, schema, rng=self.rng)
+    def _add_slot(
+        self, name: str, input_dim: int, schema: ActionSchema, threshold: int | None = None
+    ) -> _PolicySlot:
+        """A new slot updating at ``threshold`` transitions (default: the batch
+        size); each net draws its initial weights from the agent's generator,
+        in creation order."""
+        net = PolicyNet(input_dim, schema, rng=self.rng)
+        self.slots[name] = _PolicySlot(net, self.ppo, threshold or self.ppo.batch_size)
+        return self.slots[name]
 
     def net_dict(self) -> dict[str, PolicyNet]:
-        raise NotImplementedError
+        return {name: slot.net for name, slot in self.slots.items()}
 
-    def _buffer_len(self, parts: list[dict]) -> int:
-        return sum(p["obs"].shape[0] for p in parts)
+    def begin_episode(self, env: SpectrumSharingEnv) -> None:
+        for slot in self.slots.values():
+            slot.pending.clear()
+
+    def _end_episode(self) -> None:
+        self.episodes_trained += 1
+        for slot in self.slots.values():
+            self.updates += slot.end_episode(self.ppo, self.rng)
 
     def save(self, path, extra_meta: dict | None = None) -> None:
         meta = {"episodes_trained": self.episodes_trained, "updates": self.updates}
@@ -381,33 +406,18 @@ class HdrlAgent(_PpoAgentBase):
         dims = obs_dims(cfg)
         n, m = cfg.num_subbands, cfg.nodes_per_region
         r = cfg.regions_per_hap
-        self.net_g = self._new_net(dims["global"], ActionSchema(cat_arities=(cfg.beams + 1,) * n))
-        self.net_r = self._new_net(dims["regional"], ActionSchema(cat_arities=(m + 1,) * (r * n)))
-        self.net_l = self._new_net(dims["local"], _local_schema(cfg))
-        self.opt = {
-            "global": Adam(self.net_g.params, self.ppo.learning_rate),
-            "regional": Adam(self.net_r.params, self.ppo.learning_rate),
-            "local": Adam(self.net_l.params, self.ppo.learning_rate),
-        }
-        self.store = {"global": _TierStore(), "regional": _TierStore(), "local": _TierStore()}
-        self.buffer: dict[str, list[dict]] = {"global": [], "regional": [], "local": []}
+        bs = self.ppo.batch_size
         # tiers gather transitions at very different rates (local: T per step,
         # global: 1 per ds steps); each updates once its own buffer holds a
         # workable batch so slow tiers see more than a couple of samples
-        self.update_threshold = {
-            "local": self.ppo.batch_size,
-            "regional": max(8, self.ppo.batch_size // 10),
-            "global": max(8, self.ppo.batch_size // 50),
-        }
-        m = cfg.nodes_per_region
-        self._region_rows = [list(range(r * m, (r + 1) * m)) for r in range(cfg.num_regions)]
-
-    def net_dict(self) -> dict[str, PolicyNet]:
-        return {"global": self.net_g, "regional": self.net_r, "local": self.net_l}
-
-    def begin_episode(self, env: SpectrumSharingEnv) -> None:
-        for store in self.store.values():
-            store.pending.clear()
+        self.g_slot = self._add_slot(
+            "global", dims["global"], ActionSchema(cat_arities=(cfg.beams + 1,) * n), max(8, bs // 50)
+        )
+        self.r_slot = self._add_slot(
+            "regional", dims["regional"], ActionSchema(cat_arities=(m + 1,) * (r * n)), max(8, bs // 10)
+        )
+        self.l_slot = self._add_slot("local", dims["local"], _local_schema(cfg))
+        self.net_g, self.net_r, self.net_l = self.g_slot.net, self.r_slot.net, self.l_slot.net
 
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
         cfg = self.cfg
@@ -418,9 +428,8 @@ class HdrlAgent(_PpoAgentBase):
             params = forward(self.net_g, obs["global"][None])
             if explore:
                 action, logp = sample_action(params, self.rng)
-                self.store["global"].start(
-                    "sat", obs["global"], action.cat[0], action.cont[0],
-                    logp[0], params.value[0],
+                self.g_slot.start(
+                    "sat", obs["global"], action.cat[0], action.cont[0], logp[0], params.value[0]
                 )
             else:
                 action = mode_action(params)
@@ -437,7 +446,7 @@ class HdrlAgent(_PpoAgentBase):
                 params = stacked[hap]
                 if explore:
                     action, logp = sample_action(params, self.rng)
-                    self.store["regional"].start(
+                    self.r_slot.start(
                         hap, hap_obs[hap], action.cat[0], action.cont[0], logp[0], params.value[0]
                     )
                 else:
@@ -450,12 +459,12 @@ class HdrlAgent(_PpoAgentBase):
         local_obs = obs["local"].matrix
         stacked = forward(self.net_l, local_obs.reshape(cfg.num_regions, m, -1))
         cats, conts = [], []
-        for region, rows in enumerate(self._region_rows):
+        for region in range(cfg.num_regions):
             params = stacked[region]
             if explore:
                 action, logp = sample_action(params, self.rng)
-                for i, row in enumerate(rows):
-                    self.store["local"].start(
+                for i, row in enumerate(range(region * m, (region + 1) * m)):
+                    self.l_slot.start(
                         row, local_obs[row], action.cat[i], action.cont[i], logp[i], params.value[i]
                     )
             else:
@@ -472,34 +481,18 @@ class HdrlAgent(_PpoAgentBase):
 
     def record(self, rewards: dict, done: bool) -> None:
         cfg = self.cfg
-        self.store["global"].reward("sat", rewards["r_s"])
+        self.g_slot.reward("sat", rewards["r_s"])
         for hap in range(cfg.num_haps):
-            self.store["regional"].reward(hap, rewards["r_h"][hap])
-        local = self.store["local"]
+            self.r_slot.reward(hap, rewards["r_h"][hap])
+        local = self.l_slot
         for row, r in enumerate(np.repeat(rewards["r_l"], cfg.nodes_per_region).tolist()):
             local.reward(row, r)
         if done:
-            for store in self.store.values():
-                store.flush_all(done=True)
+            for slot in self.slots.values():
+                slot.flush_all(done=True)
 
     def end_episode(self) -> None:
-        from .ppo import ppo_update
-
-        ppo_cfg = self.ppo
-        nets = {"global": self.net_g, "regional": self.net_r, "local": self.net_l}
-        self.episodes_trained += 1
-        for tier, store in self.store.items():
-            self.buffer[tier].extend(store.drain(ppo_cfg.discount, ppo_cfg.gae_lambda))
-            if self._buffer_len(self.buffer[tier]) >= self.update_threshold[tier]:
-                ppo_update(
-                    nets[tier],
-                    _concat_batches(self.buffer[tier]),
-                    ppo_cfg,
-                    self.rng,
-                    optimizer=self.opt[tier],
-                )
-                self.buffer[tier] = []
-                self.updates += 1
+        self._end_episode()
 
 
 class SadrlAgent(_PpoAgentBase):
@@ -513,22 +506,14 @@ class SadrlAgent(_PpoAgentBase):
         n, m = cfg.num_subbands, cfg.nodes_per_region
         tcount = cfg.num_transmitters
         s = cfg.uav_step
-        self.input_dim = (
-            dims["global"] + cfg.num_haps * dims["regional"] + tcount * dims["local"]
-        )
+        input_dim = dims["global"] + cfg.num_haps * dims["regional"] + tcount * dims["local"]
         schema = ActionSchema(
             cat_arities=(cfg.beams + 1,) * n
             + (m + 1,) * (cfg.num_regions * n)
             + (2,) * (tcount * n),
             cont_bounds=((0.0, 1.0),) * (tcount * n) + ((-s, s), (-s, s)) * tcount,
         )
-        self.net = self._new_net(self.input_dim, schema)
-        self.opt = Adam(self.net.params, self.ppo.learning_rate)
-        self.store = _TierStore()
-        self.buffer: list[dict] = []
-
-    def net_dict(self) -> dict[str, PolicyNet]:
-        return {"policy": self.net}
+        self.policy = self._add_slot("policy", input_dim, schema)
 
     def flat_obs(self, obs: dict) -> np.ndarray:
         """One fresh vector: global, then the HAPs in order, then the transmitters in order."""
@@ -536,18 +521,15 @@ class SadrlAgent(_PpoAgentBase):
             (obs["global"], obs["regional"].matrix.reshape(-1), obs["local"].matrix.reshape(-1))
         )
 
-    def begin_episode(self, env: SpectrumSharingEnv) -> None:
-        self.store.pending.clear()
-
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
         cfg = self.cfg
         n, m = cfg.num_subbands, cfg.nodes_per_region
         tcount, regions = cfg.num_transmitters, cfg.num_regions
         X = self.flat_obs(obs)
-        params = forward(self.net, X[None])
+        params = forward(self.policy.net, X[None])
         if explore:
             action, logp = sample_action(params, self.rng)
-            self.store.start("all", X, action.cat[0], action.cont[0], logp[0], params.value[0])
+            self.policy.start("all", X, action.cat[0], action.cont[0], logp[0], params.value[0])
             cat, cont = action.cat[0], action.cont[0]
 
             def slots(lo, hi):
@@ -574,21 +556,11 @@ class SadrlAgent(_PpoAgentBase):
         return bundle
 
     def record(self, rewards: dict, done: bool) -> None:
-        self.store.reward("all", rewards["r_s"])
-        if done:
-            self.store.flush_all(done=True)
-        else:
-            self.store.flush("all", done=False)
+        self.policy.reward("all", rewards["r_s"])
+        self.policy.flush("all", done=done)
 
     def end_episode(self) -> None:
-        self.buffer.extend(self.store.drain(self.ppo.discount, self.ppo.gae_lambda))
-        self.episodes_trained += 1
-        if self._buffer_len(self.buffer) >= self.ppo.batch_size:
-            from .ppo import ppo_update
-
-            ppo_update(self.net, _concat_batches(self.buffer), self.ppo, self.rng, optimizer=self.opt)
-            self.buffer = []
-            self.updates += 1
+        self._end_episode()
 
 
 class MadrlAgent(_PpoAgentBase):
@@ -601,22 +573,18 @@ class MadrlAgent(_PpoAgentBase):
         dims = obs_dims(cfg)
         n, m = cfg.num_subbands, cfg.nodes_per_region
         s = cfg.uav_step
-        self.input_dim = n + 2 * m + m * dims["local"]
+        input_dim = n + 2 * m + m * dims["local"]
         schema = ActionSchema(
             cat_arities=(m + 1,) * n + (2,) * (m * n),
             cont_bounds=((0.0, 1.0),) * (m * n) + ((-s, s), (-s, s)) * m,
         )
-        self.nets = [self._new_net(self.input_dim, schema) for _ in range(cfg.num_regions)]
-        self.opts = [Adam(net.params, self.ppo.learning_rate) for net in self.nets]
-        self.stores = [_TierStore() for _ in range(cfg.num_regions)]
-        self.buffers: list[list[dict]] = [[] for _ in range(cfg.num_regions)]
+        self.region_slots = [
+            self._add_slot(f"region_{i}", input_dim, schema) for i in range(cfg.num_regions)
+        ]
         # all subbands granted, beams interleaved
         g = np.zeros((cfg.beams, n), dtype=np.int8)
         g[np.arange(n) % cfg.beams, np.arange(n)] = 1
         self.fixed_global = g
-
-    def net_dict(self) -> dict[str, PolicyNet]:
-        return {f"region_{i}": net for i, net in enumerate(self.nets)}
 
     def _region_obs(self, obs: dict) -> np.ndarray:
         """(num_regions, input_dim): the HAP's grant mask, the region's node
@@ -631,10 +599,6 @@ class MadrlAgent(_PpoAgentBase):
         local = obs["local"].matrix.reshape(regions, -1)
         return np.concatenate([mask, load, gain, local], axis=1)
 
-    def begin_episode(self, env: SpectrumSharingEnv) -> None:
-        for store in self.stores:
-            store.pending.clear()
-
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
         cfg = self.cfg
         n, m = cfg.num_subbands, cfg.nodes_per_region
@@ -644,14 +608,12 @@ class MadrlAgent(_PpoAgentBase):
             bundle["global"] = self.fixed_global
         cats, conts = [], []
         region_obs = self._region_obs(obs)
-        for region in range(cfg.num_regions):
+        for region, slot in enumerate(self.region_slots):
             X = region_obs[region]
-            params = forward(self.nets[region], X[None])
+            params = forward(slot.net, X[None])
             if explore:
                 action, logp = sample_action(params, self.rng)
-                self.stores[region].start(
-                    region, X, action.cat[0], action.cont[0], logp[0], params.value[0]
-                )
+                slot.start(region, X, action.cat[0], action.cont[0], logp[0], params.value[0])
             else:
                 action = mode_action(params)
             cats.append(action.cat[0])
@@ -670,29 +632,12 @@ class MadrlAgent(_PpoAgentBase):
         return bundle
 
     def record(self, rewards: dict, done: bool) -> None:
-        for region, store in enumerate(self.stores):
-            store.reward(region, rewards["r_l"][region])
-            if done:
-                store.flush_all(done=True)
-            else:
-                store.flush(region, done=False)
+        for region, slot in enumerate(self.region_slots):
+            slot.reward(region, rewards["r_l"][region])
+            slot.flush(region, done=done)
 
     def end_episode(self) -> None:
-        from .ppo import ppo_update
-
-        self.episodes_trained += 1
-        for region, store in enumerate(self.stores):
-            self.buffers[region].extend(store.drain(self.ppo.discount, self.ppo.gae_lambda))
-            if self._buffer_len(self.buffers[region]) >= self.ppo.batch_size:
-                ppo_update(
-                    self.nets[region],
-                    _concat_batches(self.buffers[region]),
-                    self.ppo,
-                    self.rng,
-                    optimizer=self.opts[region],
-                )
-                self.buffers[region] = []
-                self.updates += 1
+        self._end_episode()
 
 
 def make_agent(kind: str, cfg: ScenarioConfig):

@@ -14,8 +14,7 @@ Three levels share one pool of N subbands:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,9 +49,6 @@ class LocalAction:
     beta: np.ndarray  # (N,) in {0, 1}
     alpha: np.ndarray  # (N,) in [0, 1]
     dp: np.ndarray  # (2,) meters
-
-    def copy(self) -> "LocalAction":
-        return LocalAction(self.beta.copy(), self.alpha.copy(), self.dp.copy())
 
 
 @dataclass
@@ -90,13 +86,6 @@ class AllocationState:
             self.dp.copy(),
         )
 
-    def region_rows(self, cfg: ScenarioConfig, region: int) -> slice:
-        m = cfg.nodes_per_region
-        return slice(region * m, (region + 1) * m)
-
-    def local_action(self, row: int) -> LocalAction:
-        return LocalAction(self.beta[row], self.alpha[row], self.dp[row])
-
     def to_dict(self) -> dict:
         return {
             "global": self.global_alloc.tolist(),
@@ -131,7 +120,7 @@ def _first_non_binary(x: np.ndarray):
     return tuple(np.argwhere(bad)[0])
 
 
-def validate(state: AllocationState, cfg: ScenarioConfig, uav_step: float | None = None) -> Violation | None:
+def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
     """Return the first violated constraint, or None when feasible.
 
     Checks run in a fixed order (shapes, global, regional region by region,
@@ -140,8 +129,6 @@ def validate(state: AllocationState, cfg: ScenarioConfig, uav_step: float | None
     grant-nesting fault.  Each stage first asks one whole-array question
     and only locates the fault when the answer is no.
     """
-    if uav_step is None:
-        uav_step = cfg.uav_step
     g = state.global_alloc
     n_sub = cfg.num_subbands
     if g.shape != (cfg.beams, n_sub):
@@ -208,6 +195,7 @@ def validate(state: AllocationState, cfg: ScenarioConfig, uav_step: float | None
         return Violation("power-budget", (row,), f"active power fractions sum to {used[row]:.6f}")
 
     reach = np.abs(state.dp)
+    uav_step = cfg.uav_step
     if np.fmax.reduce(reach, axis=None) > uav_step + BUDGET_TOL:
         row, axis = np.argwhere(reach > uav_step + BUDGET_TOL)[0]
         return Violation("movement-limit", (int(row), int(axis)), f"|dp| exceeds {uav_step} m")
@@ -241,21 +229,3 @@ def clamp_local(
     d = np.where(np.asarray(is_uav)[..., None], d, 0.0)
     return LocalAction(beta=b, alpha=a, dp=d)
 
-
-def enumerate_global(beams: int, num_subbands: int, cap: int):
-    """Yield every feasible global allocation matrix (at most one beam per subband).
-
-    There are (beams + 1) ** num_subbands of them; raises
-    EnumerationCapError when that exceeds ``cap``.
-    """
-    total = (beams + 1) ** num_subbands
-    if total > cap:
-        raise EnumerationCapError(
-            f"search space too large: {total} global allocations exceed cap {cap}"
-        )
-    for combo in itertools.product(range(beams + 1), repeat=num_subbands):
-        g = np.zeros((beams, num_subbands), dtype=np.int8)
-        for n, choice in enumerate(combo):
-            if choice > 0:
-                g[choice - 1, n] = 1
-        yield g

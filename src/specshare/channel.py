@@ -2,9 +2,9 @@
 
 Channel power gain for a link is ``10 ** (-(PL + X) / 10) * F`` with
 free-space path loss PL, log-normal shadowing X (sigma 4 dB), and a
-small-scale fading power factor F drawn per link: Rician (K = 10 dB) for
-satellite/HAP transmitters, Rayleigh for ground-tier ones.  A frozen mode
-(shadowing 0, fading 1) makes the whole channel deterministic.
+Rayleigh fading power factor F drawn per link (every transmitter is a
+ground node: a TBS or a UAV).  A frozen mode (shadowing 0, fading 1) makes
+the whole channel deterministic.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ import numpy as np
 
 from .allocation import AllocationState
 from .config import ScenarioConfig
-from .topology import TIER_HAP, TIER_SATELLITE, Topology
+from .topology import Topology
 from .topology import dbm_to_watts  # noqa: F401  (re-exported: part of this module's API)
 
 SHADOWING_STD_DB = 4.0
-RICIAN_K_DB = 10.0
 # dB range used to squash link gains into [0, 1] observation features
 GAIN_DB_RANGE = (-160.0, -60.0)
 _MIN_GAIN = 1e-30
@@ -39,25 +38,6 @@ def path_loss_db(distance_m, carrier_hz) -> np.ndarray:
 def rayleigh_power(rng: np.random.Generator, size=None):
     """Rayleigh fading power factor: unit-mean exponential."""
     return np.maximum(rng.exponential(1.0, size=size), 1e-12)
-
-
-def rician_power(k_linear: float, rng: np.random.Generator, size=None):
-    """Rician fading power factor with linear K-factor; unit mean.
-
-    Power of ``sqrt(K/(K+1)) + CN(0, 1/(K+1))``; K -> inf collapses to 1.
-    """
-    mu = np.sqrt(k_linear / (k_linear + 1.0))
-    sigma = np.sqrt(1.0 / (2.0 * (k_linear + 1.0)))
-    re = rng.normal(mu, sigma, size=size)
-    im = rng.normal(0.0, sigma, size=size)
-    return re * re + im * im
-
-
-def fading_gain(tier: str, rng: np.random.Generator, size=None):
-    """Small-scale fading power for a transmitter tier."""
-    if tier in (TIER_SATELLITE, TIER_HAP):
-        return rician_power(10.0 ** (RICIAN_K_DB / 10.0), rng, size=size)
-    return rayleigh_power(rng, size=size)
 
 
 def db_to_unit(linear, floor, offset_db, lo_db, span_db) -> np.ndarray:
@@ -111,10 +91,7 @@ def link_gains(
         assert rng is not None
         shadow = rng.normal(0.0, SHADOWING_STD_DB, size=pl.shape)
         total_db = -(pl + shadow)
-        # ground transmitters only; tier-wise draw kept for completeness
-        fading = np.empty_like(pl)
-        for row, node in enumerate(topo.transmitters()):
-            fading[row] = fading_gain(node.tier, rng, size=pl.shape[1])
+        fading = rayleigh_power(rng, size=pl.shape)
     gains = 10.0 ** (total_db / 10.0) * fading
     # np.clip(gains, _MIN_GAIN, 1.0) with the same bits, in place
     np.maximum(_MIN_GAIN, gains, out=gains)

@@ -32,10 +32,11 @@ from .agents import (
     train,
 )
 from .allocation import AllocationState, EnumerationCapError
-from .channel import compute_snapshot, dbm_to_watts
+from .channel import compute_snapshot
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .env import SpectrumSharingEnv
 from .metrics import RewardNorms, compute_step_metrics
+from .topology import build_topology
 
 log = logging.getLogger("specshare")
 
@@ -276,7 +277,7 @@ def _sweep_local_power(cfg: ScenarioConfig, algo: str, scales) -> list[list]:
         env = SpectrumSharingEnv(cfg)
         obs = env.reset(seed=100_000)
         agent.begin_episode(env)
-        power_w = dbm_to_watts([nd.tx_power_dbm for nd in env.topology.transmitters()])
+        power_w = env.topology.tx_power_w
         eta_sum = 0.0
         used_w_sum = 0.0
         for t in range(cfg.steps_per_episode):
@@ -425,8 +426,6 @@ def cmd_replay(args) -> int:
         return 1
 
     cfg = config_from_dict(header["config"])
-    from .topology import build_topology
-
     topo = build_topology(cfg, np.random.default_rng(cfg.seed))
     norms = RewardNorms.from_config(cfg)
 
@@ -450,6 +449,7 @@ def cmd_replay(args) -> int:
     print(f"replayed {len(steps)} steps; max absolute deviation {worst}")
     if worst > 0:
         print(f"largest deviation at trace line {worst_line}, field {worst_field!r}")
+        return 1
     return 0
 
 
@@ -494,7 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=cmd_benchmark)
 
-    p_replay = sub.add_parser("replay", help="recompute metrics from a trace, report deviation")
+    p_replay = sub.add_parser(
+        "replay", help="recompute metrics from a trace, report deviation; exit 1 on any"
+    )
     p_replay.add_argument("--trace", required=True)
     p_replay.set_defaults(func=cmd_replay)
 

@@ -71,20 +71,14 @@ class ScenarioConfig:
     regions_per_hap: int = 2
     uavs_per_region: int = 1
     users_per_region: int = 10
-    # Parsed and stored for completeness; the simulator does not consume it.
-    time_blocks_per_region: int = 2
     region_size: tuple[float, float] = (2000.0, 2000.0)
     uav_step: float = 10.0
     uav_altitude: float = 100.0
-    hap_altitude: float = 20_000.0
-    sat_altitude: float = 550_000.0
 
     # radio
     total_bandwidth: float = 200e6
     num_subbands: int = 10
     carrier_freq: float = 28e9
-    tx_power_sat_range: tuple[float, float] = (33.0, 45.0)
-    tx_power_hap_range: tuple[float, float] = (28.0, 36.0)
     tx_power_tbs: float = 16.0
     tx_power_uav: float = 8.0
     noise_psd: float = -174.0
@@ -148,8 +142,6 @@ class ScenarioConfig:
         for name, value in counts.items():
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.time_blocks_per_region < 1:
-            raise ConfigError("time_blocks_per_region must be >= 1")
         if self.total_bandwidth <= 0 or self.carrier_freq <= 0:
             raise ConfigError("total_bandwidth and carrier_freq must be > 0")
         if self.noise_psd >= 0:
@@ -165,25 +157,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"decision interval ordering requires nested multiples, got {ds}, {dh}, {dl}"
             )
-        for name, rng in (
-            ("tx_power_sat_range", self.tx_power_sat_range),
-            ("tx_power_hap_range", self.tx_power_hap_range),
-        ):
-            if rng[0] > rng[1]:
-                raise ConfigError(f"{name} must be (low, high) with low <= high, got {rng}")
         if len(self.region_size) != 2 or min(self.region_size) <= 0:
             raise ConfigError(f"region_size must be two positive extents, got {self.region_size}")
         if self.uav_step < 0:
             raise ConfigError("uav_step must be >= 0")
-        for name, alt in (
-            ("uav_altitude", self.uav_altitude),
-            ("hap_altitude", self.hap_altitude),
-            ("sat_altitude", self.sat_altitude),
-        ):
-            if alt <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        if not (self.uav_altitude < self.hap_altitude < self.sat_altitude):
-            raise ConfigError("altitudes must satisfy uav < hap < sat")
+        if self.uav_altitude <= 0:
+            raise ConfigError("uav_altitude must be > 0")
         if self.interference_scope not in ("global", "region"):
             raise ConfigError(
                 f"interference_scope must be 'global' or 'region', got {self.interference_scope!r}"
@@ -252,19 +231,14 @@ _SECTIONS = {
         "regions_per_hap",
         "uavs_per_region",
         "users_per_region",
-        "time_blocks_per_region",
         "region_size",
         "uav_step",
         "uav_altitude",
-        "hap_altitude",
-        "sat_altitude",
     ),
     "radio": (
         "total_bandwidth",
         "num_subbands",
         "carrier_freq",
-        "tx_power_sat_range",
-        "tx_power_hap_range",
         "tx_power_tbs",
         "tx_power_uav",
         "noise_psd",
@@ -299,7 +273,6 @@ _INT_FIELDS = {
     "regions_per_hap",
     "uavs_per_region",
     "users_per_region",
-    "time_blocks_per_region",
     "num_subbands",
     "episodes",
     "steps_per_episode",
@@ -313,8 +286,6 @@ _BOOL_FIELDS = {"fading_frozen"}
 _STR_FIELDS = {"interference_scope"}
 _TUPLE_FIELDS = {
     "region_size": (float, 2),
-    "tx_power_sat_range": (float, 2),
-    "tx_power_hap_range": (float, 2),
     "decision_intervals": (int, 3),
 }
 

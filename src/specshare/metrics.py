@@ -37,25 +37,26 @@ CSV_COLUMNS = (
 )
 
 
-def sinr(gain, alpha, power_w, interference_w, noise_w):
-    """SINR = gain * alpha * P / (I + N0); all linear units."""
-    return (np.asarray(gain) * np.asarray(alpha) * np.asarray(power_w)) / (
-        np.asarray(interference_w) + noise_w
-    )
-
-
-def user_rate(sinr_values, total_bandwidth: float, num_subbands: int) -> float:
-    """Shannon rate in bps summed over a user's serving subbands."""
-    per = total_bandwidth / num_subbands
-    return float(per * np.log2(1.0 + np.asarray(sinr_values, dtype=float)).sum())
-
-
 def _scalar_or_array(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
-# The region helpers below reduce over the last axis, so a (K,) rate vector
-# gives a float and an (R, K) stack of regions gives one value per region.
+def sinr(gain, alpha, power_w, interference_w, noise_w):
+    """SINR = gain * alpha * P / (I + N0); all linear units, broadcast together."""
+    return np.asarray(gain) * alpha * power_w / (np.asarray(interference_w) + noise_w)
+
+
+# The rate and region helpers below reduce over the last axis: user_rate
+# takes a user's (N,) subband SINRs or a (U, N) stack of users, and the
+# region helpers a (K,) rate vector or an (R, K) stack of regions.  One
+# user or one region gives a float.
+
+
+def user_rate(sinr_values, total_bandwidth: float, num_subbands: int):
+    """Shannon rate in bps summed over a user's subbands."""
+    per = total_bandwidth / num_subbands
+    shannon = np.log2(1.0 + np.atleast_1d(np.asarray(sinr_values, dtype=float)))
+    return _scalar_or_array(per * shannon.sum(axis=-1))
 
 
 def spectral_efficiency(rates, total_bandwidth: float):
@@ -221,16 +222,14 @@ def compute_step_metrics(
     sinr_matrix = np.zeros((n_users, n_sub))
     rows = snap.association[served]
     active = alloc.regional[rows] * alloc.beta[rows]  # 0/1, exact as a float factor
-    signal = (
-        snap.gains[rows, served][:, None]
-        * alloc.alpha[rows]
-        * snap.tx_power_w[rows, None]
-        * active
+    sinr_matrix[served] = sinr(
+        snap.gains[rows, served][:, None],
+        alloc.alpha[rows] * active,
+        snap.tx_power_w[rows, None],
+        snap.interference[served],
+        noise,
     )
-    sinr_matrix[served] = signal / (snap.interference[served] + noise)
-
-    per_band = cfg.subband_bandwidth
-    user_rates = per_band * np.log2(1.0 + sinr_matrix).sum(axis=1)
+    user_rates = user_rate(sinr_matrix, cfg.total_bandwidth, n_sub)
 
     n_regions, k = cfg.num_regions, cfg.users_per_region
     rates = user_rates.reshape(n_regions, k)

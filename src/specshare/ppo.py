@@ -165,6 +165,11 @@ def forward(net: PolicyNet, obs: np.ndarray) -> DistParams:
     X = np.asarray(obs, dtype=float)
     if X.ndim < 2:
         X = X.reshape(1, -1)
+    return _forward(net, X)[0]
+
+
+def _forward(net: PolicyNet, X: np.ndarray) -> tuple[DistParams, np.ndarray, np.ndarray]:
+    """The forward pass, also returning the two hidden activations for backprop."""
     p = net.params
     a1 = np.tanh(X @ p["W0"] + p["b0"])
     a2 = np.tanh(a1 @ p["W1"] + p["b1"])
@@ -172,7 +177,8 @@ def forward(net: PolicyNet, obs: np.ndarray) -> DistParams:
     mean = a2 @ p["Wm"] + p["bm"]
     log_std = _clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
     value = (a2 @ p["Wv"] + p["bv"])[..., 0]
-    return DistParams(logits=logits, mean=mean, log_std=log_std, value=value, schema=net.schema)
+    params = DistParams(logits=logits, mean=mean, log_std=log_std, value=value, schema=net.schema)
+    return params, a1, a2
 
 
 def _unsquash(schema: ActionSchema, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,44 +192,70 @@ def _unsquash(schema: ActionSchema, cont: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.arctanh(u), u
 
 
+def _log_softmax_runs(params: DistParams) -> list[tuple[int, int, int, np.ndarray]]:
+    """(slot_start, n_slots, logit_start, logp) per categorical run, logp the
+    run's (B, n_slots, arity) log-softmax."""
+    logits = params.logits
+    B = logits.shape[0]
+    out = []
+    for slot_start, n, arity, logit_start in params.schema._runs:
+        lg = logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
+        m = lg.max(axis=-1, keepdims=True)
+        lse = m + np.log(np.exp(lg - m).sum(axis=-1, keepdims=True))
+        out.append((slot_start, n, logit_start, lg - lse))
+    return out
+
+
+def _probs_and_entropy(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A run's probabilities and per-slot entropy (B, n, 1), from its log-softmax."""
+    prob = np.exp(logp)
+    return prob, -(prob * logp).sum(axis=-1, keepdims=True)
+
+
+def _picked(logp: np.ndarray, acts: np.ndarray) -> np.ndarray:
+    """Summed log-probability of one run's chosen entries: (B, n, arity), (B, n) -> (B,)."""
+    B, n = acts.shape
+    return logp[np.arange(B)[:, None], np.arange(n), acts].sum(axis=1)
+
+
+def _cont_log_prob(params: DistParams, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-density of squashed continuous actions per row, and their pre-squash values z."""
+    box = params.schema._box
+    z, u = _unsquash(params.schema, cont)
+    std = np.exp(params.log_std)
+    gauss = -0.5 * ((z - params.mean) / std) ** 2 - params.log_std - 0.5 * _LOG_2PI
+    jac = box.log_half_width + np.log1p(-u * u)
+    # pinned slots are deterministic and carry no density
+    return ((gauss - jac) * box.live).sum(axis=1), z
+
+
+def _cont_entropy(params: DistParams) -> float:
+    """Pre-squash gaussian entropy of the live continuous slots (the same for every row)."""
+    box = params.schema._box
+    return ((params.log_std + 0.5 * (1.0 + _LOG_2PI) + box.log_half_width) * box.live).sum()
+
+
+def _batch_size(params: DistParams) -> int:
+    return params.logits.shape[0] if params.schema.num_cat else params.mean.shape[0]
+
+
 def log_prob(params: DistParams, action: ActionBatch) -> np.ndarray:
     """Joint log-probability of a (batch of) factorized action(s)."""
-    schema = params.schema
-    B = params.logits.shape[0] if schema.num_cat else params.mean.shape[0]
-    lp = np.zeros(B)
-    for slot_start, n, arity, logit_start in schema._runs:
-        lg = params.logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
-        m = lg.max(axis=-1, keepdims=True)
-        lse = (m + np.log(np.exp(lg - m).sum(axis=-1, keepdims=True)))[..., 0]
-        acts = action.cat[:, slot_start : slot_start + n]
-        picked = lg[np.arange(B)[:, None], np.arange(n), acts]
-        lp += (picked - lse).sum(axis=1)
-    if schema.num_cont:
-        box = schema._box
-        z, u = _unsquash(schema, action.cont)
-        std = np.exp(params.log_std)
-        gauss = -0.5 * ((z - params.mean) / std) ** 2 - params.log_std - 0.5 * _LOG_2PI
-        jac = box.log_half_width + np.log1p(-u * u)
-        # pinned slots are deterministic and carry no density
-        lp += ((gauss - jac) * box.live).sum(axis=1)
+    lp = np.zeros(_batch_size(params))
+    for slot_start, n, _, logp in _log_softmax_runs(params):
+        lp += _picked(logp, action.cat[:, slot_start : slot_start + n])
+    if params.schema.num_cont:
+        lp += _cont_log_prob(params, action.cont)[0]
     return lp
 
 
 def entropy(params: DistParams) -> np.ndarray:
     """Policy entropy per batch row (gaussian part uses the pre-squash entropy)."""
-    schema = params.schema
-    B = params.logits.shape[0] if schema.num_cat else params.mean.shape[0]
-    ent = np.zeros(B)
-    for _, n, arity, logit_start in schema._runs:
-        lg = params.logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
-        m = lg.max(axis=-1, keepdims=True)
-        lse = m + np.log(np.exp(lg - m).sum(axis=-1, keepdims=True))
-        logp = lg - lse
-        p = np.exp(logp)
-        ent += -(p * logp).sum(axis=-1).sum(axis=-1)
-    if schema.num_cont:
-        box = schema._box
-        ent += ((params.log_std + 0.5 * (1.0 + _LOG_2PI) + box.log_half_width) * box.live).sum()
+    ent = np.zeros(_batch_size(params))
+    for *_, logp in _log_softmax_runs(params):
+        ent += _probs_and_entropy(logp)[1][..., 0].sum(axis=-1)
+    if params.schema.num_cont:
+        ent += _cont_entropy(params)
     return ent
 
 
@@ -232,7 +264,7 @@ def sample_action(
 ) -> tuple[ActionBatch, np.ndarray]:
     """Draw actions for every batch row; the returned log-prob matches log_prob()."""
     schema = params.schema
-    B = params.logits.shape[0] if schema.num_cat else params.mean.shape[0]
+    B = _batch_size(params)
     cat = np.zeros((B, schema.num_cat), dtype=np.int64)
     if schema.num_cat:
         # One uniform draw for every run yields the same numbers, and leaves
@@ -335,11 +367,10 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.obs)
 
-    def finalize(self, gamma: float, lam: float, bootstrap_value: float = 0.0) -> dict:
+    def finalize(self, gamma: float, lam: float) -> dict:
         """GAE over this sequence; returns flat training arrays."""
         adv, ret = gae(
-            np.array(self.reward), np.array(self.value), np.array(self.done, dtype=float),
-            gamma, lam, bootstrap_value,
+            np.array(self.reward), np.array(self.value), np.array(self.done, dtype=float), gamma, lam
         )
         return {
             "obs": np.stack(self.obs),
@@ -377,19 +408,27 @@ def loss_and_grads(
     adv = batch["adv"]
     ret = batch["ret"]
     logp_old = batch["logp"]
-    action = ActionBatch(cat=batch["cat"], cont=batch["cont"])
+    cat, cont = batch["cat"], batch["cont"]
 
     # forward pass, keeping activations for the backward pass
-    a1 = np.tanh(X @ p["W0"] + p["b0"])
-    a2 = np.tanh(a1 @ p["W1"] + p["b1"])
-    logits = a2 @ p["Wl"] + p["bl"]
-    mean = a2 @ p["Wm"] + p["bm"]
-    log_std = _clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
-    value = (a2 @ p["Wv"] + p["bv"])[:, 0]
-    params = DistParams(logits=logits, mean=mean, log_std=log_std, value=value, schema=schema)
+    params, a1, a2 = _forward(net, X)
+    logits, mean, log_std, value = params.logits, params.mean, params.log_std, params.value
 
-    logp_new = log_prob(params, action)
-    ent = entropy(params)
+    # each categorical run's log-softmax, probabilities and per-slot entropy
+    # serve the log-prob, the entropy and the gradient alike
+    runs = []
+    logp_new = np.zeros(B)
+    ent = np.zeros(B)
+    for slot_start, n, logit_start, logp_slot in _log_softmax_runs(params):
+        acts = cat[:, slot_start : slot_start + n]
+        prob, h_slot = _probs_and_entropy(logp_slot)
+        logp_new += _picked(logp_slot, acts)
+        ent += h_slot[..., 0].sum(axis=-1)
+        runs.append((logit_start, acts, logp_slot, prob, h_slot))
+    if schema.num_cont:
+        lp_cont, z = _cont_log_prob(params, cont)
+        logp_new += lp_cont
+        ent += _cont_entropy(params)
 
     ratio = np.exp(logp_new - logp_old)
     unclipped = ratio * adv
@@ -409,23 +448,16 @@ def loss_and_grads(
     d_mean = np.zeros_like(mean)
     d_log_std = np.zeros_like(log_std)
 
-    for slot_start, n, arity, logit_start in schema._runs:
-        lg = logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
-        m = lg.max(axis=-1, keepdims=True)
-        lse = m + np.log(np.exp(lg - m).sum(axis=-1, keepdims=True))
-        logp_slot = lg - lse
-        prob = np.exp(logp_slot)
-        acts = action.cat[:, slot_start : slot_start + n]
+    for logit_start, acts, logp_slot, prob, h_slot in runs:
+        _, n, arity = prob.shape
         onehot = np.zeros_like(prob)
         onehot[np.arange(B)[:, None], np.arange(n), acts] = 1.0
         d_slot = g_lp[:, None, None] * (onehot - prob)
         # entropy bonus: d(-c*mean(H))/dlogits = (c/B) * p * (logp + H_slot)
-        h_slot = -(prob * logp_slot).sum(axis=-1, keepdims=True)
         d_slot += (cfg.entropy_coef / B) * prob * (logp_slot + h_slot)
         d_logits[:, logit_start : logit_start + n * arity] = d_slot.reshape(B, n * arity)
 
     if schema.num_cont:
-        z, _ = _unsquash(schema, action.cont)
         std = np.exp(log_std)
         zc = (z - mean) / std
         d_mean = g_lp[:, None] * zc / std

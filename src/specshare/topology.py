@@ -3,12 +3,13 @@
 Regions tile a horizontal strip, one square per region, left to right in
 region-id order, so each beam covers a contiguous block of regions.  Every
 region gets two TBSs (west/east half centers) and its UAVs at the region
-center; users drop uniformly inside the region rectangle.
+center; users drop uniformly inside the region rectangle.  The satellite
+and the HAPs only decide how spectrum is split; they place no transmitter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -19,8 +20,6 @@ from .config import ScenarioConfig
 # strictly positive (users are at ground level).
 TBS_MAST_HEIGHT_M = 10.0
 
-TIER_SATELLITE = "satellite"
-TIER_HAP = "hap"
 TIER_TBS = "tbs"
 TIER_UAV = "uav"
 
@@ -36,22 +35,20 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Node:
-    id: int
+    """A transmitting ground node: a TBS or a UAV."""
+
     tier: str
-    position: np.ndarray  # (3,) meters, read-only home position
+    position: np.ndarray  # (3,) meters, home position
     tx_power_dbm: float
-    region: int = -1  # owning region for tbs/uav, -1 for satellite/hap
-    hap: int = -1  # owning hap for hap-tier and below
-    beam: int = -1
+    region: int  # owning region
 
 
 @dataclass
 class Topology:
     cfg: ScenarioConfig
-    nodes: list[Node]
+    nodes: list[Node]  # the transmitters, region-major: row i of every per-row array
     user_positions: np.ndarray  # (num_users, 3), region-major order
     region_bounds: np.ndarray  # (num_regions, 4): xmin, ymin, xmax, ymax
-    transmitter_ids: list[int] = field(default_factory=list)
 
     @property
     def num_regions(self) -> int:
@@ -68,7 +65,7 @@ class Topology:
         return self.hap_of_region(region) // self.cfg.haps_per_beam
 
     def transmitters(self) -> list[Node]:
-        return [self.nodes[i] for i in self.transmitter_ids]
+        return self.nodes
 
     def region_transmitter_rows(self, region: int) -> np.ndarray:
         """Row indices (into transmitter-major arrays) of a region's nodes."""
@@ -138,7 +135,7 @@ class Topology:
 
 
 def build_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
-    """Place satellite, HAPs, TBSs, UAVs and drop users; rng only drives users."""
+    """Place the TBSs and UAVs and drop the users; rng only drives the users."""
     w, h = cfg.region_size
     n_regions = cfg.num_regions
 
@@ -146,79 +143,15 @@ def build_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
     for r in range(n_regions):
         bounds[r] = (r * w, 0.0, (r + 1) * w, h)
 
-    sat_power = 0.5 * (cfg.tx_power_sat_range[0] + cfg.tx_power_sat_range[1])
-    hap_power = 0.5 * (cfg.tx_power_hap_range[0] + cfg.tx_power_hap_range[1])
-
     nodes: list[Node] = []
-    next_id = 0
-
-    all_cx = 0.5 * (bounds[:, 0] + bounds[:, 2])
-    all_cy = 0.5 * (bounds[:, 1] + bounds[:, 3])
-    nodes.append(
-        Node(
-            id=next_id,
-            tier=TIER_SATELLITE,
-            position=np.array([all_cx.mean(), all_cy.mean(), cfg.sat_altitude]),
-            tx_power_dbm=sat_power,
-        )
-    )
-    next_id += 1
-
-    for hap in range(cfg.num_haps):
-        regions = range(hap * cfg.regions_per_hap, (hap + 1) * cfg.regions_per_hap)
-        cx = np.mean([all_cx[r] for r in regions])
-        cy = np.mean([all_cy[r] for r in regions])
-        nodes.append(
-            Node(
-                id=next_id,
-                tier=TIER_HAP,
-                position=np.array([cx, cy, cfg.hap_altitude]),
-                tx_power_dbm=hap_power,
-                hap=hap,
-                beam=hap // cfg.haps_per_beam,
-            )
-        )
-        next_id += 1
-
-    transmitter_ids: list[int] = []
     for r in range(n_regions):
         x0, y0, x1, y1 = bounds[r]
-        hap = r // cfg.regions_per_hap
-        beam = hap // cfg.haps_per_beam
         cy = 0.5 * (y0 + y1)
         cx = 0.5 * (x0 + x1)
-        tbs_positions = [
-            np.array([x0 + 0.25 * (x1 - x0), cy, TBS_MAST_HEIGHT_M]),
-            np.array([x0 + 0.75 * (x1 - x0), cy, TBS_MAST_HEIGHT_M]),
-        ]
-        for pos in tbs_positions:
-            nodes.append(
-                Node(
-                    id=next_id,
-                    tier=TIER_TBS,
-                    position=pos,
-                    tx_power_dbm=cfg.tx_power_tbs,
-                    region=r,
-                    hap=hap,
-                    beam=beam,
-                )
-            )
-            transmitter_ids.append(next_id)
-            next_id += 1
+        for x in (x0 + 0.25 * (x1 - x0), x0 + 0.75 * (x1 - x0)):
+            nodes.append(Node(TIER_TBS, np.array([x, cy, TBS_MAST_HEIGHT_M]), cfg.tx_power_tbs, r))
         for _ in range(cfg.uavs_per_region):
-            nodes.append(
-                Node(
-                    id=next_id,
-                    tier=TIER_UAV,
-                    position=np.array([cx, cy, cfg.uav_altitude]),
-                    tx_power_dbm=cfg.tx_power_uav,
-                    region=r,
-                    hap=hap,
-                    beam=beam,
-                )
-            )
-            transmitter_ids.append(next_id)
-            next_id += 1
+            nodes.append(Node(TIER_UAV, np.array([cx, cy, cfg.uav_altitude]), cfg.tx_power_uav, r))
 
     users = np.zeros((cfg.num_users, 3))
     for r in range(n_regions):
@@ -228,10 +161,4 @@ def build_topology(cfg: ScenarioConfig, rng: np.random.Generator) -> Topology:
         users[sl, 0] = rng.uniform(x0, x1, size=k)
         users[sl, 1] = rng.uniform(y0, y1, size=k)
 
-    return Topology(
-        cfg=cfg,
-        nodes=nodes,
-        user_positions=users,
-        region_bounds=bounds,
-        transmitter_ids=transmitter_ids,
-    )
+    return Topology(cfg=cfg, nodes=nodes, user_positions=users, region_bounds=bounds)

@@ -2,8 +2,9 @@
 
 These are the straight loop versions of code that the package now computes
 on region blocks: ``validate``, the per-row ``clamp_local`` pass of the
-local apply, user association, region-scope interference, the region loop
-of the step metrics, and the three observation builders.  They are kept
+local apply, the per-row fading draw of the unfrozen link gains, user
+association, region-scope interference, the region loop of the step
+metrics, and the three observation builders.  They are kept
 only as a reference for ``test_vectorized_oracle.py``, which requires the
 block versions to reproduce them bit for bit.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from specshare.allocation import BUDGET_TOL, AllocationState, LocalAction, Violation
+from specshare.channel import path_loss_db
 from specshare.metrics import StepMetrics
 from specshare.topology import TIER_UAV
 
@@ -20,6 +22,7 @@ _RESCALE_TOL = 1e-12
 GAIN_DB_RANGE = (-160.0, -60.0)
 INTERFERENCE_DBM_RANGE = (-150.0, -40.0)
 _MIN_GAIN = 1e-30
+SHADOWING_STD_DB = 4.0
 
 
 # -- allocation ------------------------------------------------------------------
@@ -112,6 +115,21 @@ def apply_local_loop(alloc: AllocationState, local: dict, cfg, topo) -> None:
 
 
 # -- channel ---------------------------------------------------------------------
+
+
+def link_gains_loop(topo, tx_positions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Unfrozen gains: one shadowing draw for the matrix, then the Rayleigh
+    fading drawn row by row (each row one unit-mean exponential draw)."""
+    users = topo.user_positions
+    diff = tx_positions[:, None, :] - users[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    pl = path_loss_db(dist, topo.cfg.carrier_freq)
+    shadow = rng.normal(0.0, SHADOWING_STD_DB, size=pl.shape)
+    fading = np.empty_like(pl)
+    for row in range(pl.shape[0]):
+        fading[row] = np.maximum(rng.exponential(1.0, size=pl.shape[1]), 1e-12)
+    gains = 10.0 ** (-(pl + shadow) / 10.0) * fading
+    return np.clip(gains, _MIN_GAIN, 1.0)
 
 
 def associate_users_loop(topo, gains: np.ndarray, regional: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import specshare.ppo
 from specshare.agents import (
     AGENT_KINDS,
     count_joint_candidates,
@@ -178,13 +181,56 @@ def test_training_is_deterministic(kind):
     assert set(rows_a[0]) == {"episode", "cumulative_reward", "r_avg", "eta", "fairness"}
 
 
+def _expected_updates(kind, cfg, episodes):
+    """PPO updates per policy after ``episodes`` training episodes.
+
+    A policy buffers one transition per entity per decision, runs one update
+    once its buffer holds its threshold and then empties it, so it updates
+    every ceil(threshold / transitions per episode) episodes.  hdrl's
+    regional and global thresholds are a tenth and a fiftieth of the batch
+    size, at least 8.
+    """
+    steps, bs = cfg.steps_per_episode, cfg.ppo.batch_size
+    ds, dh, _ = cfg.decision_intervals
+    if kind == "hdrl":
+        per_episode = {
+            "global": math.ceil(steps / ds),
+            "regional": cfg.num_haps * math.ceil(steps / dh),
+            "local": cfg.num_transmitters * steps,
+        }
+        threshold = {"global": max(8, bs // 50), "regional": max(8, bs // 10), "local": bs}
+    elif kind == "sadrl":
+        per_episode, threshold = {"policy": steps}, {"policy": bs}
+    else:
+        per_episode = {f"region_{i}": steps for i in range(cfg.num_regions)}
+        threshold = dict.fromkeys(per_episode, bs)
+    return {p: episodes // math.ceil(threshold[p] / per_episode[p]) for p in per_episode}
+
+
 @pytest.mark.parametrize("kind", ["sadrl", "madrl", "hdrl"])
-def test_updates_fire_once_the_buffer_fills(kind):
-    cfg = _cfg()
+def test_updates_fire_once_the_buffer_fills(kind, monkeypatch):
+    cfg, episodes = _cfg(), 8
+    if kind == "hdrl":
+        # every tier's threshold above one episode's transitions, so the tiers
+        # update at different periods: global 2, regional 3, local 5 episodes
+        cfg, episodes = _cfg(steps_per_episode=20), 10
+        cfg.ppo.batch_size, cfg.ppo.minibatch_size, cfg.ppo.sgd_iters = 500, 250, 1
     env = SpectrumSharingEnv(cfg)
     agent = make_agent(kind, cfg)
-    train(agent, env, episodes=3)  # 24 local decisions > batch_size 16
-    assert agent.updates > 0
+    name_of = {id(net): name for name, net in agent.net_dict().items()}
+    counted = dict.fromkeys(name_of.values(), 0)
+    real_update = specshare.ppo.ppo_update
+
+    def counting_update(net, *args, **kwargs):
+        counted[name_of[id(net)]] += 1
+        return real_update(net, *args, **kwargs)
+
+    monkeypatch.setattr(specshare.ppo, "ppo_update", counting_update)
+    train(agent, env, episodes=episodes)
+    want = _expected_updates(kind, cfg, episodes)
+    assert min(want.values()) >= 2  # every policy updates, at its own period
+    assert counted == want
+    assert agent.updates == sum(want.values())
 
 
 @pytest.mark.parametrize("kind", ["sadrl", "madrl", "hdrl"])

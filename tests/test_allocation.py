@@ -3,9 +3,7 @@ import pytest
 
 from specshare.allocation import (
     AllocationState,
-    EnumerationCapError,
     clamp_local,
-    enumerate_global,
     validate,
 )
 from specshare.config import ScenarioConfig
@@ -183,22 +181,6 @@ def test_clamp_zeroes_motion_for_ground_nodes():
         uav_step=10.0, is_uav=False,
     )
     assert np.array_equal(act.dp, np.zeros(2))
-
-
-def test_enumerate_global_count_and_feasibility():
-    mats = list(enumerate_global(2, 3, cap=100))
-    assert len(mats) == 27  # (beams + 1) ** subbands
-    seen = set()
-    for g in mats:
-        assert g.shape == (2, 3)
-        assert (g.sum(axis=0) <= 1).all()
-        seen.add(g.tobytes())
-    assert len(seen) == 27
-
-
-def test_enumerate_global_cap():
-    with pytest.raises(EnumerationCapError, match="search space too large"):
-        list(enumerate_global(2, 10, cap=100))
 
 
 def test_allocation_dict_round_trip():

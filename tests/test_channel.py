@@ -11,7 +11,6 @@ from specshare.channel import (
     link_gains,
     path_loss_db,
     rayleigh_power,
-    rician_power,
 )
 from specshare.config import ScenarioConfig
 from specshare.topology import build_topology
@@ -69,16 +68,6 @@ def test_fading_factors_have_unit_mean():
     rng = np.random.default_rng(3)
     ray = rayleigh_power(rng, size=200_000)
     assert ray.mean() == pytest.approx(1.0, abs=0.02)
-    ric = rician_power(10.0, rng, size=200_000)
-    assert ric.mean() == pytest.approx(1.0, abs=0.02)
-    # strong LoS component concentrates the power factor near 1
-    assert ric.std() < ray.std()
-
-
-def test_rician_collapses_to_los_for_large_k():
-    rng = np.random.default_rng(4)
-    vals = rician_power(1e12, rng, size=1000)
-    assert np.abs(vals - 1.0).max() < 1e-4
 
 
 def test_frozen_gains_are_pure_path_loss():

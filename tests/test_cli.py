@@ -181,7 +181,7 @@ def test_replay_pinpoints_a_corrupted_field(tmp_path, capsys):
     lines[7] = json.dumps(entry)
     corrupted = tmp_path / "corrupted.jsonl"
     corrupted.write_text("\n".join(lines) + "\n")
-    assert main(["replay", "--trace", str(corrupted)]) == 0
+    assert main(["replay", "--trace", str(corrupted)]) == 1
     printed = capsys.readouterr().out
     deviation = float(printed.splitlines()[0].rsplit(" ", 1)[1])
     assert deviation == pytest.approx(0.5, rel=1e-9)

@@ -11,8 +11,6 @@ from specshare.config import (
     load_config,
 )
 from specshare.topology import (
-    TIER_HAP,
-    TIER_SATELLITE,
     TIER_TBS,
     TIER_UAV,
     TBS_MAST_HEIGHT_M,
@@ -85,13 +83,6 @@ def test_interval_divisibility_enforced():
         cfg.validate()
 
 
-def test_altitude_ordering_enforced():
-    cfg = ScenarioConfig()
-    cfg.hap_altitude = cfg.sat_altitude + 1.0
-    with pytest.raises(ConfigError):
-        cfg.validate()
-
-
 def test_config_hash_ignores_seed_and_episodes():
     a = ScenarioConfig()
     b = dataclasses.replace(a, seed=123, episodes=7)
@@ -130,11 +121,6 @@ def test_transmitter_layout_is_region_major():
 
 def test_node_altitudes():
     cfg, topo = _topo()
-    sat = [n for n in topo.nodes if n.tier == TIER_SATELLITE]
-    haps = [n for n in topo.nodes if n.tier == TIER_HAP]
-    assert len(sat) == 1 and sat[0].position[2] == cfg.sat_altitude
-    assert len(haps) == cfg.num_haps
-    assert all(h.position[2] == cfg.hap_altitude for h in haps)
     for n in topo.transmitters():
         if n.tier == TIER_TBS:
             assert n.position[2] == TBS_MAST_HEIGHT_M

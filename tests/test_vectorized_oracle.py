@@ -19,15 +19,17 @@ from reference_loops import (
     apply_local_loop,
     associate_users_loop,
     interference_loop,
+    link_gains_loop,
     observe_all_loop,
     step_metrics_loop,
     validate_loop,
 )
 from specshare.agents import AGENT_KINDS, make_agent
 from specshare.allocation import validate
-from specshare.channel import associate_users, co_channel_interference
+from specshare.channel import associate_users, co_channel_interference, link_gains
 from specshare.config import config_from_dict, load_config
 from specshare.env import SpectrumSharingEnv
+from specshare.topology import build_topology
 from test_acceptance import _fuzz_configs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -160,3 +162,23 @@ def test_block_step_matches_loop_oracle_on_shipped_configs(name):
         for cfg in _variants(kind, base):
             _run_episode_and_check(kind, cfg, 5, rng)
 
+
+
+@pytest.mark.parametrize("name", ["desk", "default", "multi-hap"])
+def test_unfrozen_link_gains_match_the_per_row_fading_draw(name):
+    # one (T, U) fading draw must give the per-row draws' numbers and leave
+    # the generator where they leave it, so later draws are unchanged too
+    cfg = load_config(CONFIGS / ("desk.cfg" if name == "desk" else "default.cfg"))
+    if name == "multi-hap":
+        cfg.haps_per_beam, cfg.regions_per_hap, cfg.users_per_region = 3, 4, 7
+    topo = build_topology(cfg, np.random.default_rng(cfg.seed))
+    home = np.stack([n.position for n in topo.transmitters()])
+    moves = np.random.default_rng(7)
+    for seed in range(4):
+        pos = home.copy()
+        pos[topo.uav_rows, :2] += moves.uniform(-300.0, 300.0, (topo.uav_rows.size, 2))
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):  # consecutive steps share one generator
+            got = link_gains(topo, pos, rng_got, frozen=False)
+            assert _same_bits(got, link_gains_loop(topo, pos, rng_want))
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
