@@ -5,6 +5,11 @@ free-space path loss PL, log-normal shadowing X (sigma 4 dB), and a
 Rayleigh fading power factor F drawn per link (every transmitter is a
 ground node: a TBS or a UAV).  A frozen mode (shadowing 0, fading 1) makes
 the whole channel deterministic.
+
+Two rules keep the gains, and every output built on them, byte-identical
+for a seed: one shadowing draw, then one fading draw, each over the whole
+row-major (transmitters, users) matrix; and distances summed
+``(dx**2 + dy**2) + dz**2``, the order a sum over a length-3 axis takes.
 """
 
 from __future__ import annotations
@@ -25,19 +30,26 @@ _MIN_GAIN = 1e-30
 
 
 def path_loss_db(distance_m, carrier_hz) -> np.ndarray:
-    """Free-space path loss in dB; distance and frequency must be positive."""
+    """Free-space path loss in dB; distance and frequency must be positive,
+    and the frequency must broadcast to the distance's shape."""
     d = np.asarray(distance_m, dtype=float)
     f = np.asarray(carrier_hz, dtype=float)
     if (d <= 0).any() if d.ndim else d <= 0:
         raise ValueError("distance must be > 0")
     if (f <= 0).any() if f.ndim else f <= 0:
         raise ValueError("carrier frequency must be > 0")
-    return 20.0 * np.log10(d) + 20.0 * np.log10(f) - 147.55
+    # 20 log10(d) + 20 log10(f) - 147.55, in place on one fresh array
+    pl = np.log10(d)
+    pl *= 20.0
+    pl += 20.0 * np.log10(f)
+    pl -= 147.55
+    return pl
 
 
-def rayleigh_power(rng: np.random.Generator, size=None):
-    """Rayleigh fading power factor: unit-mean exponential."""
-    return np.maximum(rng.exponential(1.0, size=size), 1e-12)
+def rayleigh_power(rng: np.random.Generator, size):
+    """Rayleigh fading power factor: unit-mean exponential, floored at 1e-12."""
+    power = rng.exponential(1.0, size=size)
+    return np.maximum(power, 1e-12, out=power)
 
 
 def db_to_unit(linear, floor, offset_db, lo_db, span_db) -> np.ndarray:
@@ -72,27 +84,46 @@ class ChannelSnapshot:
     tx_power_w: np.ndarray  # (num_transmitters,)
 
 
+def _link_distances(topo: Topology, tx_positions: np.ndarray) -> np.ndarray:
+    """(num_transmitters, num_users) distances, summed ``(dx**2 + dy**2) +
+    dz**2`` over (3, T, U) planes: the bits of ``.sum(axis=2)`` over a
+    (T, U, 3) difference.  ``hypot`` or ``dx**2 + (dy**2 + dz**2)`` changes
+    the last bit of some distances."""
+    users = topo.user_xyz
+    diff = np.empty((3, len(tx_positions), users.shape[1]))
+    np.subtract(tx_positions.T[:, :, None], users[:, None, :], out=diff)
+    diff *= diff
+    dist = diff[0] + diff[1]
+    dist += diff[2]
+    return np.sqrt(dist, out=dist)
+
+
 def link_gains(
     topo: Topology,
     tx_positions: np.ndarray,
     rng: np.random.Generator | None,
     frozen: bool,
 ) -> np.ndarray:
-    """Draw the (num_transmitters, num_users) gain matrix for one step."""
-    cfg = topo.cfg
-    users = topo.user_positions
-    diff = tx_positions[:, None, :] - users[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    pl = path_loss_db(dist, cfg.carrier_freq)
+    """Draw the (num_transmitters, num_users) gain matrix for one step.
+
+    Unfrozen, exactly two draws: ``rng.normal(0, 4, (T, U))``, then
+    ``rng.exponential(1, (T, U))``, which leaves the generator where T
+    per-row fading draws would.  Frozen, ``rng`` is not touched.  Distances
+    are summed ``(dx**2 + dy**2) + dz**2`` (``_link_distances``).
+    """
+    if not frozen and rng is None:
+        raise ValueError("unfrozen fading draws shadowing and fading: rng must not be None")
+    pl = path_loss_db(_link_distances(topo, tx_positions), topo.cfg.carrier_freq)
     if frozen:
-        total_db = -pl
-        fading = 1.0
+        gains = pl
     else:
-        assert rng is not None
-        shadow = rng.normal(0.0, SHADOWING_STD_DB, size=pl.shape)
-        total_db = -(pl + shadow)
-        fading = rayleigh_power(rng, size=pl.shape)
-    gains = 10.0 ** (total_db / 10.0) * fading
+        gains = rng.normal(0.0, SHADOWING_STD_DB, size=pl.shape)
+        gains += pl
+    # -(x) / 10 and x / -10 round alike
+    gains /= -10.0
+    np.power(10.0, gains, out=gains)
+    if not frozen:
+        gains *= rayleigh_power(rng, gains.shape)
     # np.clip(gains, _MIN_GAIN, 1.0) with the same bits, in place
     np.maximum(_MIN_GAIN, gains, out=gains)
     return np.minimum(1.0, gains, out=gains)

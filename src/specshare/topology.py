@@ -54,33 +54,11 @@ class Topology:
     def num_regions(self) -> int:
         return len(self.region_bounds)
 
-    def region_of_hap(self, hap: int) -> list[int]:
-        r = self.cfg.regions_per_hap
-        return list(range(hap * r, (hap + 1) * r))
-
-    def hap_of_region(self, region: int) -> int:
-        return region // self.cfg.regions_per_hap
-
-    def beam_of_region(self, region: int) -> int:
-        return self.hap_of_region(region) // self.cfg.haps_per_beam
-
     def transmitters(self) -> list[Node]:
         return self.nodes
 
-    def region_transmitter_rows(self, region: int) -> np.ndarray:
-        """Row indices (into transmitter-major arrays) of a region's nodes."""
-        m = self.cfg.nodes_per_region
-        return np.arange(region * m, (region + 1) * m)
-
-    def region_user_slice(self, region: int) -> slice:
-        k = self.cfg.users_per_region
-        return slice(region * k, (region + 1) * k)
-
-    def region_of_user(self, user: int) -> int:
-        return user // self.cfg.users_per_region
-
-    # Per-transmitter-row constants, built once: nodes never change after
-    # construction, and the step reads these every time.
+    # Per-row and per-user constants, built once: nodes and users never
+    # change after construction, and the step reads these every time.
 
     @cached_property
     def tx_power_w(self) -> np.ndarray:
@@ -118,6 +96,11 @@ class Topology:
     def region_first_row(self) -> np.ndarray:
         """(num_regions, 1) first transmitter row of each region."""
         return _frozen(self._region_index[:, None] * self.cfg.nodes_per_region)
+
+    @cached_property
+    def user_xyz(self) -> np.ndarray:
+        """(3, num_users) copy of the user coordinates, one row per axis."""
+        return _frozen(np.array(self.user_positions.T, order="C"))
 
     @cached_property
     def _region_index(self) -> np.ndarray:

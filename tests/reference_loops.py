@@ -2,10 +2,10 @@
 
 These are the straight loop versions of code that the package now computes
 on region blocks: ``validate``, the per-row ``clamp_local`` pass of the
-local apply, the per-row fading draw of the unfrozen link gains, user
-association, region-scope interference, the region loop of the step
-metrics, and the three observation builders.  They are kept
-only as a reference for ``test_vectorized_oracle.py``, which requires the
+local apply, the (T, U, 3) distances and per-row fading draw of the link
+gains, user association, region-scope interference, the region loop of the
+step metrics, and the three observation builders.  They are kept only as a
+reference for ``test_vectorized_oracle.py``, which requires the
 block versions to reproduce them bit for bit.
 """
 
@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from specshare.allocation import BUDGET_TOL, AllocationState, LocalAction, Violation
-from specshare.channel import path_loss_db
 from specshare.metrics import StepMetrics
 from specshare.topology import TIER_UAV
+from topo_helpers import beam_of_region, region_of_hap, region_transmitter_rows, region_user_slice
 
 _RESCALE_TOL = 1e-12
 GAIN_DB_RANGE = (-160.0, -60.0)
@@ -117,13 +117,19 @@ def apply_local_loop(alloc: AllocationState, local: dict, cfg, topo) -> None:
 # -- channel ---------------------------------------------------------------------
 
 
-def link_gains_loop(topo, tx_positions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unfrozen gains: one shadowing draw for the matrix, then the Rayleigh
-    fading drawn row by row (each row one unit-mean exponential draw)."""
+def link_gains_loop(
+    topo, tx_positions: np.ndarray, rng: np.random.Generator | None, frozen: bool = False
+) -> np.ndarray:
+    """Gains from a (T, U, 3) difference summed over its last axis, with path
+    loss written out as one expression.  Unfrozen: one shadowing draw for
+    the matrix, then the Rayleigh fading drawn row by row (each row one
+    unit-mean exponential draw).  Frozen: no draw, shadowing 0, fading 1."""
     users = topo.user_positions
     diff = tx_positions[:, None, :] - users[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
-    pl = path_loss_db(dist, topo.cfg.carrier_freq)
+    pl = 20.0 * np.log10(dist) + 20.0 * np.log10(topo.cfg.carrier_freq) - 147.55
+    if frozen:
+        return np.clip(10.0 ** (-pl / 10.0), _MIN_GAIN, 1.0)
     shadow = rng.normal(0.0, SHADOWING_STD_DB, size=pl.shape)
     fading = np.empty_like(pl)
     for row in range(pl.shape[0]):
@@ -138,11 +144,11 @@ def associate_users_loop(topo, gains: np.ndarray, regional: np.ndarray) -> np.nd
     association = np.full(cfg.num_users, -1, dtype=int)
     holds = regional.sum(axis=1) > 0
     for region in range(cfg.num_regions):
-        rows = topo.region_transmitter_rows(region)
+        rows = region_transmitter_rows(topo, region)
         candidates = rows[holds[rows]]
         if candidates.size == 0:
             continue
-        sl = topo.region_user_slice(region)
+        sl = region_user_slice(topo, region)
         best = np.argmax(gains[candidates, sl], axis=0)
         association[sl] = candidates[best]
     return association
@@ -156,8 +162,8 @@ def interference_loop(topo, gains, alloc, tx_power_w, association, scope: str) -
     if scope == "region":
         total = np.zeros((cfg.num_users, cfg.num_subbands))
         for region in range(cfg.num_regions):
-            rows = topo.region_transmitter_rows(region)
-            sl = topo.region_user_slice(region)
+            rows = region_transmitter_rows(topo, region)
+            sl = region_user_slice(topo, region)
             total[sl] = gains[rows, sl].T @ tx_psd[rows]
     else:
         total = gains.T @ tx_psd
@@ -228,13 +234,13 @@ def step_metrics_loop(topo, alloc, snap, tx_positions, norms) -> StepMetrics:
     region_rate_mean = np.zeros(n_regions)
     txs = topo.transmitters()
     for region in range(n_regions):
-        sl = topo.region_user_slice(region)
+        sl = region_user_slice(topo, region)
         rates = user_rates[sl]
         region_eta[region] = spectral_efficiency(rates, cfg.total_bandwidth)
         region_fair[region] = jain_fairness(rates)
         region_qos[region] = qos_violation(rates, cfg.r_min)
         region_rate_mean[region] = rates.mean()
-        rows = topo.region_transmitter_rows(region)
+        rows = region_transmitter_rows(topo, region)
         uav_rows = [r for r in rows if txs[r].tier == TIER_UAV]
         region_uav[region] = uav_penalty_loop(tx_positions[uav_rows], topo.region_bounds[region])
 
@@ -290,7 +296,7 @@ def interference_to_unit_loop(interference_w) -> np.ndarray:
 
 def _user_xy_unit(topo, region):
     x0, y0, x1, y1 = topo.region_bounds[region]
-    pos = topo.user_positions[topo.region_user_slice(region)]
+    pos = topo.user_positions[region_user_slice(topo, region)]
     unit = np.stack([(pos[:, 0] - x0) / (x1 - x0), (pos[:, 1] - y0) / (y1 - y0)], axis=1)
     return unit.reshape(-1)
 
@@ -298,8 +304,8 @@ def _user_xy_unit(topo, region):
 def region_gain_row_means_loop(topo, gains) -> np.ndarray:
     out = np.zeros(topo.cfg.num_transmitters)
     for region in range(topo.cfg.num_regions):
-        rows = topo.region_transmitter_rows(region)
-        sl = topo.region_user_slice(region)
+        rows = region_transmitter_rows(topo, region)
+        sl = region_user_slice(topo, region)
         out[rows] = gains[rows, sl].mean(axis=1)
     return out
 
@@ -310,7 +316,7 @@ def observe_global_loop(topo, state) -> np.ndarray:
     avail = 1.0 - alloc.global_alloc.any(axis=0)
     row_means = region_gain_row_means_loop(topo, state.snapshot.gains)
     beam_regions = [
-        [r for r in range(cfg.num_regions) if topo.beam_of_region(r) == beam]
+        [r for r in range(cfg.num_regions) if beam_of_region(topo, r) == beam]
         for beam in range(cfg.beams)
     ]
     beam_user_share = np.array(
@@ -318,7 +324,7 @@ def observe_global_loop(topo, state) -> np.ndarray:
     )
     beam_gain = np.zeros(cfg.beams)
     for beam, regions in enumerate(beam_regions):
-        rows = np.concatenate([topo.region_transmitter_rows(r) for r in regions])
+        rows = np.concatenate([region_transmitter_rows(topo, r) for r in regions])
         beam_gain[beam] = gain_to_unit(row_means[rows].mean())
     return np.concatenate([avail.astype(float), beam_user_share, beam_gain])
 
@@ -327,8 +333,8 @@ def observe_regional_loop(topo, state, hap: int) -> np.ndarray:
     cfg = topo.cfg
     beam = hap // cfg.haps_per_beam
     mask = state.alloc.global_alloc[beam].astype(float)
-    regions = topo.region_of_hap(hap)
-    rows = np.concatenate([topo.region_transmitter_rows(r) for r in regions])
+    regions = region_of_hap(topo, hap)
+    rows = np.concatenate([region_transmitter_rows(topo, r) for r in regions])
     assoc = state.snapshot.association
     counts = np.bincount(assoc[assoc >= 0], minlength=cfg.num_transmitters)
     hap_users = cfg.regions_per_hap * cfg.users_per_region
@@ -343,8 +349,8 @@ def observe_local_loop(topo, state) -> dict:
     gains = state.snapshot.gains
     local = {}
     for region in range(cfg.num_regions):
-        rows = topo.region_transmitter_rows(region)
-        sl = topo.region_user_slice(region)
+        rows = region_transmitter_rows(topo, region)
+        sl = region_user_slice(topo, region)
         x0, y0, x1, y1 = topo.region_bounds[region]
         user_xy = _user_xy_unit(topo, region)
         interf = interference_to_unit_loop(state.snapshot.interference[sl].mean(axis=0))

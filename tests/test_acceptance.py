@@ -22,6 +22,7 @@ from specshare.env import SpectrumSharingEnv
 from specshare.metrics import RewardNorms, compute_step_metrics, jain_fairness
 from specshare.ppo import ActionSchema, PolicyNet, forward, gae, grad_check, loss_and_grads, sample_action
 from specshare.topology import TIER_UAV, build_topology
+from topo_helpers import region_transmitter_rows
 
 DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
@@ -225,7 +226,7 @@ def test_criterion_2_metric_oracle_equivalence():
             worst = max(worst, rel(got.region_fairness[region], fair_r))
             worst = max(worst, rel(got.region_qos[region], qos_r) if qos_r else abs(got.region_qos[region]))
             uav_rows = [
-                r for r in topo.region_transmitter_rows(region)
+                r for r in region_transmitter_rows(topo, region)
                 if topo.transmitters()[r].tier == TIER_UAV
             ]
             x0, y0, x1, y1 = topo.region_bounds[region]

@@ -14,6 +14,7 @@ from specshare.channel import (
 )
 from specshare.config import ScenarioConfig
 from specshare.topology import build_topology
+from topo_helpers import region_of_user
 
 # 20 log10(1000) + 20 log10(28e9) - 147.55, evaluated independently
 FSPL_1KM_28GHZ_DB = 121.39316062684437
@@ -93,6 +94,14 @@ def test_unfrozen_gains_are_random_but_seeded():
     assert (g1 <= 1.0).all() and (g1 > 0).all()
 
 
+def test_unfrozen_gains_need_a_generator():
+    cfg = _desk_cfg()
+    topo = build_topology(cfg, np.random.default_rng(0))
+    tx_pos = np.stack([n.position for n in topo.transmitters()])
+    with pytest.raises(ValueError, match="rng"):
+        link_gains(topo, tx_pos, rng=None, frozen=False)
+
+
 def test_association_picks_best_granted_node_per_region():
     cfg = _desk_cfg()
     topo = build_topology(cfg, np.random.default_rng(0))
@@ -156,7 +165,7 @@ def test_interference_matches_explicit_sum():
                     for row in range(cfg.num_transmitters):
                         if row == assoc[u]:
                             continue
-                        if scope == "region" and row // cfg.nodes_per_region != topo.region_of_user(u):
+                        if scope == "region" and row // cfg.nodes_per_region != region_of_user(topo, u):
                             continue
                         if state.regional[row, n] and state.beta[row, n]:
                             total += gains[row, u] * state.alpha[row, n] * power[row]

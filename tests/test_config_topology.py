@@ -16,6 +16,13 @@ from specshare.topology import (
     TBS_MAST_HEIGHT_M,
     build_topology,
 )
+from topo_helpers import (
+    beam_of_region,
+    hap_of_region,
+    region_of_hap,
+    region_of_user,
+    region_transmitter_rows,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -113,7 +120,7 @@ def test_transmitter_layout_is_region_major():
     assert len(txs) == cfg.num_transmitters
     m = cfg.nodes_per_region
     for region in range(cfg.num_regions):
-        rows = topo.region_transmitter_rows(region)
+        rows = region_transmitter_rows(topo, region)
         assert list(rows) == list(range(region * m, (region + 1) * m))
         tiers = [txs[r].tier for r in rows]
         assert tiers == [TIER_TBS, TIER_TBS] + [TIER_UAV] * cfg.uavs_per_region
@@ -131,7 +138,7 @@ def test_node_altitudes():
 def test_users_fall_inside_their_region():
     cfg, topo = _topo()
     for u in range(cfg.num_users):
-        region = topo.region_of_user(u)
+        region = region_of_user(topo, u)
         x0, y0, x1, y1 = topo.region_bounds[region]
         x, y, z = topo.user_positions[u]
         assert x0 <= x <= x1 and y0 <= y <= y1
@@ -160,10 +167,10 @@ def test_hierarchy_index_maps():
     cfg.validate()
     topo = build_topology(cfg, np.random.default_rng(0))
     assert topo.num_regions == 8
-    assert topo.region_of_hap(1) == [2, 3]
-    assert topo.hap_of_region(5) == 2
-    assert topo.beam_of_region(5) == 1
-    assert topo.beam_of_region(2) == 0
+    assert region_of_hap(topo, 1) == [2, 3]
+    assert hap_of_region(topo, 5) == 2
+    assert beam_of_region(topo, 5) == 1
+    assert beam_of_region(topo, 2) == 0
 
 
 def test_user_placement_is_seeded():

@@ -9,6 +9,7 @@ from specshare.env import ScheduleError, SpectrumSharingEnv, episode_summary
 from specshare.metrics import RewardNorms, compute_step_metrics
 from specshare.channel import compute_snapshot
 from specshare.topology import build_topology
+from topo_helpers import beam_of_region
 
 
 def _cfg(**overrides):
@@ -176,7 +177,7 @@ def test_global_revocation_cascades_downward():
         "local": grant_all["local"],
     }
     env.step(revoke)
-    beam0_regions = [r for r in range(cfg.num_regions) if env.topology.beam_of_region(r) == 0]
+    beam0_regions = [r for r in range(cfg.num_regions) if beam_of_region(env.topology, r) == 0]
     for region in beam0_regions:
         rows = slice(region * m, (region + 1) * m)
         assert env.state.alloc.regional[rows, 0].sum() == 0

@@ -16,6 +16,7 @@ from specshare.metrics import (
     user_rate,
 )
 from specshare.topology import TIER_UAV, build_topology
+from topo_helpers import region_transmitter_rows
 
 LOG2_101 = 6.658211482751795
 
@@ -201,7 +202,7 @@ def test_step_metrics_match_straight_line_reference():
             qos_r = max(0.0, cfg.r_min - rr.min())
             uav_rows = [
                 r
-                for r in topo.region_transmitter_rows(region)
+                for r in region_transmitter_rows(topo, region)
                 if topo.transmitters()[r].tier == TIER_UAV
             ]
             x0, y0, x1, y1 = topo.region_bounds[region]

@@ -164,21 +164,67 @@ def test_block_step_matches_loop_oracle_on_shipped_configs(name):
 
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def _gain_topology(name):
+    """The scenario's topology with its user coordinates made read-only."""
+    cfg = load_config(CONFIGS / ("desk.cfg" if name == "desk" else "default.cfg"))
+    if name == "multi-hap":
+        cfg.haps_per_beam, cfg.regions_per_hap, cfg.users_per_region = 3, 4, 7
+    elif name == "r128":  # the benchmark's large scenario
+        cfg.haps_per_beam, cfg.regions_per_hap = 8, 8
+    topo = build_topology(cfg, np.random.default_rng(cfg.seed))
+    _read_only(topo.user_positions)
+    return topo
+
+
+def _moved_positions(topo, moves):
+    """Read-only transmitter positions with every UAV and TBS off its home."""
+    pos = np.stack([n.position for n in topo.transmitters()])
+    pos[topo.uav_rows, :2] += moves.uniform(-300.0, 300.0, (topo.uav_rows.size, 2))
+    tbs = ~topo.is_uav
+    pos[tbs, :2] += moves.uniform(-50.0, 50.0, (int(tbs.sum()), 2))
+    return _read_only(pos)
+
+
 @pytest.mark.parametrize("name", ["desk", "default", "multi-hap"])
 def test_unfrozen_link_gains_match_the_per_row_fading_draw(name):
     # one (T, U) fading draw must give the per-row draws' numbers and leave
     # the generator where they leave it, so later draws are unchanged too
-    cfg = load_config(CONFIGS / ("desk.cfg" if name == "desk" else "default.cfg"))
-    if name == "multi-hap":
-        cfg.haps_per_beam, cfg.regions_per_hap, cfg.users_per_region = 3, 4, 7
-    topo = build_topology(cfg, np.random.default_rng(cfg.seed))
-    home = np.stack([n.position for n in topo.transmitters()])
+    topo = _gain_topology(name)
     moves = np.random.default_rng(7)
     for seed in range(4):
-        pos = home.copy()
-        pos[topo.uav_rows, :2] += moves.uniform(-300.0, 300.0, (topo.uav_rows.size, 2))
+        pos = _moved_positions(topo, moves)
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):  # consecutive steps share one generator
             got = link_gains(topo, pos, rng_got, frozen=False)
             assert _same_bits(got, link_gains_loop(topo, pos, rng_want))
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["desk", "default", "multi-hap"])
+def test_frozen_link_gains_match_the_loop_oracle_and_draw_nothing(name):
+    topo = _gain_topology(name)
+    moves = np.random.default_rng(8)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for _ in range(3):
+        pos = _moved_positions(topo, moves)
+        for gen in (None, rng):
+            got = link_gains(topo, pos, gen, frozen=True)
+            assert _same_bits(got, link_gains_loop(topo, pos, None, frozen=True))
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_link_gains_match_the_loop_oracle_at_128_regions(frozen):
+    topo = _gain_topology("r128")
+    assert (len(topo.nodes), topo.cfg.num_users) == (384, 1280)
+    pos = _moved_positions(topo, np.random.default_rng(9))
+    rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
+    got = link_gains(topo, pos, rng_got, frozen=frozen)
+    assert _same_bits(got, link_gains_loop(topo, pos, rng_want, frozen=frozen))
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
