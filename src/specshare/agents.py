@@ -21,17 +21,16 @@ the concatenated observation every step.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import numpy as np
 
 from . import ppo
 from .allocation import AllocationState, EnumerationCapError
-from .channel import associate_users, co_channel_interference, link_gains
+from .channel import ChannelSnapshot, associate_users, co_channel_interference, link_gains
 from .config import PpoConfig, ScenarioConfig
 from .env import SpectrumSharingEnv, episode_summary
-from .metrics import jain_fairness, sinr, spectral_efficiency, user_rate
+from .metrics import jain_fairness, served_user_rates, spectral_efficiency
 from .ppo import (
     ActionSchema,
     Adam,
@@ -200,109 +199,120 @@ class RandomAgent:
         pass
 
 
+# joint candidates scored per batched pass of exhaustive_solve; bounds its
+# working memory whatever the search space
+EXHAUSTIVE_CHUNK = 256
+
+
+def _subband_states(cfg: ScenarioConfig) -> tuple[int, int]:
+    """A subband's states in the joint search (idle, or a beam with a node
+    digit, 0 = unused, per region of the beam), and how many are per beam."""
+    per_beam = (cfg.nodes_per_region + 1) ** (cfg.haps_per_beam * cfg.regions_per_hap)
+    return 1 + cfg.beams * per_beam, per_beam
+
+
 def count_joint_candidates(cfg: ScenarioConfig) -> int:
     """Exact size of the joint global x regional discrete search space."""
-    m = cfg.nodes_per_region
-    regions_per_beam = cfg.haps_per_beam * cfg.regions_per_hap
-    per_subband = 1 + cfg.beams * (m + 1) ** regions_per_beam
-    return per_subband**cfg.num_subbands
+    return _subband_states(cfg)[0] ** cfg.num_subbands
 
 
-def exhaustive_solve(cfg: ScenarioConfig, cap: int | None = None) -> dict:
+def exhaustive_solve(cfg: ScenarioConfig) -> dict:
     """Enumerate every joint (global, regional) allocation under frozen fading.
 
     Local actions are fixed to a heuristic: full access on granted subbands,
     equal power split, no movement; the best candidate's local action is
     returned under "local".  The best candidate maximizes network spectral
-    efficiency, with network fairness breaking ties.  Requires fading_frozen.
+    efficiency, with network fairness breaking ties, then the lowest key
+    (global digit per subband, then node digits region-major, subband
+    ascending).  Requires fading_frozen.
+
+    Candidate ``c`` is a mixed-radix number with one digit per subband (the
+    first subband least significant), the subband's state
+    (``_subband_states``); chunks of ``EXHAUSTIVE_CHUNK`` candidates go
+    through association, interference and rates at once.
     """
     if not cfg.fading_frozen:
         raise ValueError("exhaustive_solve requires fading_frozen=true")
-    cap = cfg.exhaustive_cap if cap is None else cap
     total = count_joint_candidates(cfg)
-    if total > cap:
+    if total > cfg.exhaustive_cap:
         raise EnumerationCapError(
-            f"search space too large: {total} joint allocations exceed cap {cap}"
+            f"search space too large: {total} joint allocations exceed cap {cfg.exhaustive_cap}"
         )
 
     topo = build_topology(cfg, np.random.default_rng(cfg.seed))
     home = np.stack([nd.position for nd in topo.transmitters()])
     gains = link_gains(topo, home, rng=None, frozen=True)
     power = topo.tx_power_w
-    noise = cfg.noise_power_w
     n, m = cfg.num_subbands, cfg.nodes_per_region
-    n_regions = cfg.num_regions
+    states, per_beam = _subband_states(cfg)
+    regions_per_beam = cfg.haps_per_beam * cfg.regions_per_hap
 
-    best = None
-    for combo in itertools.product(range(cfg.beams + 1), repeat=n):
-        combo_arr = np.asarray(combo)
-        global_alloc = slots_to_global(combo_arr, cfg.beams)
-        granted_cols = [np.nonzero(combo_arr == beam + 1)[0] for beam in range(cfg.beams)]
-        region_options = []
-        for region in range(n_regions):
-            cols = granted_cols[topo.region_beam[region]]
-            region_options.append(
-                [
-                    (cols, np.asarray(assign))
-                    for assign in itertools.product(range(m + 1), repeat=len(cols))
-                ]
-            )
-        for joint in itertools.product(*region_options):
-            regional = np.zeros((cfg.num_transmitters, n), dtype=np.int8)
-            for region, (cols, assign) in enumerate(joint):
-                chosen = assign > 0
-                if chosen.any():
-                    rows = region * m + (assign[chosen] - 1)
-                    regional[rows, cols[chosen]] = 1
-            counts = regional.sum(axis=1)
-            alpha = np.divide(
-                regional, counts[:, None], out=np.zeros(regional.shape), where=counts[:, None] > 0
-            )
-            alloc = AllocationState(
-                global_alloc=global_alloc,
-                regional=regional,
-                beta=regional,
-                alpha=alpha,
-                dp=np.zeros((cfg.num_transmitters, 2)),
-            )
-            assoc = associate_users(topo, gains, regional)
-            interference = co_channel_interference(
-                topo, gains, alloc, power, assoc, cfg.interference_scope
-            )
-            rates = np.zeros(cfg.num_users)
-            served = np.nonzero(assoc >= 0)[0]
-            if served.size:
-                rows = assoc[served]
-                snr = sinr(
-                    gains[rows, served][:, None],
-                    alpha[rows] * regional[rows],
-                    power[rows, None],
-                    interference[served],
-                    noise,
-                )
-                rates[served] = user_rate(snr, cfg.total_bandwidth, n)
-            eta = spectral_efficiency(rates, cfg.total_bandwidth)
-            fair = jain_fairness(rates)
-            if best is None or eta > best["eta"] or (eta == best["eta"] and fair > best["fairness"]):
-                best = {
-                    "eta": eta,
-                    "fairness": fair,
-                    "global": global_alloc.copy(),
-                    "regional": {
-                        region: regional[region * m : (region + 1) * m].copy()
-                        for region in range(n_regions)
-                    },
-                    "local": {"beta": regional, "alpha": alpha, "dp": alloc.dp},
-                }
-    best["candidates"] = total
-    return best
+    # (states, T) regional column of each subband state: idle, then each
+    # beam's states, one node digit per region of the beam (the first region
+    # least significant), picking rows of the beam's contiguous block
+    region_place = (m + 1) ** np.arange(regions_per_beam)
+    node_digits = np.arange(per_beam)[:, None] // region_place % (m + 1)  # (per_beam, regions)
+    beam_block = slots_to_region(node_digits, m).transpose(0, 2, 1).reshape(per_beam, -1)
+    idle = np.zeros((1, cfg.num_transmitters), dtype=np.int8)
+    columns = np.concatenate([idle, np.kron(np.eye(cfg.beams, dtype=np.int8), beam_block)])
+    place = states ** np.arange(n)
+
+    def decode(idx):
+        """Subband states (C, N), and the regional and alpha (C, T, N) of
+        candidates ``idx``."""
+        digits = idx[:, None] // place % states
+        regional = np.ascontiguousarray(columns[digits].transpose(0, 2, 1))
+        counts = regional.sum(axis=-1, keepdims=True)
+        alpha = np.divide(regional, counts, out=np.zeros(regional.shape), where=counts > 0)
+        return digits, regional, alpha
+
+    eta = np.empty(total)
+    fairness = np.empty(total)
+    for start in range(0, total, EXHAUSTIVE_CHUNK):
+        idx = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
+        _, regional, alpha = decode(idx)
+        # the channel and rate code read only the link fields; beta is the grant
+        alloc = AllocationState(
+            global_alloc=None, regional=regional, beta=regional, alpha=alpha, dp=None
+        )
+        assoc = associate_users(topo, gains, regional)
+        interference = co_channel_interference(
+            topo, gains, alloc, power, assoc, cfg.interference_scope
+        )
+        _, rates = served_user_rates(cfg, alloc, ChannelSnapshot(gains, assoc, interference, power))
+        eta[idx] = spectral_efficiency(rates, cfg.total_bandwidth)
+        fairness[idx] = jain_fairness(rates)
+
+    tied = np.flatnonzero(eta == eta.max())
+    tied = tied[fairness[tied] == fairness[tied].max()]
+    digits, regional, alpha = decode(tied)
+    grant = np.where(digits == 0, 0, 1 + (digits - 1) // per_beam)  # beam + 1, 0 = idle
+    # node digit (0 = unused) of each (region, subband), region-major
+    picks = regional.reshape(len(tied), cfg.num_regions, m, n) * np.arange(1, m + 1)[:, None]
+    keys = np.concatenate([grant, picks.sum(axis=2).reshape(len(tied), -1)], axis=1)
+    win = int(np.lexsort(keys.T[::-1])[0])  # lexsort's last key is the primary one
+    regional, alpha = regional[win], alpha[win]
+    return {
+        "eta": float(eta[tied[win]]),
+        "fairness": float(fairness[tied[win]]),
+        "global": slots_to_global(grant[win], cfg.beams),
+        "regional": {
+            region: regional[region * m : (region + 1) * m].copy()
+            for region in range(cfg.num_regions)
+        },
+        "local": {"beta": regional, "alpha": alpha, "dp": np.zeros((cfg.num_transmitters, 2))},
+        "candidates": total,
+    }
 
 
 class ExhaustiveAgent:
-    """Replays the exhaustive-search optimum and its heuristic local action.
+    """Solves the exhaustive search at every regional decision epoch and
+    applies the optimum with its heuristic local action.
 
-    The problem (config, frozen fading, UAVs at home) is solved once per
-    episode, in ``begin_episode``, and the result is replayed at every step.
+    Each solve is a fresh joint (global and regional) search; the global
+    part goes to the env only at global epochs, which are regional epochs
+    too.  Under frozen fading with the UAVs at home the problem is the same
+    at every epoch, so every solve returns the same allocation.
     """
 
     kind = "exhaustive"
@@ -313,21 +323,17 @@ class ExhaustiveAgent:
         self.solution: dict | None = None
 
     def begin_episode(self, env: SpectrumSharingEnv) -> None:
-        if not self.cfg.fading_frozen:
-            raise ValueError("exhaustive agent requires fading_frozen=true")
-        self.solution = exhaustive_solve(self.cfg)
+        pass
 
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
         cfg = self.cfg
-        sol = self.solution
-        if sol is None:
-            raise RuntimeError("begin_episode must run before act")
         bundle: dict = {}
-        if t % cfg.decision_intervals[0] == 0:
-            bundle["global"] = sol["global"]
         if t % cfg.decision_intervals[1] == 0:
-            bundle["regional"] = sol["regional"]
-        bundle["local"] = sol["local"]
+            self.solution = exhaustive_solve(cfg)
+            if t % cfg.decision_intervals[0] == 0:
+                bundle["global"] = self.solution["global"]
+            bundle["regional"] = self.solution["regional"]
+        bundle["local"] = self.solution["local"]
         return bundle
 
     def record(self, rewards: dict, done: bool) -> None:
@@ -389,11 +395,23 @@ class _PpoAgentBase:
             raise ValueError(
                 "checkpoint config hash mismatch: refusing to load weights trained on a different scenario"
             )
-        mine = self.net_dict()
-        for name, net in blob["nets"].items():
+        mine, theirs = self.net_dict(), blob["nets"]
+        for name in sorted(set(mine) ^ set(theirs)):
+            where = "checkpoint" if name in theirs else "agent"
+            raise ValueError(f"net {name!r} exists only in the {where}: refusing to load")
+        # check every net before assigning any, so a refused load changes nothing
+        for name, net in theirs.items():
+            for key, value in net.params.items():
+                if value.shape != mine[name].params[key].shape:
+                    raise ValueError(
+                        f"net {name!r} parameter {key!r} has shape {value.shape} in the checkpoint, "
+                        f"{mine[name].params[key].shape} in the agent: refusing to load"
+                    )
+        for name, net in theirs.items():
             mine[name].params = net.params
         self.rng = blob["rng"]
         self.episodes_trained = int(blob["meta"].get("episodes_trained", 0))
+        self.updates = int(blob["meta"].get("updates", 0))
 
 
 class HdrlAgent(_PpoAgentBase):
@@ -439,7 +457,7 @@ class HdrlAgent(_PpoAgentBase):
         # one: each tier runs one stacked forward (see ppo.forward), then
         # decides entity by entity, in the order a forward per entity would.
         if t % cfg.decision_intervals[1] == 0:
-            hap_obs = obs["regional"].matrix
+            hap_obs = obs["regional"]
             stacked = forward(self.net_r, hap_obs[:, None, :])
             cats = []
             for hap in range(cfg.num_haps):
@@ -456,7 +474,7 @@ class HdrlAgent(_PpoAgentBase):
             mats = slots_to_region(np.array(cats).reshape(cfg.num_regions, n), m)
             bundle["regional"] = dict(enumerate(mats))
 
-        local_obs = obs["local"].matrix
+        local_obs = obs["local"]
         stacked = forward(self.net_l, local_obs.reshape(cfg.num_regions, m, -1))
         cats, conts = [], []
         for region in range(cfg.num_regions):
@@ -518,7 +536,7 @@ class SadrlAgent(_PpoAgentBase):
     def flat_obs(self, obs: dict) -> np.ndarray:
         """One fresh vector: global, then the HAPs in order, then the transmitters in order."""
         return np.concatenate(
-            (obs["global"], obs["regional"].matrix.reshape(-1), obs["local"].matrix.reshape(-1))
+            (obs["global"], obs["regional"].reshape(-1), obs["local"].reshape(-1))
         )
 
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
@@ -592,11 +610,11 @@ class MadrlAgent(_PpoAgentBase):
         cfg = self.cfg
         n, m = cfg.num_subbands, cfg.nodes_per_region
         regions, rph = cfg.num_regions, cfg.regions_per_hap
-        hap_obs = obs["regional"].matrix
+        hap_obs = obs["regional"]
         mask = np.repeat(hap_obs[:, :n], rph, axis=0)
         load = hap_obs[:, n : n + rph * m].reshape(regions, m)
         gain = hap_obs[:, n + rph * m :].reshape(regions, m)
-        local = obs["local"].matrix.reshape(regions, -1)
+        local = obs["local"].reshape(regions, -1)
         return np.concatenate([mask, load, gain, local], axis=1)
 
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
@@ -696,8 +714,8 @@ def evaluate(
 
     Channel streams are reseeded per episode from eval_seed_base so repeat
     runs see identical conditions.  Wall-clock timing covers only action
-    computation (including any per-episode solver in begin_episode), never
-    environment physics.
+    computation (``begin_episode`` and ``act``, the exhaustive agent's
+    solves included), never environment physics.
     """
     cfg = env.cfg
     clock = time.perf_counter

@@ -133,14 +133,16 @@ def associate_users(topo: Topology, gains: np.ndarray, regional: np.ndarray) -> 
     """Serve each user from its region's best-gain node among grant holders.
 
     Ties go to the lowest row; users of a region whose nodes hold no grant
-    get -1.
+    get -1.  ``regional`` (T, N) gives (U,); leading candidate axes carry
+    through, so (C, T, N) gives (C, U).
     """
-    holds = regional.any(axis=1).reshape(topo.cfg.num_regions, -1, 1)
+    lead = regional.shape[:-2]
+    holds = regional.any(axis=-1).reshape(lead + (topo.cfg.num_regions, -1, 1))
     # gains are >= _MIN_GAIN > -inf, so a holder always beats a masked row
-    best = np.where(holds, topo.own_region_gains(gains), -np.inf).argmax(axis=1)  # (R, k)
+    best = np.where(holds, topo.own_region_gains(gains), -np.inf).argmax(axis=-2)  # (..., R, k)
     association = best + topo.region_first_row
     # a region without a grant holder serves nobody
-    return np.where(holds.any(axis=1), association, -1).reshape(-1)
+    return np.where(holds.any(axis=-2), association, -1).reshape(lead + (-1,))
 
 
 def co_channel_interference(
@@ -151,22 +153,30 @@ def co_channel_interference(
     association: np.ndarray,
     scope: str,
 ) -> np.ndarray:
-    """Interference per (user, subband) from other active co-channel nodes."""
+    """Interference per (user, subband) from other active co-channel nodes.
+
+    Reads only ``alloc``'s regional, beta and alpha.  (T, N) arrays and a
+    (U,) association give (U, N); leading candidate axes on all four carry
+    through, so (C, T, N) and (C, U) give (C, U, N).
+    """
     cfg = topo.cfg
     active = alloc.regional * alloc.beta  # 0/1; exact under the cast to float below
-    tx_psd = active * alloc.alpha * tx_power_w[:, None]  # (T, N) radiated power
+    tx_psd = active * alloc.alpha * tx_power_w[:, None]  # (..., T, N) radiated power
+    lead = tx_psd.shape[:-2]
     if scope == "region":
         blocks = topo.own_region_gains(gains)  # (R, m, k)
-        psd = tx_psd.reshape(cfg.num_regions, cfg.nodes_per_region, cfg.num_subbands)
-        total = np.matmul(blocks.transpose(0, 2, 1), psd).reshape(cfg.num_users, cfg.num_subbands)
+        psd = tx_psd.reshape(lead + (cfg.num_regions, cfg.nodes_per_region, cfg.num_subbands))
+        total = np.matmul(blocks.transpose(0, 2, 1), psd)
+        total = total.reshape(lead + (cfg.num_users, cfg.num_subbands))
     else:
-        total = gains.T @ tx_psd  # (U, N)
-    # remove each user's own serving contribution
-    u_idx = np.nonzero(association >= 0)[0]
-    if u_idx.size:
-        s_rows = association[u_idx]
-        own = gains[s_rows, u_idx][:, None] * tx_psd[s_rows]
-        total[u_idx] -= own
+        total = gains.T @ tx_psd  # (..., U, N)
+    # remove each user's own serving contribution; served[-1] holds the users,
+    # served[:-1] their candidates
+    served = np.nonzero(association >= 0)
+    if served[-1].size:
+        s_rows = association[served]
+        own = gains[s_rows, served[-1]][:, None] * tx_psd[served[:-1] + (s_rows,)]
+        total[served] -= own
         np.maximum(total, 0.0, out=total)
     return total
 

@@ -47,18 +47,6 @@ def interference_to_unit(interference_w) -> np.ndarray:
     return db_to_unit(interference_w, float(np.nextafter(0.0, 1.0)), 30.0, lo, hi - lo)
 
 
-class RowViews(dict):
-    """Entity id -> observation vector, every vector a row view of ``matrix``.
-
-    Lookups by id work as on a plain dict; consumers that want a block of
-    rows slice ``matrix`` instead of stacking vectors.
-    """
-
-    def __init__(self, matrix: np.ndarray):
-        super().__init__(enumerate(matrix))
-        self.matrix = matrix
-
-
 def _first_claimant(mat: np.ndarray, axis: int) -> np.ndarray:
     """Keep only the first 1 along ``axis`` in each line of a 0/1 int8 array."""
     return mat & (np.cumsum(mat, axis=axis) == 1)
@@ -382,10 +370,12 @@ class SpectrumSharingEnv:
         return out
 
     def _observe_all(self) -> dict:
+        """The global vector, and the (num_haps, D) regional and
+        (num_transmitters, D) local arrays: row i is entity i's vector."""
         return {
             "global": self._observe_global(),
-            "regional": RowViews(self._observe_regional()),
-            "local": RowViews(self._observe_local()),
+            "regional": self._observe_regional(),
+            "local": self._observe_local(),
         }
 
     # -- tracing ----------------------------------------------------------------

@@ -23,20 +23,6 @@ from .topology import Topology
 # counts as "full rate" for normalization purposes.
 REFERENCE_SINR = 100.0
 
-CSV_COLUMNS = (
-    "step",
-    "region",
-    "eta",
-    "fairness",
-    "qos",
-    "uav_penalty",
-    "r_l",
-    "r_h",
-    "r_s",
-    "throughput_bps",
-)
-
-
 def _scalar_or_array(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
@@ -169,26 +155,6 @@ class StepMetrics:
     r_s: float
     spectrum_utilization: float  # active / granted subband-node pairs
 
-    def to_csv_rows(self, step: int, regions_per_hap: int) -> list[list]:
-        rows = []
-        for region in range(len(self.region_eta)):
-            hap = region // regions_per_hap
-            rows.append(
-                [
-                    step,
-                    region,
-                    float(self.region_eta[region]),
-                    float(self.region_fairness[region]),
-                    float(self.region_qos[region]),
-                    float(self.region_uav_penalty[region]),
-                    float(self.r_l[region]),
-                    float(self.r_h[hap]),
-                    self.r_s,
-                    float(self.region_rate_mean[region]),
-                ]
-            )
-        return rows
-
     def to_dict(self) -> dict:
         return {
             "user_rates": self.user_rates.tolist(),
@@ -207,6 +173,32 @@ class StepMetrics:
         }
 
 
+def served_user_rates(
+    cfg: ScenarioConfig, alloc: AllocationState, snap: ChannelSnapshot
+) -> tuple[np.ndarray, np.ndarray]:
+    """SINR (..., U, N) of each user on each subband from its serving node,
+    zero where unserved, and the users' Shannon rates (..., U).
+
+    Reads only ``alloc``'s regional, beta and alpha.  As in
+    ``co_channel_interference``, leading candidate axes on those, the
+    association and the interference carry through.
+    """
+    # served[-1] holds the served users, served[:-1] their candidates
+    served = np.nonzero(snap.association >= 0)
+    rows = snap.association[served]
+    at = served[:-1] + (rows,)
+    active = alloc.regional[at] * alloc.beta[at]  # 0/1, exact as a float factor
+    sinr_matrix = np.zeros(snap.interference.shape)
+    sinr_matrix[served] = sinr(
+        snap.gains[rows, served[-1]][:, None],
+        alloc.alpha[at] * active,
+        snap.tx_power_w[rows, None],
+        snap.interference[served],
+        cfg.noise_power_w,
+    )
+    return sinr_matrix, user_rate(sinr_matrix, cfg.total_bandwidth, cfg.num_subbands)
+
+
 def compute_step_metrics(
     topo: Topology,
     alloc: AllocationState,
@@ -215,21 +207,8 @@ def compute_step_metrics(
     norms: RewardNorms,
 ) -> StepMetrics:
     cfg = topo.cfg
-    n_users, n_sub = cfg.num_users, cfg.num_subbands
-    noise = cfg.noise_power_w
-
-    served = np.nonzero(snap.association >= 0)[0]
-    sinr_matrix = np.zeros((n_users, n_sub))
-    rows = snap.association[served]
-    active = alloc.regional[rows] * alloc.beta[rows]  # 0/1, exact as a float factor
-    sinr_matrix[served] = sinr(
-        snap.gains[rows, served][:, None],
-        alloc.alpha[rows] * active,
-        snap.tx_power_w[rows, None],
-        snap.interference[served],
-        noise,
-    )
-    user_rates = user_rate(sinr_matrix, cfg.total_bandwidth, n_sub)
+    n_users = cfg.num_users
+    sinr_matrix, user_rates = served_user_rates(cfg, alloc, snap)
 
     n_regions, k = cfg.num_regions, cfg.users_per_region
     rates = user_rates.reshape(n_regions, k)

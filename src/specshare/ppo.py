@@ -147,9 +147,6 @@ class PolicyNet:
             "bv": np.zeros(1),
         }
 
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([self.params[k].ravel() for k in sorted(self.params)])
-
 
 def forward(net: PolicyNet, obs: np.ndarray) -> DistParams:
     """Distribution parameters and value for a batch (or single row) of observations.

@@ -6,16 +6,24 @@ local apply, the (T, U, 3) distances and per-row fading draw of the link
 gains, user association, region-scope interference, the region loop of the
 step metrics, and the three observation builders.  They are kept only as a
 reference for ``test_vectorized_oracle.py``, which requires the
-block versions to reproduce them bit for bit.
+block versions to reproduce them bit for bit.  ``exhaustive_solve_loop``
+walks the exhaustive search one candidate at a time; ``test_exhaustive.py``
+requires the batched ``exhaustive_solve`` to pick the same optimum.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from specshare.allocation import BUDGET_TOL, AllocationState, LocalAction, Violation
-from specshare.metrics import StepMetrics
-from specshare.topology import TIER_UAV
+from specshare import metrics
+from specshare.agents import count_joint_candidates, slots_to_global
+from specshare.allocation import BUDGET_TOL, AllocationState, EnumerationCapError, LocalAction, Violation
+from specshare.channel import associate_users, co_channel_interference, link_gains
+from specshare.config import ScenarioConfig
+from specshare.metrics import StepMetrics, sinr, user_rate
+from specshare.topology import TIER_UAV, build_topology
 from topo_helpers import beam_of_region, region_of_hap, region_transmitter_rows, region_user_slice
 
 _RESCALE_TOL = 1e-12
@@ -380,3 +388,96 @@ def observe_all_loop(topo, state) -> dict:
         "regional": {h: observe_regional_loop(topo, state, h) for h in range(topo.cfg.num_haps)},
         "local": observe_local_loop(topo, state),
     }
+
+
+# -- exhaustive search ------------------------------------------------------------
+
+
+def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
+    """Enumerate every joint (global, regional) allocation under frozen fading.
+
+    Local actions are fixed to a heuristic: full access on granted subbands,
+    equal power split, no movement; the best candidate's local action is
+    returned under "local".  The best candidate maximizes network spectral
+    efficiency, with network fairness breaking ties.  Requires fading_frozen.
+    """
+    if not cfg.fading_frozen:
+        raise ValueError("exhaustive_solve requires fading_frozen=true")
+    cap = cfg.exhaustive_cap if cap is None else cap
+    total = count_joint_candidates(cfg)
+    if total > cap:
+        raise EnumerationCapError(
+            f"search space too large: {total} joint allocations exceed cap {cap}"
+        )
+
+    topo = build_topology(cfg, np.random.default_rng(cfg.seed))
+    home = np.stack([nd.position for nd in topo.transmitters()])
+    gains = link_gains(topo, home, rng=None, frozen=True)
+    power = topo.tx_power_w
+    noise = cfg.noise_power_w
+    n, m = cfg.num_subbands, cfg.nodes_per_region
+    n_regions = cfg.num_regions
+
+    best = None
+    for combo in itertools.product(range(cfg.beams + 1), repeat=n):
+        combo_arr = np.asarray(combo)
+        global_alloc = slots_to_global(combo_arr, cfg.beams)
+        granted_cols = [np.nonzero(combo_arr == beam + 1)[0] for beam in range(cfg.beams)]
+        region_options = []
+        for region in range(n_regions):
+            cols = granted_cols[topo.region_beam[region]]
+            region_options.append(
+                [
+                    (cols, np.asarray(assign))
+                    for assign in itertools.product(range(m + 1), repeat=len(cols))
+                ]
+            )
+        for joint in itertools.product(*region_options):
+            regional = np.zeros((cfg.num_transmitters, n), dtype=np.int8)
+            for region, (cols, assign) in enumerate(joint):
+                chosen = assign > 0
+                if chosen.any():
+                    rows = region * m + (assign[chosen] - 1)
+                    regional[rows, cols[chosen]] = 1
+            counts = regional.sum(axis=1)
+            alpha = np.divide(
+                regional, counts[:, None], out=np.zeros(regional.shape), where=counts[:, None] > 0
+            )
+            alloc = AllocationState(
+                global_alloc=global_alloc,
+                regional=regional,
+                beta=regional,
+                alpha=alpha,
+                dp=np.zeros((cfg.num_transmitters, 2)),
+            )
+            assoc = associate_users(topo, gains, regional)
+            interference = co_channel_interference(
+                topo, gains, alloc, power, assoc, cfg.interference_scope
+            )
+            rates = np.zeros(cfg.num_users)
+            served = np.nonzero(assoc >= 0)[0]
+            if served.size:
+                rows = assoc[served]
+                snr = sinr(
+                    gains[rows, served][:, None],
+                    alpha[rows] * regional[rows],
+                    power[rows, None],
+                    interference[served],
+                    noise,
+                )
+                rates[served] = user_rate(snr, cfg.total_bandwidth, n)
+            eta = metrics.spectral_efficiency(rates, cfg.total_bandwidth)
+            fair = metrics.jain_fairness(rates)
+            if best is None or eta > best["eta"] or (eta == best["eta"] and fair > best["fairness"]):
+                best = {
+                    "eta": eta,
+                    "fairness": fair,
+                    "global": global_alloc.copy(),
+                    "regional": {
+                        region: regional[region * m : (region + 1) * m].copy()
+                        for region in range(n_regions)
+                    },
+                    "local": {"beta": regional, "alpha": alpha, "dp": alloc.dp},
+                }
+    best["candidates"] = total
+    return best

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -279,6 +280,47 @@ def test_checkpoint_ignores_seed_differences(tmp_path):
     other = make_agent("hdrl", _cfg(seed=77))
     other.load(path)  # same scenario, different seed: allowed
     assert other.episodes_trained == agent.episodes_trained
+
+
+def test_checkpoint_round_trip_keeps_update_count(tmp_path):
+    cfg = _cfg()
+    agent = make_agent("hdrl", cfg)
+    train(agent, SpectrumSharingEnv(cfg), episodes=2)
+    assert agent.updates > 0
+    path = tmp_path / "ckpt.json"
+    agent.save(path)
+    clone = make_agent("hdrl", cfg)
+    clone.load(path)
+    assert (clone.updates, clone.episodes_trained) == (agent.updates, agent.episodes_trained)
+
+
+def _edited_checkpoint(tmp_path, edit):
+    cfg = _cfg()
+    path = tmp_path / "ckpt.json"
+    make_agent("hdrl", cfg).save(path)
+    blob = json.loads(path.read_text())
+    edit(blob["nets"])
+    path.write_text(json.dumps(blob))
+    return cfg, path
+
+
+def test_checkpoint_with_a_reshaped_parameter_refused(tmp_path):
+    def drop_an_input(nets):
+        nets["local"]["input_dim"] -= 1
+        nets["local"]["params"]["W0"].pop()
+
+    cfg, path = _edited_checkpoint(tmp_path, drop_an_input)
+    agent = make_agent("hdrl", cfg)
+    before = agent.net_l.params["W0"].copy()
+    with pytest.raises(ValueError, match="net 'local' parameter 'W0' has shape"):
+        agent.load(path)
+    assert np.array_equal(agent.net_l.params["W0"], before)
+
+
+def test_checkpoint_with_a_renamed_net_refused(tmp_path):
+    cfg, path = _edited_checkpoint(tmp_path, lambda nets: nets.update(regional_v2=nets.pop("regional")))
+    with pytest.raises(ValueError, match="net 'regional' exists only in the agent"):
+        make_agent("hdrl", cfg).load(path)
 
 
 def test_evaluate_output_structure():

@@ -60,9 +60,9 @@ def test_reset_gives_zero_allocation_and_full_observation():
     m = cfg.nodes_per_region
     k = cfg.users_per_region
     assert obs["global"].shape == (n + 2 * b,)
-    assert set(obs["regional"]) == set(range(cfg.num_haps))
+    assert len(obs["regional"]) == cfg.num_haps
     assert obs["regional"][0].shape == (n + 2 * cfg.regions_per_hap * m,)
-    assert set(obs["local"]) == set(range(cfg.num_transmitters))
+    assert len(obs["local"]) == cfg.num_transmitters
     assert obs["local"][0].shape == (2 * n + 3 * k + 2,)
     for vec in [obs["global"], obs["regional"][0], obs["local"][0]]:
         assert np.isfinite(vec).all()
