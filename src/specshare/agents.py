@@ -14,9 +14,11 @@ Action factorization (shared by all learned agents):
 The hierarchical agent evaluates its shared local policy over all regions
 (each region's nodes as one batch) every step and its shared regional
 policy over all HAPs at that tier's decision steps, one stacked forward per
-tier, then samples entity by entity; the per-region baseline runs one
-separate PPO per region every step; the flat baseline runs one network over
-the concatenated observation every step.
+tier.  Greedy, it decides each tier in one ``mode_action`` call; exploring,
+it samples entity by entity, which keeps the generator stream of a forward
+per entity.  The per-region baseline runs one separate PPO per region every
+step; the flat baseline runs one network over the concatenated observation
+every step.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .config import PpoConfig, ScenarioConfig
 from .env import SpectrumSharingEnv, episode_summary
 from .metrics import jain_fairness, served_user_rates, spectral_efficiency
 from .ppo import (
+    ActionBatch,
     ActionSchema,
     Adam,
     PolicyNet,
@@ -44,7 +47,7 @@ from .ppo import (
     sample_action,
     save_checkpoint,
 )
-from .topology import build_topology
+from .topology import Topology, build_topology
 
 AGENT_KINDS = ("random", "exhaustive", "sadrl", "madrl", "hdrl")
 
@@ -216,7 +219,47 @@ def count_joint_candidates(cfg: ScenarioConfig) -> int:
     return _subband_states(cfg)[0] ** cfg.num_subbands
 
 
-def exhaustive_solve(cfg: ScenarioConfig) -> dict:
+class JointSearch:
+    """What every exhaustive solve of one scenario shares: the topology,
+    the frozen gains at the transmitters' home positions, and each subband
+    state's regional column.  Raises what ``exhaustive_solve`` raises for a
+    scenario it cannot solve."""
+
+    def __init__(self, cfg: ScenarioConfig, topo: Topology):
+        if not cfg.fading_frozen:
+            raise ValueError("exhaustive_solve requires fading_frozen=true")
+        total = count_joint_candidates(cfg)
+        if total > cfg.exhaustive_cap:
+            raise EnumerationCapError(
+                f"search space too large: {total} joint allocations exceed cap {cfg.exhaustive_cap}"
+            )
+        self.topo, self.total = topo, total
+        home = np.stack([nd.position for nd in topo.transmitters()])
+        self.gains = link_gains(topo, home, rng=None, frozen=True)
+        m = cfg.nodes_per_region
+        self.states, self.per_beam = _subband_states(cfg)
+        regions_per_beam = cfg.haps_per_beam * cfg.regions_per_hap
+        # (states, T) regional column of each subband state: idle, then each
+        # beam's states, one node digit per region of the beam (the first
+        # region least significant), picking rows of the beam's contiguous block
+        region_place = (m + 1) ** np.arange(regions_per_beam)
+        node_digits = np.arange(self.per_beam)[:, None] // region_place % (m + 1)  # (per_beam, regions)
+        beam_block = slots_to_region(node_digits, m).transpose(0, 2, 1).reshape(self.per_beam, -1)
+        idle = np.zeros((1, cfg.num_transmitters), dtype=np.int8)
+        self.columns = np.concatenate([idle, np.kron(np.eye(cfg.beams, dtype=np.int8), beam_block)])
+        self.place = self.states ** np.arange(cfg.num_subbands)
+
+    def decode(self, idx):
+        """Subband states (C, N), and the regional and alpha (C, T, N) of
+        candidates ``idx``."""
+        digits = idx[:, None] // self.place % self.states
+        regional = np.ascontiguousarray(self.columns[digits].transpose(0, 2, 1))
+        counts = regional.sum(axis=-1, keepdims=True)
+        alpha = np.divide(regional, counts, out=np.zeros(regional.shape), where=counts > 0)
+        return digits, regional, alpha
+
+
+def exhaustive_solve(cfg: ScenarioConfig, *, search: JointSearch | None = None) -> dict:
     """Enumerate every joint (global, regional) allocation under frozen fading.
 
     Local actions are fixed to a heuristic: full access on granted subbands,
@@ -229,48 +272,21 @@ def exhaustive_solve(cfg: ScenarioConfig) -> dict:
     Candidate ``c`` is a mixed-radix number with one digit per subband (the
     first subband least significant), the subband's state
     (``_subband_states``); chunks of ``EXHAUSTIVE_CHUNK`` candidates go
-    through association, interference and rates at once.
+    through association, interference and rates at once.  ``search`` is
+    ``cfg``'s scenario prepared once (``JointSearch``); without it the
+    topology is built from ``cfg.seed``.
     """
-    if not cfg.fading_frozen:
-        raise ValueError("exhaustive_solve requires fading_frozen=true")
-    total = count_joint_candidates(cfg)
-    if total > cfg.exhaustive_cap:
-        raise EnumerationCapError(
-            f"search space too large: {total} joint allocations exceed cap {cfg.exhaustive_cap}"
-        )
-
-    topo = build_topology(cfg, np.random.default_rng(cfg.seed))
-    home = np.stack([nd.position for nd in topo.transmitters()])
-    gains = link_gains(topo, home, rng=None, frozen=True)
+    if search is None:
+        search = JointSearch(cfg, build_topology(cfg, np.random.default_rng(cfg.seed)))
+    topo, gains, total = search.topo, search.gains, search.total
     power = topo.tx_power_w
     n, m = cfg.num_subbands, cfg.nodes_per_region
-    states, per_beam = _subband_states(cfg)
-    regions_per_beam = cfg.haps_per_beam * cfg.regions_per_hap
-
-    # (states, T) regional column of each subband state: idle, then each
-    # beam's states, one node digit per region of the beam (the first region
-    # least significant), picking rows of the beam's contiguous block
-    region_place = (m + 1) ** np.arange(regions_per_beam)
-    node_digits = np.arange(per_beam)[:, None] // region_place % (m + 1)  # (per_beam, regions)
-    beam_block = slots_to_region(node_digits, m).transpose(0, 2, 1).reshape(per_beam, -1)
-    idle = np.zeros((1, cfg.num_transmitters), dtype=np.int8)
-    columns = np.concatenate([idle, np.kron(np.eye(cfg.beams, dtype=np.int8), beam_block)])
-    place = states ** np.arange(n)
-
-    def decode(idx):
-        """Subband states (C, N), and the regional and alpha (C, T, N) of
-        candidates ``idx``."""
-        digits = idx[:, None] // place % states
-        regional = np.ascontiguousarray(columns[digits].transpose(0, 2, 1))
-        counts = regional.sum(axis=-1, keepdims=True)
-        alpha = np.divide(regional, counts, out=np.zeros(regional.shape), where=counts > 0)
-        return digits, regional, alpha
 
     eta = np.empty(total)
     fairness = np.empty(total)
     for start in range(0, total, EXHAUSTIVE_CHUNK):
         idx = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
-        _, regional, alpha = decode(idx)
+        _, regional, alpha = search.decode(idx)
         # the channel and rate code read only the link fields; beta is the grant
         alloc = AllocationState(
             global_alloc=None, regional=regional, beta=regional, alpha=alpha, dp=None
@@ -285,8 +301,8 @@ def exhaustive_solve(cfg: ScenarioConfig) -> dict:
 
     tied = np.flatnonzero(eta == eta.max())
     tied = tied[fairness[tied] == fairness[tied].max()]
-    digits, regional, alpha = decode(tied)
-    grant = np.where(digits == 0, 0, 1 + (digits - 1) // per_beam)  # beam + 1, 0 = idle
+    digits, regional, alpha = search.decode(tied)
+    grant = np.where(digits == 0, 0, 1 + (digits - 1) // search.per_beam)  # beam + 1, 0 = idle
     # node digit (0 = unused) of each (region, subband), region-major
     picks = regional.reshape(len(tied), cfg.num_regions, m, n) * np.arange(1, m + 1)[:, None]
     keys = np.concatenate([grant, picks.sum(axis=2).reshape(len(tied), -1)], axis=1)
@@ -321,15 +337,18 @@ class ExhaustiveAgent:
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
         self.solution: dict | None = None
+        self.search: JointSearch | None = None
 
     def begin_episode(self, env: SpectrumSharingEnv) -> None:
-        pass
+        # the scene is fixed per env, so the search is prepared once per env
+        if self.search is None or self.search.topo is not env.topology:
+            self.search = JointSearch(self.cfg, env.topology)
 
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
         cfg = self.cfg
         bundle: dict = {}
         if t % cfg.decision_intervals[1] == 0:
-            self.solution = exhaustive_solve(cfg)
+            self.solution = exhaustive_solve(cfg, search=self.search)
             if t % cfg.decision_intervals[0] == 0:
                 bundle["global"] = self.solution["global"]
             bundle["regional"] = self.solution["regional"]
@@ -454,48 +473,54 @@ class HdrlAgent(_PpoAgentBase):
             bundle["global"] = slots_to_global(action.cat[0], cfg.beams)
 
         # The HAPs share the regional policy and the regions share the local
-        # one: each tier runs one stacked forward (see ppo.forward), then
-        # decides entity by entity, in the order a forward per entity would.
+        # one: each tier runs one stacked forward (see ppo.forward) and
+        # decides all its entities from it (see _decide_tier).
         if t % cfg.decision_intervals[1] == 0:
             hap_obs = obs["regional"]
             stacked = forward(self.net_r, hap_obs[:, None, :])
-            cats = []
-            for hap in range(cfg.num_haps):
-                params = stacked[hap]
-                if explore:
-                    action, logp = sample_action(params, self.rng)
-                    self.r_slot.start(
-                        hap, hap_obs[hap], action.cat[0], action.cont[0], logp[0], params.value[0]
-                    )
-                else:
-                    action = mode_action(params)
-                cats.append(action.cat[0])
+            action = self._decide_tier(self.r_slot, stacked, hap_obs, explore)
             # a HAP's slots are its regions' slots in region order
-            mats = slots_to_region(np.array(cats).reshape(cfg.num_regions, n), m)
+            mats = slots_to_region(action.cat.reshape(cfg.num_regions, n), m)
             bundle["regional"] = dict(enumerate(mats))
 
         local_obs = obs["local"]
         stacked = forward(self.net_l, local_obs.reshape(cfg.num_regions, m, -1))
-        cats, conts = [], []
-        for region in range(cfg.num_regions):
-            params = stacked[region]
-            if explore:
-                action, logp = sample_action(params, self.rng)
-                for i, row in enumerate(range(region * m, (region + 1) * m)):
-                    self.l_slot.start(
-                        row, local_obs[row], action.cat[i], action.cont[i], logp[i], params.value[i]
-                    )
-            else:
-                action = mode_action(params)
-            cats.append(action.cat)
-            conts.append(action.cont)
-        cont = np.concatenate(conts)
+        action = self._decide_tier(self.l_slot, stacked, local_obs, explore)
+        cont = action.cont.reshape(cfg.num_transmitters, -1)
         bundle["local"] = {
-            "beta": np.concatenate(cats).astype(np.int8),
+            "beta": action.cat.reshape(cfg.num_transmitters, n).astype(np.int8),
             "alpha": cont[:, :n],
             "dp": cont[:, n:],
         }
         return bundle
+
+    def _decide_tier(
+        self, slot: _PolicySlot, stacked: ppo.DistParams, entity_obs: np.ndarray, explore: bool
+    ) -> ActionBatch:
+        """Actions of a tier whose entity ``s * B + i`` is row ``i`` of batch
+        ``s`` of the stacked forward, in entity order: (S, B, ·) greedy,
+        (S * B, ·) exploring.
+
+        Greedy, one ``mode_action`` decides every entity.  Exploring samples
+        batch by batch, in the order a forward per batch would, so the
+        generator stream is the one per-batch draws give; one draw over the
+        whole stack would change it.
+        """
+        if not explore:
+            return mode_action(stacked)
+        cats, conts = [], []
+        for s in range(stacked.value.shape[0]):
+            params = stacked[s]
+            action, logp = sample_action(params, self.rng)
+            rows = len(logp)
+            for i in range(rows):
+                entity = s * rows + i
+                slot.start(
+                    entity, entity_obs[entity], action.cat[i], action.cont[i], logp[i], params.value[i]
+                )
+            cats.append(action.cat)
+            conts.append(action.cont)
+        return ActionBatch(cat=np.concatenate(cats), cont=np.concatenate(conts))
 
     def record(self, rewards: dict, done: bool) -> None:
         cfg = self.cfg

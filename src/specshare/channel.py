@@ -48,7 +48,9 @@ def path_loss_db(distance_m, carrier_hz) -> np.ndarray:
 
 def rayleigh_power(rng: np.random.Generator, size):
     """Rayleigh fading power factor: unit-mean exponential, floored at 1e-12."""
-    power = rng.exponential(1.0, size=size)
+    # the numbers and generator state of rng.exponential(1.0, size), without
+    # the scale multiply
+    power = rng.standard_exponential(size)
     return np.maximum(power, 1e-12, out=power)
 
 
@@ -106,8 +108,10 @@ def link_gains(
 ) -> np.ndarray:
     """Draw the (num_transmitters, num_users) gain matrix for one step.
 
-    Unfrozen, exactly two draws: ``rng.normal(0, 4, (T, U))``, then
-    ``rng.exponential(1, (T, U))``, which leaves the generator where T
+    Unfrozen, exactly two draws over (T, U): ``rng.standard_normal`` scaled
+    by 4 in place, then ``rng.standard_exponential``.  They give the numbers
+    and generator state of ``rng.normal(0, 4, (T, U))`` and
+    ``rng.exponential(1, (T, U))``, which leave the generator where T
     per-row fading draws would.  Frozen, ``rng`` is not touched.  Distances
     are summed ``(dx**2 + dy**2) + dz**2`` (``_link_distances``).
     """
@@ -117,7 +121,8 @@ def link_gains(
     if frozen:
         gains = pl
     else:
-        gains = rng.normal(0.0, SHADOWING_STD_DB, size=pl.shape)
+        gains = rng.standard_normal(pl.shape)
+        gains *= SHADOWING_STD_DB
         gains += pl
     # -(x) / 10 and x / -10 round alike
     gains /= -10.0

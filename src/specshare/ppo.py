@@ -95,10 +95,10 @@ def _clip(x, lo: float, hi: float):
 
 @dataclass
 class DistParams:
-    logits: np.ndarray  # (B, total_logits)
-    mean: np.ndarray  # (B, C)
+    logits: np.ndarray  # (B, total_logits), or (S, B, total_logits) from a stacked forward
+    mean: np.ndarray  # (B, C) or (S, B, C)
     log_std: np.ndarray  # (C,) already clamped
-    value: np.ndarray  # (B,)
+    value: np.ndarray  # (B,) or (S, B)
     schema: ActionSchema
 
     def __getitem__(self, index) -> "DistParams":
@@ -109,8 +109,8 @@ class DistParams:
 
 @dataclass
 class ActionBatch:
-    cat: np.ndarray  # (B, S) int
-    cont: np.ndarray  # (B, C) squashed values inside their boxes
+    cat: np.ndarray  # (B, num_cat) int; greedy actions of a stacked forward are (S, B, num_cat)
+    cont: np.ndarray  # (B, C) squashed values inside their boxes, or (S, B, C)
 
 
 class PolicyNet:
@@ -287,28 +287,31 @@ def sample_action(
 
 
 def mode_slots(params: DistParams, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Greedy (argmax) choices of categorical slots [start, stop), shape (B, stop - start)."""
+    """Greedy (argmax) choices of categorical slots [start, stop), shape
+    (..., stop - start) for logits of shape (..., total_logits); a stacked
+    forward's (S, B, ·) gives each batch the choices of a call on that batch."""
     schema = params.schema
     stop = schema.num_cat if stop is None else stop
-    B = params.logits.shape[0]
-    out = np.empty((B, stop - start), dtype=np.int64)
+    lead = params.logits.shape[:-1]
+    out = np.empty(lead + (stop - start,), dtype=np.int64)
     for slot_start, n, arity, logit_start in schema._runs:
         lo, hi = max(start, slot_start), min(stop, slot_start + n)
         if lo < hi:
             first = logit_start + (lo - slot_start) * arity
-            lg = params.logits[:, first : first + (hi - lo) * arity].reshape(B, hi - lo, arity)
-            out[:, lo - start : hi - start] = lg.argmax(axis=-1)
+            lg = params.logits[..., first : first + (hi - lo) * arity].reshape(lead + (hi - lo, arity))
+            out[..., lo - start : hi - start] = lg.argmax(axis=-1)
     return out
 
 
 def mode_cont(params: DistParams) -> np.ndarray:
-    """Greedy continuous values: the squashed mean, shape (B, C)."""
+    """Greedy continuous values: the squashed mean, shape (..., C) like the mean."""
     box = params.schema._box
     return box.lo + box.width * (np.tanh(params.mean) + 1.0) / 2.0
 
 
 def mode_action(params: DistParams) -> ActionBatch:
-    """Greedy action: categorical argmax, continuous squashed mean."""
+    """Greedy action: categorical argmax, continuous squashed mean, with the
+    leading axes of ``params`` ((B,) or a stacked forward's (S, B))."""
     return ActionBatch(cat=mode_slots(params), cont=mode_cont(params))
 
 

@@ -9,6 +9,9 @@ reference for ``test_vectorized_oracle.py``, which requires the
 block versions to reproduce them bit for bit.  ``exhaustive_solve_loop``
 walks the exhaustive search one candidate at a time; ``test_exhaustive.py``
 requires the batched ``exhaustive_solve`` to pick the same optimum.
+``hdrl_greedy_act_loop`` decides greedy hdrl one region and one HAP at a
+time; ``test_vectorized_oracle.py`` requires ``HdrlAgent.act`` to give the
+same bundle.
 """
 
 from __future__ import annotations
@@ -18,11 +21,12 @@ import itertools
 import numpy as np
 
 from specshare import metrics
-from specshare.agents import count_joint_candidates, slots_to_global
+from specshare.agents import count_joint_candidates, slots_to_global, slots_to_region
 from specshare.allocation import BUDGET_TOL, AllocationState, EnumerationCapError, LocalAction, Violation
 from specshare.channel import associate_users, co_channel_interference, link_gains
 from specshare.config import ScenarioConfig
 from specshare.metrics import StepMetrics, sinr, user_rate
+from specshare.ppo import forward, mode_action
 from specshare.topology import TIER_UAV, build_topology
 from topo_helpers import beam_of_region, region_of_hap, region_transmitter_rows, region_user_slice
 
@@ -481,3 +485,44 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
                 }
     best["candidates"] = total
     return best
+
+
+# -- greedy hdrl --------------------------------------------------------------------
+
+
+def hdrl_greedy_act_loop(agent, obs: dict, t: int) -> dict:
+    """``HdrlAgent.act(obs, t, explore=False)`` with one ``mode_action`` per
+    HAP and per region, each on its batch of the tier's stacked forward."""
+    cfg = agent.cfg
+    n, m = cfg.num_subbands, cfg.nodes_per_region
+    bundle: dict = {}
+
+    if t % cfg.decision_intervals[0] == 0:
+        action = mode_action(forward(agent.net_g, obs["global"][None]))
+        bundle["global"] = slots_to_global(action.cat[0], cfg.beams)
+
+    if t % cfg.decision_intervals[1] == 0:
+        hap_obs = obs["regional"]
+        stacked = forward(agent.net_r, hap_obs[:, None, :])
+        cats = []
+        for hap in range(cfg.num_haps):
+            action = mode_action(stacked[hap])
+            cats.append(action.cat[0])
+        # a HAP's slots are its regions' slots in region order
+        mats = slots_to_region(np.array(cats).reshape(cfg.num_regions, n), m)
+        bundle["regional"] = dict(enumerate(mats))
+
+    local_obs = obs["local"]
+    stacked = forward(agent.net_l, local_obs.reshape(cfg.num_regions, m, -1))
+    cats, conts = [], []
+    for region in range(cfg.num_regions):
+        action = mode_action(stacked[region])
+        cats.append(action.cat)
+        conts.append(action.cont)
+    cont = np.concatenate(conts)
+    bundle["local"] = {
+        "beta": np.concatenate(cats).astype(np.int8),
+        "alpha": cont[:, :n],
+        "dp": cont[:, n:],
+    }
+    return bundle

@@ -138,9 +138,9 @@ def test_agent_solves_at_every_regional_epoch(monkeypatch):
     cfg = _with(load_config(DESK_CFG), steps_per_episode=25, decision_intervals=[10, 5, 1])
     solves = []
 
-    def counting_solve(c):
+    def counting_solve(c, **prepared):
         solves.append(c)
-        return exhaustive_solve(c)
+        return exhaustive_solve(c, **prepared)
 
     monkeypatch.setattr(specshare.agents, "exhaustive_solve", counting_solve)
     env = SpectrumSharingEnv(cfg)
@@ -156,3 +156,9 @@ def test_agent_solves_at_every_regional_epoch(monkeypatch):
         assert metrics.eta == want["eta"]
     assert len(solves) == 5
     _assert_same_solution(agent.solution, want)
+    # the search is prepared once per env, on the env's own topology
+    search = agent.search
+    assert search.topo is env.topology
+    env.reset(seed=1)
+    agent.begin_episode(env)
+    assert agent.search is search

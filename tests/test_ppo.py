@@ -2,12 +2,15 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshare.config import PpoConfig
 from specshare.ppo import (
     ActionBatch,
     ActionSchema,
     Adam,
+    DistParams,
     PolicyNet,
     Trajectory,
     clip_grad_norm,
@@ -19,6 +22,7 @@ from specshare.ppo import (
     log_prob,
     loss_and_grads,
     mode_action,
+    mode_slots,
     ppo_update,
     sample_action,
     save_checkpoint,
@@ -147,6 +151,46 @@ def test_mode_action_is_deterministic():
     b = mode_action(forward(net, obs))
     assert np.array_equal(a.cat, b.cat)
     assert np.array_equal(a.cont, b.cont)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    arities=st.lists(st.integers(2, 4), max_size=6),
+    boxes=st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.sampled_from([0.0, 0.5, 1.0, 20.0])), max_size=4
+    ),
+    stack=st.integers(1, 5),
+    rows=st.integers(1, 4),
+    ties=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stacked_mode_action_matches_per_batch_calls(arities, boxes, stack, rows, ties, seed, data):
+    # greedy hdrl decides a whole tier with one call on its (S, B, ·)
+    # forward; each batch must get the bits, dtype and shape of a call on
+    # that batch alone, including argmax ties and zero-width boxes
+    schema = ActionSchema(
+        cat_arities=tuple(arities), cont_bounds=tuple((lo, lo + width) for lo, width in boxes)
+    )
+    rng = np.random.default_rng(seed)
+    logits = rng.normal(size=(stack, rows, schema.num_logits))
+    if ties:  # few distinct values, so equal maxima are common
+        logits = np.round(logits)
+    mean = rng.normal(scale=float(rng.choice([1.0, 30.0])), size=(stack, rows, schema.num_cont))
+    stacked = DistParams(
+        logits, mean, rng.normal(size=schema.num_cont), rng.normal(size=(stack, rows)), schema
+    )
+    start = data.draw(st.integers(0, schema.num_cat))
+    stop = data.draw(st.integers(start, schema.num_cat))
+    got = mode_action(stacked)
+    got_slots = mode_slots(stacked, start, stop)
+    for s in range(stack):
+        want = mode_action(stacked[s])
+        for name in ("cat", "cont"):
+            a, b = getattr(got, name)[s], getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        a, b = got_slots[s], mode_slots(stacked[s], start, stop)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def test_uniform_categorical_entropy():

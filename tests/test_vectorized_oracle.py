@@ -6,7 +6,9 @@ stochastic fading and both interference scopes; after every step it
 compares the env's allocation, channel, metrics and observations with
 ``reference_loops``.  ``validate`` is also compared on corrupted copies of
 each state, so the first-violation contract (constraint, location and
-message) is checked on infeasible states as well as feasible ones.
+message) is checked on infeasible states as well as feasible ones.  Greedy
+hdrl, which decides each tier in one call, is compared with the per-entity
+loop at every step, and the link gains with the per-row fading draw.
 """
 
 import dataclasses
@@ -18,6 +20,7 @@ import pytest
 from reference_loops import (
     apply_local_loop,
     associate_users_loop,
+    hdrl_greedy_act_loop,
     interference_loop,
     link_gains_loop,
     observe_all_loop,
@@ -169,13 +172,20 @@ def _read_only(arr):
     return arr
 
 
-def _gain_topology(name):
-    """The scenario's topology with its user coordinates made read-only."""
+def _scenario(name):
+    """desk, default, a shape with several HAPs per beam and regions per HAP,
+    or the benchmark's 128-region scenario."""
     cfg = load_config(CONFIGS / ("desk.cfg" if name == "desk" else "default.cfg"))
     if name == "multi-hap":
         cfg.haps_per_beam, cfg.regions_per_hap, cfg.users_per_region = 3, 4, 7
-    elif name == "r128":  # the benchmark's large scenario
+    elif name == "r128":
         cfg.haps_per_beam, cfg.regions_per_hap = 8, 8
+    return cfg
+
+
+def _gain_topology(name):
+    """The scenario's topology with its user coordinates made read-only."""
+    cfg = _scenario(name)
     topo = build_topology(cfg, np.random.default_rng(cfg.seed))
     _read_only(topo.user_positions)
     return topo
@@ -228,3 +238,31 @@ def test_link_gains_match_the_loop_oracle_at_128_regions(frozen):
     got = link_gains(topo, pos, rng_got, frozen=frozen)
     assert _same_bits(got, link_gains_loop(topo, pos, rng_want, frozen=frozen))
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["desk", "default", "multi-hap", "r128"])
+def test_greedy_hdrl_matches_the_per_entity_loop(name):
+    # the tier-wide mode_action must hand the env the per-entity bundle: the
+    # same keys, dtypes, shapes and bytes, at global and regional epochs too
+    cfg = _scenario(name)
+    cfg.decision_intervals = (6, 3, 1)
+    cfg.steps_per_episode = 13
+    env = SpectrumSharingEnv(cfg)
+    agent = make_agent("hdrl", cfg)
+    obs = env.reset(seed=4)
+    agent.begin_episode(env)
+    for t in range(cfg.steps_per_episode):
+        want = hdrl_greedy_act_loop(agent, obs, t)
+        got = agent.act(obs, t, explore=False)
+        epochs = ["global"] * (t % 6 == 0) + ["regional"] * (t % 3 == 0)
+        assert list(got) == list(want) == epochs + ["local"]
+        if "global" in want:
+            assert _same_bits(got["global"], want["global"])
+        if "regional" in want:
+            assert list(got["regional"]) == list(want["regional"]) == list(range(cfg.num_regions))
+            for region, mat in want["regional"].items():
+                assert _same_bits(got["regional"][region], mat)
+        assert list(got["local"]) == list(want["local"])
+        for key, arr in want["local"].items():
+            assert _same_bits(got["local"][key], arr), key
+        obs, *_ = env.step(got)
