@@ -11,14 +11,18 @@ Action factorization (shared by all learned agents):
   box-bounded continuous slot per subband (power fraction), and a 2D
   movement slot bounded by the per-step UAV displacement limit.
 
-The hierarchical agent evaluates its shared local policy over all regions
+Every learned policy decides through ``_PolicySlot.decide``: one stacked
+``(S, B, D)`` forward, then one ``mode_action`` when greedy, or per-batch
+sampling that starts each entity's pending decision when exploring.  The
+one exception is the flat baseline's greedy step, which decodes only the
+slots the env takes at that step (``mode_slots`` from a start slot).  The
+hierarchical agent evaluates its shared local policy over all regions
 (each region's nodes as one batch) every step and its shared regional
-policy over all HAPs at that tier's decision steps, one stacked forward per
-tier.  Greedy, it decides each tier in one ``mode_action`` call; exploring,
-it samples entity by entity, which keeps the generator stream of a forward
-per entity.  The per-region baseline runs one separate PPO per region every
-step; the flat baseline runs one network over the concatenated observation
-every step.
+policy over all HAPs (one row each) at that tier's decision steps; its
+global policy is one ``(1, 1, D)`` stack.  The per-region baseline runs one
+separate PPO per region every step; the flat baseline runs one network
+over the concatenated observation every step.  Every agent hands the env
+its regional action as one ``(num_regions, nodes, N)`` array.
 """
 
 from __future__ import annotations
@@ -67,18 +71,14 @@ def obs_dims(cfg: ScenarioConfig) -> dict:
 
 
 def slots_to_region(slots: np.ndarray, nodes: int) -> np.ndarray:
-    """Per-subband node choices (0 = unused) to a region's binary matrix.
+    """Per-subband choices (0 = none, k = row k-1) to a binary matrix: a
+    region's node choices give its (nodes, N) matrix, the satellite's beam
+    choices the (beams, N) grant.
 
-    (N,) choices give a (nodes, N) matrix; leading axes carry through, so
-    (R, N) choices give R matrices at once.
+    Leading axes carry through, so (R, N) choices give R matrices at once.
     """
     slots = np.asarray(slots, dtype=int)
     return (slots[..., None, :] == np.arange(1, nodes + 1)[:, None]).astype(np.int8)
-
-
-def slots_to_global(slots: np.ndarray, beams: int) -> np.ndarray:
-    """Per-subband beam choices (0 = idle) to a binary grant matrix."""
-    return slots_to_region(slots, beams)
 
 
 def _local_schema(cfg: ScenarioConfig) -> ActionSchema:
@@ -122,6 +122,35 @@ class _PolicySlot:
         self.pending: dict = {}
         self.trajs: dict = {}
         self.buffer: list[dict] = []
+
+    def decide(self, obs: np.ndarray, rng: np.random.Generator, explore: bool) -> ActionBatch:
+        """Actions for a stacked (S, B, D) observation whose entity ``s * B + i``
+        is row ``i`` of batch ``s``, as (S * B, ·) arrays in entity order.
+
+        Greedy, one ``mode_action`` decides every entity.  Exploring samples
+        batch by batch, in the order a forward per batch would, and starts
+        each entity's pending decision; one draw over the whole stack would
+        change the generator stream.
+        """
+        S, B = obs.shape[:2]
+        stacked = forward(self.net, obs)
+        if not explore:
+            action = mode_action(stacked)
+            return ActionBatch(
+                cat=action.cat.reshape(S * B, action.cat.shape[-1]),
+                cont=action.cont.reshape(S * B, action.cont.shape[-1]),
+            )
+        cats, conts = [], []
+        for s in range(S):
+            params = stacked[s]
+            action, logp = sample_action(params, rng)
+            for i in range(B):
+                self.start(
+                    s * B + i, obs[s, i], action.cat[i], action.cont[i], logp[i], params.value[i]
+                )
+            cats.append(action.cat)
+            conts.append(action.cont)
+        return ActionBatch(cat=np.concatenate(cats), cont=np.concatenate(conts))
 
     def start(self, entity, obs, cat, cont, logp, value) -> None:
         self.flush(entity, done=False)
@@ -184,10 +213,10 @@ class RandomAgent:
         m = cfg.nodes_per_region
         bundle: dict = {}
         if t % cfg.decision_intervals[0] == 0:
-            bundle["global"] = slots_to_global(self.rng.integers(0, cfg.beams + 1, n), cfg.beams)
+            bundle["global"] = slots_to_region(self.rng.integers(0, cfg.beams + 1, n), cfg.beams)
         if t % cfg.decision_intervals[1] == 0:
             slots = [self.rng.integers(0, m + 1, n) for _ in range(cfg.num_regions)]
-            bundle["regional"] = dict(enumerate(slots_to_region(slots, m)))
+            bundle["regional"] = slots_to_region(slots, m)
         bundle["local"] = {
             "beta": self.rng.integers(0, 2, (tcount, n)),
             "alpha": self.rng.uniform(0.0, 1.0, (tcount, n)),
@@ -311,11 +340,8 @@ def exhaustive_solve(cfg: ScenarioConfig, *, search: JointSearch | None = None) 
     return {
         "eta": float(eta[tied[win]]),
         "fairness": float(fairness[tied[win]]),
-        "global": slots_to_global(grant[win], cfg.beams),
-        "regional": {
-            region: regional[region * m : (region + 1) * m].copy()
-            for region in range(cfg.num_regions)
-        },
+        "global": slots_to_region(grant[win], cfg.beams),
+        "regional": regional.reshape(cfg.num_regions, m, n),
         "local": {"beta": regional, "alpha": alpha, "dp": np.zeros((cfg.num_transmitters, 2))},
         "candidates": total,
     }
@@ -462,69 +488,29 @@ class HdrlAgent(_PpoAgentBase):
         bundle: dict = {}
 
         if t % cfg.decision_intervals[0] == 0:
-            params = forward(self.net_g, obs["global"][None])
-            if explore:
-                action, logp = sample_action(params, self.rng)
-                self.g_slot.start(
-                    "sat", obs["global"], action.cat[0], action.cont[0], logp[0], params.value[0]
-                )
-            else:
-                action = mode_action(params)
-            bundle["global"] = slots_to_global(action.cat[0], cfg.beams)
+            action = self.g_slot.decide(obs["global"][None, None], self.rng, explore)
+            bundle["global"] = slots_to_region(action.cat[0], cfg.beams)
 
         # The HAPs share the regional policy and the regions share the local
         # one: each tier runs one stacked forward (see ppo.forward) and
-        # decides all its entities from it (see _decide_tier).
+        # decides all its entities from it.
         if t % cfg.decision_intervals[1] == 0:
-            hap_obs = obs["regional"]
-            stacked = forward(self.net_r, hap_obs[:, None, :])
-            action = self._decide_tier(self.r_slot, stacked, hap_obs, explore)
+            action = self.r_slot.decide(obs["regional"][:, None, :], self.rng, explore)
             # a HAP's slots are its regions' slots in region order
-            mats = slots_to_region(action.cat.reshape(cfg.num_regions, n), m)
-            bundle["regional"] = dict(enumerate(mats))
+            bundle["regional"] = slots_to_region(action.cat.reshape(cfg.num_regions, n), m)
 
-        local_obs = obs["local"]
-        stacked = forward(self.net_l, local_obs.reshape(cfg.num_regions, m, -1))
-        action = self._decide_tier(self.l_slot, stacked, local_obs, explore)
-        cont = action.cont.reshape(cfg.num_transmitters, -1)
+        local_obs = obs["local"].reshape(cfg.num_regions, m, -1)
+        action = self.l_slot.decide(local_obs, self.rng, explore)
         bundle["local"] = {
             "beta": action.cat.reshape(cfg.num_transmitters, n).astype(np.int8),
-            "alpha": cont[:, :n],
-            "dp": cont[:, n:],
+            "alpha": action.cont[:, :n],
+            "dp": action.cont[:, n:],
         }
         return bundle
 
-    def _decide_tier(
-        self, slot: _PolicySlot, stacked: ppo.DistParams, entity_obs: np.ndarray, explore: bool
-    ) -> ActionBatch:
-        """Actions of a tier whose entity ``s * B + i`` is row ``i`` of batch
-        ``s`` of the stacked forward, in entity order: (S, B, ·) greedy,
-        (S * B, ·) exploring.
-
-        Greedy, one ``mode_action`` decides every entity.  Exploring samples
-        batch by batch, in the order a forward per batch would, so the
-        generator stream is the one per-batch draws give; one draw over the
-        whole stack would change it.
-        """
-        if not explore:
-            return mode_action(stacked)
-        cats, conts = [], []
-        for s in range(stacked.value.shape[0]):
-            params = stacked[s]
-            action, logp = sample_action(params, self.rng)
-            rows = len(logp)
-            for i in range(rows):
-                entity = s * rows + i
-                slot.start(
-                    entity, entity_obs[entity], action.cat[i], action.cont[i], logp[i], params.value[i]
-                )
-            cats.append(action.cat)
-            conts.append(action.cont)
-        return ActionBatch(cat=np.concatenate(cats), cont=np.concatenate(conts))
-
     def record(self, rewards: dict, done: bool) -> None:
         cfg = self.cfg
-        self.g_slot.reward("sat", rewards["r_s"])
+        self.g_slot.reward(0, rewards["r_s"])
         for hap in range(cfg.num_haps):
             self.r_slot.reward(hap, rewards["r_h"][hap])
         local = self.l_slot
@@ -568,39 +554,38 @@ class SadrlAgent(_PpoAgentBase):
         cfg = self.cfg
         n, m = cfg.num_subbands, cfg.nodes_per_region
         tcount, regions = cfg.num_transmitters, cfg.num_regions
+        local_n, regional_n = tcount * n, regions * n
+        global_due = t % cfg.decision_intervals[0] == 0
+        regional_due = t % cfg.decision_intervals[1] == 0
+        # the slots the env takes at this step are a suffix of the action: the
+        # local ones every step, the regional ones at regional epochs, and the
+        # global ones at global epochs, which are regional epochs too
+        first = 0 if global_due else n if regional_due else n + regional_n
         X = self.flat_obs(obs)
-        params = forward(self.policy.net, X[None])
         if explore:
-            action, logp = sample_action(params, self.rng)
-            self.policy.start("all", X, action.cat[0], action.cont[0], logp[0], params.value[0])
-            cat, cont = action.cat[0], action.cont[0]
-
-            def slots(lo, hi):
-                return cat[lo:hi]
-
+            action = self.policy.decide(X[None, None], self.rng, explore)
+            cat, cont = action.cat[0, first:], action.cont[0]
         else:
-            # greedy: decode only the slots the env consumes at this step
-            cont = mode_cont(params)[0]
-
-            def slots(lo, hi):
-                return mode_slots(params, lo, hi)[0]
-
+            # greedy: decode only those slots; a full mode_action makes sadrl's
+            # greedy step cost nearly what hdrl's does
+            params = forward(self.policy.net, X[None])
+            cat, cont = mode_slots(params, first)[0], mode_cont(params)[0]
         bundle: dict = {}
-        if t % cfg.decision_intervals[0] == 0:
-            bundle["global"] = slots_to_global(slots(0, n), cfg.beams)
-        if t % cfg.decision_intervals[1] == 0:
-            region_slots = slots(n, n + regions * n).reshape(regions, n)
-            bundle["regional"] = dict(enumerate(slots_to_region(region_slots, m)))
-        beta_start = n + regions * n
-        beta = slots(beta_start, beta_start + tcount * n).reshape(tcount, n)
-        alpha = cont[: tcount * n].reshape(tcount, n)
-        dp = cont[tcount * n :].reshape(tcount, 2)
-        bundle["local"] = {"beta": beta, "alpha": alpha, "dp": dp}
+        if global_due:
+            bundle["global"] = slots_to_region(cat[:n], cfg.beams)
+        if regional_due:
+            region_slots = cat[-local_n - regional_n : -local_n].reshape(regions, n)
+            bundle["regional"] = slots_to_region(region_slots, m)
+        bundle["local"] = {
+            "beta": cat[-local_n:].reshape(tcount, n),
+            "alpha": cont[:local_n].reshape(tcount, n),
+            "dp": cont[local_n:].reshape(tcount, 2),
+        }
         return bundle
 
     def record(self, rewards: dict, done: bool) -> None:
-        self.policy.reward("all", rewards["r_s"])
-        self.policy.flush("all", done=done)
+        self.policy.reward(0, rewards["r_s"])
+        self.policy.flush(0, done=done)
 
     def end_episode(self) -> None:
         self._end_episode()
@@ -649,24 +634,18 @@ class MadrlAgent(_PpoAgentBase):
         bundle: dict = {}
         if t % cfg.decision_intervals[0] == 0:
             bundle["global"] = self.fixed_global
-        cats, conts = [], []
         region_obs = self._region_obs(obs)
-        for region, slot in enumerate(self.region_slots):
-            X = region_obs[region]
-            params = forward(slot.net, X[None])
-            if explore:
-                action, logp = sample_action(params, self.rng)
-                slot.start(region, X, action.cat[0], action.cont[0], logp[0], params.value[0])
-            else:
-                action = mode_action(params)
-            cats.append(action.cat[0])
-            conts.append(action.cont[0])
-        cat, cont = np.array(cats), np.array(conts)
+        actions = [
+            slot.decide(region_obs[region, None, None], self.rng, explore)
+            for region, slot in enumerate(self.region_slots)
+        ]
+        cat = np.concatenate([a.cat for a in actions])
+        cont = np.concatenate([a.cont for a in actions])
         # no timescale gating inside the agent: the full per-region action
         # (assignment included) is produced every step; the schedule only
         # controls what the env consumes
         if t % cfg.decision_intervals[1] == 0:
-            bundle["regional"] = dict(enumerate(slots_to_region(cat[:, :n], m)))
+            bundle["regional"] = slots_to_region(cat[:, :n], m)
         bundle["local"] = {
             "beta": cat[:, n:].reshape(tcount, n).astype(np.int8),
             "alpha": cont[:, : m * n].reshape(tcount, n),
@@ -676,8 +655,8 @@ class MadrlAgent(_PpoAgentBase):
 
     def record(self, rewards: dict, done: bool) -> None:
         for region, slot in enumerate(self.region_slots):
-            slot.reward(region, rewards["r_l"][region])
-            slot.flush(region, done=done)
+            slot.reward(0, rewards["r_l"][region])
+            slot.flush(0, done=done)
 
     def end_episode(self) -> None:
         self._end_episode()

@@ -148,6 +148,12 @@ class ScenarioConfig:
             raise ConfigError(f"noise_psd must be negative dBm/Hz, got {self.noise_psd}")
         if self.r_min < 0:
             raise ConfigError("r_min must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if len(self.decision_intervals) != 3:
+            raise ConfigError(
+                f"decision_intervals expects 3 values (ds, dh, dl), got {list(self.decision_intervals)}"
+            )
         ds, dh, dl = self.decision_intervals
         if not (ds >= dh >= dl >= 1):
             raise ConfigError(
@@ -290,6 +296,15 @@ _TUPLE_FIELDS = {
 }
 
 
+def _parse_int(key: str, raw: str) -> int:
+    """An integer written as one (``3``) or as a float with no fraction
+    (``1e5``); anything else, ``2.5`` included, is an error."""
+    value = float(raw)
+    if not value.is_integer():
+        raise ConfigError(f"{key} expects an integer, got {raw!r}")
+    return int(value)
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     try:
@@ -298,7 +313,7 @@ def _parse_value(key: str, raw: str):
             parts = [p.strip() for p in raw.split(",") if p.strip()]
             if len(parts) != n:
                 raise ConfigError(f"{key} expects {n} comma-separated values, got {raw!r}")
-            return tuple(cast(float(p)) if cast is int else cast(p) for p in parts)
+            return tuple(_parse_int(key, p) if cast is int else cast(p) for p in parts)
         if key in _BOOL_FIELDS:
             low = raw.lower()
             if low in ("true", "yes", "on", "1"):
@@ -309,7 +324,7 @@ def _parse_value(key: str, raw: str):
         if key in _STR_FIELDS:
             return raw
         if key in _INT_FIELDS:
-            return int(float(raw))
+            return _parse_int(key, raw)
         return float(raw)
     except ConfigError:
         raise

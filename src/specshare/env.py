@@ -168,9 +168,11 @@ class SpectrumSharingEnv:
         """Apply one action bundle; returns (obs, rewards, terminated, truncated, metrics).
 
         ``actions`` holds "global" (beams x N binary matrix, only at global
-        decision steps), "regional" (region id -> nodes x N binary matrix,
-        only at regional decision steps, all regions at once), and "local"
-        ({"beta": (T, N), "alpha": (T, N), "dp": (T, 2)}) every step.
+        decision steps), "regional" ((num_regions, nodes, N) binary array,
+        region r's node-by-subband matrix at index r, only at regional
+        decision steps), and "local" ({"beta": (T, N), "alpha": (T, N),
+        "dp": (T, 2)}) every step.  An array of the wrong shape raises
+        ValueError.
         """
         if self.state is None:
             raise RuntimeError("call reset() before step()")
@@ -192,10 +194,10 @@ class SpectrumSharingEnv:
             raise ScheduleError(f"off-schedule action: global at t={t}")
 
         if self.regional_due(t):
-            if not r_action:
+            if r_action is None:
                 raise ScheduleError(f"missing required action: regional at t={t}")
             self._apply_regional(r_action)
-        elif r_action:
+        elif r_action is not None:
             raise ScheduleError(f"off-schedule action: regional at t={t}")
 
         if l_action is None:
@@ -245,20 +247,15 @@ class SpectrumSharingEnv:
         alloc.regional &= alloc.global_alloc[self.topology.row_beam]
         alloc.beta &= alloc.regional
 
-    def _apply_regional(self, per_region: dict) -> None:
+    def _apply_regional(self, regional) -> None:
         cfg = self.cfg
         alloc = self.state.alloc
-        missing = set(range(cfg.num_regions)) - set(per_region)
-        if missing:
-            raise ScheduleError(f"missing required action: regional for regions {sorted(missing)}")
-        m, n = cfg.nodes_per_region, cfg.num_subbands
-        mats = [np.asarray(per_region[region]) for region in range(cfg.num_regions)]
-        for region, mat in enumerate(mats):
-            if mat.shape != (m, n):
-                raise ValueError(
-                    f"regional action for region {region} must be {(m, n)}, got {mat.shape}"
-                )
-        blocks = (np.array(mats) > 0.5).astype(np.int8)  # (R, m, N)
+        n = cfg.num_subbands
+        regional = np.asarray(regional)
+        shape = (cfg.num_regions, cfg.nodes_per_region, n)
+        if regional.shape != shape:
+            raise ValueError(f"regional action must be {shape}, got {regional.shape}")
+        blocks = (regional > 0.5).astype(np.int8)
         # one node per subband inside the region, and only on the beam's grant
         cleaned = _first_claimant(blocks, axis=1)
         cleaned &= alloc.global_alloc[self.topology.region_beam][:, None, :]
@@ -291,18 +288,6 @@ class SpectrumSharingEnv:
         )
 
     # -- observations ----------------------------------------------------------
-
-    def observe(self, tier: str, entity: int = 0) -> np.ndarray:
-        """Observation vector for one decision entity; all entries in [0, 1]."""
-        if self.state is None:
-            raise RuntimeError("call reset() before observe()")
-        if tier == "global":
-            return self._observe_global()
-        if tier == "regional":
-            return self._observe_regional()[entity]
-        if tier == "local":
-            return self._observe_local()[entity]
-        raise ValueError(f"unknown tier {tier!r}")
 
     def _channel_features(self) -> tuple:
         """Observation features that depend only on the channel snapshot,

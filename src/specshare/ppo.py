@@ -24,6 +24,8 @@ LOG_STD_MAX = 2.0
 _LOG_2PI = float(np.log(2.0 * np.pi))
 # keep arctanh finite when inverting squashed actions at the box edge
 _SQUASH_EPS = 1e-12
+# global gradient-norm clip of every PPO minibatch step
+MAX_GRAD_NORM = 0.5
 
 
 @dataclass(frozen=True)
@@ -286,20 +288,24 @@ def sample_action(
     return action, log_prob(params, action)
 
 
-def mode_slots(params: DistParams, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Greedy (argmax) choices of categorical slots [start, stop), shape
-    (..., stop - start) for logits of shape (..., total_logits); a stacked
-    forward's (S, B, ·) gives each batch the choices of a call on that batch."""
+def mode_slots(params: DistParams, start: int = 0) -> np.ndarray:
+    """Greedy (argmax) choices of the categorical slots from ``start`` on,
+    shape (..., num_cat - start) for logits of shape (..., total_logits); a
+    stacked forward's (S, B, ·) gives each batch the choices of a call on
+    that batch.
+
+    ``mode_action`` decodes every slot; ``start`` serves sadrl's greedy
+    step, which decodes only the slots the env takes at that step."""
     schema = params.schema
-    stop = schema.num_cat if stop is None else stop
     lead = params.logits.shape[:-1]
-    out = np.empty(lead + (stop - start,), dtype=np.int64)
+    out = np.empty(lead + (schema.num_cat - start,), dtype=np.int64)
     for slot_start, n, arity, logit_start in schema._runs:
-        lo, hi = max(start, slot_start), min(stop, slot_start + n)
-        if lo < hi:
+        lo = max(start, slot_start)
+        if lo < slot_start + n:
             first = logit_start + (lo - slot_start) * arity
-            lg = params.logits[..., first : first + (hi - lo) * arity].reshape(lead + (hi - lo, arity))
-            out[..., lo - start : hi - start] = lg.argmax(axis=-1)
+            width = slot_start + n - lo
+            lg = params.logits[..., first : first + width * arity].reshape(lead + (width, arity))
+            out[..., lo - start : lo - start + width] = lg.argmax(axis=-1)
     return out
 
 
@@ -543,20 +549,18 @@ def ppo_update(
     batch: dict,
     cfg: PpoConfig,
     rng: np.random.Generator,
-    optimizer: Adam | None = None,
-    max_grad_norm: float = 0.5,
+    optimizer: Adam,
 ) -> UpdateReport:
     """Run sgd_iters epochs of shuffled clipped-surrogate minibatch updates.
 
     Advantages are normalized once over the whole batch.  The minibatch
     size shrinks to the batch size when the batch is smaller (high tiers
-    accumulate few decisions per episode).
+    accumulate few decisions per episode).  ``optimizer`` is the net's Adam,
+    whose moments carry over from one update to the next.
     """
     B = batch["obs"].shape[0]
     if B < 1:
         raise ValueError("ppo_update needs a non-empty batch")
-    if optimizer is None:
-        optimizer = Adam(net.params, cfg.learning_rate)
     adv = batch["adv"]
     batch = dict(batch)
     batch["adv"] = (adv - adv.mean()) / (adv.std() + 1e-8)
@@ -570,7 +574,7 @@ def ppo_update(
             idx = perm[start : start + mb]
             minibatch = {k: v[idx] for k, v in batch.items()}
             report, grads = loss_and_grads(net, minibatch, cfg)
-            clip_grad_norm(grads, max_grad_norm)
+            clip_grad_norm(grads, MAX_GRAD_NORM)
             optimizer.step(net.params, grads)
             last = report
             steps += 1

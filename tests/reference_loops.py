@@ -10,8 +10,10 @@ block versions to reproduce them bit for bit.  ``exhaustive_solve_loop``
 walks the exhaustive search one candidate at a time; ``test_exhaustive.py``
 requires the batched ``exhaustive_solve`` to pick the same optimum.
 ``hdrl_greedy_act_loop`` decides greedy hdrl one region and one HAP at a
-time; ``test_vectorized_oracle.py`` requires ``HdrlAgent.act`` to give the
-same bundle.
+time, and ``ACT_LOOPS`` holds each learned agent's ``act`` with its own
+forward, sampling and pending-decision calls; ``test_vectorized_oracle.py``
+requires the agents, which decide through ``_PolicySlot.decide``, to give
+the same bundles, generator states and pending decisions.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import itertools
 import numpy as np
 
 from specshare import metrics
-from specshare.agents import count_joint_candidates, slots_to_global, slots_to_region
+from specshare.agents import count_joint_candidates, slots_to_region
 from specshare.allocation import BUDGET_TOL, AllocationState, EnumerationCapError, LocalAction, Violation
 from specshare.channel import associate_users, co_channel_interference, link_gains
 from specshare.config import ScenarioConfig
 from specshare.metrics import StepMetrics, sinr, user_rate
-from specshare.ppo import forward, mode_action
+from specshare.ppo import forward, mode_action, mode_cont, mode_slots, sample_action
 from specshare.topology import TIER_UAV, build_topology
 from topo_helpers import beam_of_region, region_of_hap, region_transmitter_rows, region_user_slice
 
@@ -425,7 +427,7 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
     best = None
     for combo in itertools.product(range(cfg.beams + 1), repeat=n):
         combo_arr = np.asarray(combo)
-        global_alloc = slots_to_global(combo_arr, cfg.beams)
+        global_alloc = slots_to_region(combo_arr, cfg.beams)
         granted_cols = [np.nonzero(combo_arr == beam + 1)[0] for beam in range(cfg.beams)]
         region_options = []
         for region in range(n_regions):
@@ -477,10 +479,7 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
                     "eta": eta,
                     "fairness": fair,
                     "global": global_alloc.copy(),
-                    "regional": {
-                        region: regional[region * m : (region + 1) * m].copy()
-                        for region in range(n_regions)
-                    },
+                    "regional": regional.reshape(n_regions, m, n).copy(),
                     "local": {"beta": regional, "alpha": alpha, "dp": alloc.dp},
                 }
     best["candidates"] = total
@@ -499,7 +498,7 @@ def hdrl_greedy_act_loop(agent, obs: dict, t: int) -> dict:
 
     if t % cfg.decision_intervals[0] == 0:
         action = mode_action(forward(agent.net_g, obs["global"][None]))
-        bundle["global"] = slots_to_global(action.cat[0], cfg.beams)
+        bundle["global"] = slots_to_region(action.cat[0], cfg.beams)
 
     if t % cfg.decision_intervals[1] == 0:
         hap_obs = obs["regional"]
@@ -509,8 +508,7 @@ def hdrl_greedy_act_loop(agent, obs: dict, t: int) -> dict:
             action = mode_action(stacked[hap])
             cats.append(action.cat[0])
         # a HAP's slots are its regions' slots in region order
-        mats = slots_to_region(np.array(cats).reshape(cfg.num_regions, n), m)
-        bundle["regional"] = dict(enumerate(mats))
+        bundle["regional"] = slots_to_region(np.array(cats).reshape(cfg.num_regions, n), m)
 
     local_obs = obs["local"]
     stacked = forward(agent.net_l, local_obs.reshape(cfg.num_regions, m, -1))
@@ -526,3 +524,135 @@ def hdrl_greedy_act_loop(agent, obs: dict, t: int) -> dict:
         "dp": cont[:, n:],
     }
     return bundle
+
+
+# -- per-agent decisions ----------------------------------------------------------
+#
+# Each learned agent's ``act`` as it ran its own forward, sampling and
+# ``slot.start`` calls before ``_PolicySlot.decide``: hdrl's global tier on a
+# (1, D) forward and its regional and local tiers batch by batch, sadrl on a
+# (1, D) forward, and madrl one (1, D) forward per region.  Entities are
+# keyed as the agents key them now.
+
+
+def _sample_tier(agent, slot, stacked, entity_obs):
+    """Sample a tier's stacked forward batch by batch; entity ``s * B + i``
+    is row ``i`` of batch ``s``."""
+    cats, conts = [], []
+    for s in range(stacked.value.shape[0]):
+        params = stacked[s]
+        action, logp = sample_action(params, agent.rng)
+        rows = len(logp)
+        for i in range(rows):
+            entity = s * rows + i
+            slot.start(
+                entity, entity_obs[entity], action.cat[i], action.cont[i], logp[i], params.value[i]
+            )
+        cats.append(action.cat)
+        conts.append(action.cont)
+    return np.concatenate(cats), np.concatenate(conts)
+
+
+def hdrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
+    cfg = agent.cfg
+    n, m = cfg.num_subbands, cfg.nodes_per_region
+    bundle: dict = {}
+    if t % cfg.decision_intervals[0] == 0:
+        params = forward(agent.net_g, obs["global"][None])
+        if explore:
+            action, logp = sample_action(params, agent.rng)
+            agent.g_slot.start(0, obs["global"], action.cat[0], action.cont[0], logp[0], params.value[0])
+        else:
+            action = mode_action(params)
+        bundle["global"] = slots_to_region(action.cat[0], cfg.beams)
+    if t % cfg.decision_intervals[1] == 0:
+        hap_obs = obs["regional"]
+        stacked = forward(agent.net_r, hap_obs[:, None, :])
+        if explore:
+            cat, _ = _sample_tier(agent, agent.r_slot, stacked, hap_obs)
+        else:
+            cat = mode_action(stacked).cat
+        bundle["regional"] = slots_to_region(cat.reshape(cfg.num_regions, n), m)
+    local_obs = obs["local"]
+    stacked = forward(agent.net_l, local_obs.reshape(cfg.num_regions, m, -1))
+    if explore:
+        cat, cont = _sample_tier(agent, agent.l_slot, stacked, local_obs)
+    else:
+        action = mode_action(stacked)
+        cat, cont = action.cat, action.cont
+    cont = cont.reshape(cfg.num_transmitters, -1)
+    bundle["local"] = {
+        "beta": cat.reshape(cfg.num_transmitters, n).astype(np.int8),
+        "alpha": cont[:, :n],
+        "dp": cont[:, n:],
+    }
+    return bundle
+
+
+def sadrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
+    cfg = agent.cfg
+    n, m = cfg.num_subbands, cfg.nodes_per_region
+    tcount, regions = cfg.num_transmitters, cfg.num_regions
+    X = agent.flat_obs(obs)
+    params = forward(agent.policy.net, X[None])
+    if explore:
+        action, logp = sample_action(params, agent.rng)
+        agent.policy.start(0, X, action.cat[0], action.cont[0], logp[0], params.value[0])
+        cat, cont = action.cat[0], action.cont[0]
+
+        def slots(lo, hi):
+            return cat[lo:hi]
+
+    else:
+        # greedy: decode only the slots the env consumes at this step
+        cont = mode_cont(params)[0]
+
+        def slots(lo, hi):
+            return mode_slots(params, lo)[0, : hi - lo]
+
+    bundle: dict = {}
+    if t % cfg.decision_intervals[0] == 0:
+        bundle["global"] = slots_to_region(slots(0, n), cfg.beams)
+    if t % cfg.decision_intervals[1] == 0:
+        bundle["regional"] = slots_to_region(slots(n, n + regions * n).reshape(regions, n), m)
+    beta_start = n + regions * n
+    beta = slots(beta_start, beta_start + tcount * n).reshape(tcount, n)
+    bundle["local"] = {
+        "beta": beta,
+        "alpha": cont[: tcount * n].reshape(tcount, n),
+        "dp": cont[tcount * n :].reshape(tcount, 2),
+    }
+    return bundle
+
+
+def madrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
+    cfg = agent.cfg
+    n, m = cfg.num_subbands, cfg.nodes_per_region
+    tcount = cfg.num_transmitters
+    bundle: dict = {}
+    if t % cfg.decision_intervals[0] == 0:
+        bundle["global"] = agent.fixed_global
+    cats, conts = [], []
+    region_obs = agent._region_obs(obs)
+    for region, slot in enumerate(agent.region_slots):
+        X = region_obs[region]
+        params = forward(slot.net, X[None])
+        if explore:
+            action, logp = sample_action(params, agent.rng)
+            slot.start(0, X, action.cat[0], action.cont[0], logp[0], params.value[0])
+        else:
+            action = mode_action(params)
+        cats.append(action.cat[0])
+        conts.append(action.cont[0])
+    cat, cont = np.array(cats), np.array(conts)
+    if t % cfg.decision_intervals[1] == 0:
+        bundle["regional"] = slots_to_region(cat[:, :n], m)
+    bundle["local"] = {
+        "beta": cat[:, n:].reshape(tcount, n).astype(np.int8),
+        "alpha": cont[:, : m * n].reshape(tcount, n),
+        "dp": cont[:, m * n :].reshape(tcount, 2),
+    }
+    return bundle
+
+
+ACT_LOOPS = {"hdrl": hdrl_act_loop, "sadrl": sadrl_act_loop, "madrl": madrl_act_loop}

@@ -12,7 +12,6 @@ from specshare.agents import (
     exhaustive_solve,
     make_agent,
     obs_dims,
-    slots_to_global,
     slots_to_region,
     train,
 )
@@ -58,7 +57,7 @@ def test_obs_dims_match_env_vectors():
 
 
 def test_slot_decoders():
-    g = slots_to_global(np.array([0, 2, 1]), beams=2)
+    g = slots_to_region(np.array([0, 2, 1]), 2)  # beam choices to the global grant
     assert g.shape == (2, 3)
     assert g[1, 1] == 1 and g[0, 2] == 1
     assert g.sum() == 2
@@ -126,12 +125,10 @@ def test_exhaustive_solution_structure(desk_solution):
     cfg, sol = desk_solution
     assert sol["candidates"] == 9**4
     assert sol["global"].shape == (cfg.beams, cfg.num_subbands)
-    assert set(sol["regional"]) == set(range(cfg.num_regions))
+    assert sol["regional"].shape == (cfg.num_regions, cfg.nodes_per_region, cfg.num_subbands)
     state = AllocationState.zeros(cfg)
     state.global_alloc = sol["global"]
-    for region in range(cfg.num_regions):
-        m = cfg.nodes_per_region
-        state.regional[region * m : (region + 1) * m] = sol["regional"][region]
+    state.regional[...] = sol["regional"].reshape(cfg.num_transmitters, cfg.num_subbands)
     assert validate(state, cfg) is None
     assert sol["eta"] > 0.0
     assert 0.0 < sol["fairness"] <= 1.0

@@ -228,18 +228,40 @@ def test_benchmark_rows_aggregates_and_speedups(tmp_path):
 
 
 def test_benchmark_skips_exhaustive_over_the_cap(tmp_path):
-    out = tmp_path / "bench"
-    # default scenario: candidate count far beyond the enumeration cap
-    rc = main([
-        "benchmark", "--config", str(Path(CONFIG).parent / "default.cfg"),
-        "--algos", "exhaustive", "--episodes", "1", "--seeds", "0", "--out", str(out),
-    ])
-    assert rc == 0
-    rows = _read_csv(out / "benchmark.csv")
-    status = BENCHMARK_COLUMNS.index("status")
-    assert rows[1][status] == "skipped"
-    eta = BENCHMARK_COLUMNS.index("eta_bps_per_hz")
-    assert rows[1][eta] == ""  # skipped rows carry no measurements
+    # default scenario: candidate count far beyond the enumeration cap; the
+    # tiny scenario is under the cap but unfrozen, which the search refuses too
+    unfrozen = Path(_write_tiny_cfg(tmp_path))
+    unfrozen.write_text(unfrozen.read_text().replace("fading_frozen = true", "fading_frozen = false"))
+    cases = [
+        (str(Path(CONFIG).parent / "default.cfg"), "exhaustive"),
+        (str(unfrozen), "exhaustive,random"),
+    ]
+    for i, (cfg_path, algos) in enumerate(cases):
+        out = tmp_path / f"bench{i}"
+        rc = main([
+            "benchmark", "--config", cfg_path, "--algos", algos, "--episodes", "1",
+            "--seeds", "0", "--sweep", "local_power", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = _read_csv(out / "benchmark.csv")
+        status = BENCHMARK_COLUMNS.index("status")
+        assert rows[1][:3] == ["exhaustive", "0", "skipped"]
+        eta = BENCHMARK_COLUMNS.index("eta_bps_per_hz")
+        assert rows[1][eta] == ""  # skipped rows carry no measurements
+        assert [r[0] for r in rows[2:] if r[status] == "ok"] == ["random"] * 2 * ("random" in algos)
+        sweep = _read_csv(out / "sweep.csv")
+        assert tuple(sweep[0]) == SWEEP_COLUMNS
+        assert [r[0] for r in sweep[1:]] == ["random"] * 5 * ("random" in algos)
+
+
+def test_negative_seed_fails_before_any_output(tmp_path, caplog):
+    cfg_path = Path(_write_tiny_cfg(tmp_path))
+    cfg_path.write_text(cfg_path.read_text() + "seed = -1\n")
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--config", str(cfg_path), "--algo", "random", "--out", str(out)])
+    assert rc == 1
+    assert "seed must be >= 0" in caplog.text
+    assert not out.exists()
 
 
 def test_benchmark_rejects_unknown_algo(tmp_path, caplog):
@@ -297,10 +319,7 @@ class _NullAgent:
             "dp": np.zeros((cfg.num_transmitters, 2)),
         }
         g = np.zeros((cfg.beams, cfg.num_subbands))
-        r = {
-            i: np.zeros((cfg.nodes_per_region, cfg.num_subbands))
-            for i in range(cfg.num_regions)
-        }
+        r = np.zeros((cfg.num_regions, cfg.nodes_per_region, cfg.num_subbands))
         self._by_t = []
         for t in range(cfg.steps_per_episode):
             bundle = {"local": local}

@@ -106,6 +106,40 @@ def test_comments_and_inline_comments_parse(tmp_path):
     assert cfg.seed == 3
 
 
+def test_integer_keys_refuse_a_fraction(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("[run]\nexhaustive_cap = 1e5\ndecision_intervals = 50, 10.0, 1\n")
+    cfg = load_config(p)  # an integer written as a float still parses
+    assert cfg.exhaustive_cap == 100_000 and type(cfg.exhaustive_cap) is int
+    assert cfg.decision_intervals == (50, 10, 1)
+    for section, line, key in [
+        ("topology", "beams = 2.5", "beams"),
+        ("run", "decision_intervals = 50.7, 10, 1", "decision_intervals"),
+        ("ppo", "batch_size = inf", "batch_size"),
+    ]:
+        p.write_text(f"[{section}]\n{line}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(p)
+
+
+def test_negative_seed_rejected(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("[run]\nseed = -1\n")
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(p)
+    data = ScenarioConfig().to_dict()
+    data["seed"] = -1
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict(data)
+
+
+def test_decision_intervals_need_three_values():
+    data = ScenarioConfig().to_dict()
+    data["decision_intervals"] = [10, 1]
+    with pytest.raises(ConfigError, match="decision_intervals"):
+        config_from_dict(data)
+
+
 # -- topology ----------------------------------------------------------------
 
 

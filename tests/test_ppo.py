@@ -166,9 +166,9 @@ def test_mode_action_is_deterministic():
     data=st.data(),
 )
 def test_stacked_mode_action_matches_per_batch_calls(arities, boxes, stack, rows, ties, seed, data):
-    # greedy hdrl decides a whole tier with one call on its (S, B, ·)
-    # forward; each batch must get the bits, dtype and shape of a call on
-    # that batch alone, including argmax ties and zero-width boxes
+    # a greedy policy slot decides all its entities with one call on its
+    # (S, B, ·) forward; each batch must get the bits, dtype and shape of a
+    # call on that batch alone, including argmax ties and zero-width boxes
     schema = ActionSchema(
         cat_arities=tuple(arities), cont_bounds=tuple((lo, lo + width) for lo, width in boxes)
     )
@@ -181,15 +181,15 @@ def test_stacked_mode_action_matches_per_batch_calls(arities, boxes, stack, rows
         logits, mean, rng.normal(size=schema.num_cont), rng.normal(size=(stack, rows)), schema
     )
     start = data.draw(st.integers(0, schema.num_cat))
-    stop = data.draw(st.integers(start, schema.num_cat))
     got = mode_action(stacked)
-    got_slots = mode_slots(stacked, start, stop)
+    got_slots = mode_slots(stacked, start)
+    assert np.array_equal(got_slots, got.cat[..., start:])  # the tail of the full decode
     for s in range(stack):
         want = mode_action(stacked[s])
         for name in ("cat", "cont"):
             a, b = getattr(got, name)[s], getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        a, b = got_slots[s], mode_slots(stacked[s], start, stop)
+        a, b = got_slots[s], mode_slots(stacked[s], start)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
@@ -280,7 +280,8 @@ def test_ppo_update_moves_params_and_reports():
     net = _net()
     cfg = PpoConfig(learning_rate=1e-3, minibatch_size=8, batch_size=32, sgd_iters=2)
     before = param_vector(net).copy()
-    report = ppo_update(net, _batch(net), cfg, np.random.default_rng(9))
+    opt = Adam(net.params, cfg.learning_rate)
+    report = ppo_update(net, _batch(net), cfg, np.random.default_rng(9), opt)
     assert report.grad_steps == 2 * 4  # sgd_iters * ceil(32 / 8)
     assert not np.array_equal(before, param_vector(net))
     assert np.isfinite(report.policy_loss)
@@ -291,7 +292,8 @@ def test_zero_learning_rate_is_a_bitwise_no_op():
     net = _net()
     cfg = PpoConfig(learning_rate=0.0, minibatch_size=8, batch_size=32, sgd_iters=3)
     before = param_vector(net).copy()
-    ppo_update(net, _batch(net), cfg, np.random.default_rng(10))
+    opt = Adam(net.params, cfg.learning_rate)
+    ppo_update(net, _batch(net), cfg, np.random.default_rng(10), opt)
     assert np.array_equal(before, param_vector(net))
 
 
@@ -318,8 +320,9 @@ def test_update_is_deterministic_given_the_rng_seed():
     cfg = PpoConfig(learning_rate=1e-3, minibatch_size=8, batch_size=32, sgd_iters=2)
     net_a, net_b = _net(), _net()
     batch = _batch(net_a)
-    ppo_update(net_a, copy.deepcopy(batch), cfg, np.random.default_rng(11))
-    ppo_update(net_b, copy.deepcopy(batch), cfg, np.random.default_rng(11))
+    for net in (net_a, net_b):
+        opt = Adam(net.params, cfg.learning_rate)
+        ppo_update(net, copy.deepcopy(batch), cfg, np.random.default_rng(11), opt)
     assert np.array_equal(param_vector(net_a), param_vector(net_b))
 
 

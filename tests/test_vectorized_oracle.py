@@ -8,9 +8,12 @@ compares the env's allocation, channel, metrics and observations with
 each state, so the first-violation contract (constraint, location and
 message) is checked on infeasible states as well as feasible ones.  Greedy
 hdrl, which decides each tier in one call, is compared with the per-entity
-loop at every step, and the link gains with the per-row fading draw.
+loop at every step; every learned agent, greedy and exploring, with its
+own forward-and-sample loop (bundles, generator state and pending
+decisions); and the link gains with the per-row fading draw.
 """
 
+import copy
 import dataclasses
 from pathlib import Path
 
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from reference_loops import (
+    ACT_LOOPS,
     apply_local_loop,
     associate_users_loop,
     hdrl_greedy_act_loop,
@@ -109,18 +113,15 @@ def _check_step(env, obs, bundle, rng):
     for f in dataclasses.fields(want_m):
         assert _same_bits(getattr(state.metrics, f.name), getattr(want_m, f.name)), f.name
 
-    # observations, from step() and from observe()
+    # observations
     want_obs = observe_all_loop(topo, state)
     assert _same_bits(obs["global"], want_obs["global"])
-    assert _same_bits(env.observe("global"), want_obs["global"])
     assert len(obs["regional"]) == len(want_obs["regional"])
     for hap, vec in want_obs["regional"].items():
         assert _same_bits(obs["regional"][hap], vec)
-        assert _same_bits(env.observe("regional", hap), vec)
     assert len(obs["local"]) == len(want_obs["local"])
     for row, vec in want_obs["local"].items():
         assert _same_bits(obs["local"][row], vec)
-        assert _same_bits(env.observe("local", row), vec)
 
     # validate: the feasible state, then corrupted copies
     assert validate(state.alloc, cfg) is None
@@ -240,6 +241,20 @@ def test_link_gains_match_the_loop_oracle_at_128_regions(frozen):
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
+def _assert_same_bundle(got, want, cfg, t):
+    """The same keys in the same order, and the same dtypes, shapes and bytes."""
+    epochs = ["global"] * (t % 6 == 0) + ["regional"] * (t % 3 == 0)
+    assert list(got) == list(want) == epochs + ["local"]
+    if "global" in want:
+        assert _same_bits(got["global"], want["global"])
+    if "regional" in want:
+        assert want["regional"].shape == (cfg.num_regions, cfg.nodes_per_region, cfg.num_subbands)
+        assert _same_bits(got["regional"], want["regional"])
+    assert list(got["local"]) == list(want["local"])
+    for key, arr in want["local"].items():
+        assert _same_bits(got["local"][key], arr), key
+
+
 @pytest.mark.parametrize("name", ["desk", "default", "multi-hap", "r128"])
 def test_greedy_hdrl_matches_the_per_entity_loop(name):
     # the tier-wide mode_action must hand the env the per-entity bundle: the
@@ -254,15 +269,43 @@ def test_greedy_hdrl_matches_the_per_entity_loop(name):
     for t in range(cfg.steps_per_episode):
         want = hdrl_greedy_act_loop(agent, obs, t)
         got = agent.act(obs, t, explore=False)
-        epochs = ["global"] * (t % 6 == 0) + ["regional"] * (t % 3 == 0)
-        assert list(got) == list(want) == epochs + ["local"]
-        if "global" in want:
-            assert _same_bits(got["global"], want["global"])
-        if "regional" in want:
-            assert list(got["regional"]) == list(want["regional"]) == list(range(cfg.num_regions))
-            for region, mat in want["regional"].items():
-                assert _same_bits(got["regional"][region], mat)
-        assert list(got["local"]) == list(want["local"])
-        for key, arr in want["local"].items():
-            assert _same_bits(got["local"][key], arr), key
+        _assert_same_bundle(got, want, cfg, t)
         obs, *_ = env.step(got)
+
+
+@pytest.mark.parametrize("explore", [False, True], ids=["greedy", "exploring"])
+@pytest.mark.parametrize("kind", ["sadrl", "madrl", "hdrl"])
+@pytest.mark.parametrize("name", ["desk", "default"])
+def test_policy_slot_decide_matches_the_per_agent_loops(name, kind, explore):
+    # the learned agents decide through _PolicySlot.decide (sadrl's greedy
+    # step decodes on its own); over a whole episode each must hand the env
+    # the loop's bundle, leave the generator where the loop leaves it, and
+    # start the same pending decisions
+    cfg = _scenario(name)
+    cfg.decision_intervals = (6, 3, 1)
+    cfg.steps_per_episode = 13
+    env = SpectrumSharingEnv(cfg)
+    agent = make_agent(kind, cfg)
+    twin = copy.deepcopy(agent)
+    obs = env.reset(seed=4)
+    agent.begin_episode(env)
+    twin.begin_episode(env)
+    started = 0
+    for t in range(cfg.steps_per_episode):
+        want = ACT_LOOPS[kind](twin, obs, t, explore)
+        got = agent.act(obs, t, explore)
+        _assert_same_bundle(got, want, cfg, t)
+        assert agent.rng.bit_generator.state == twin.rng.bit_generator.state
+        for slot_name, slot in agent.slots.items():
+            pending, want_pending = slot.pending, twin.slots[slot_name].pending
+            assert list(pending) == list(want_pending), slot_name
+            for entity, p in want_pending.items():
+                for field in ("obs", "cat", "cont", "logp", "value"):
+                    got_v, want_v = getattr(pending[entity], field), getattr(p, field)
+                    assert _same_bits(got_v, want_v), (slot_name, entity, field)
+            started += len(pending)
+        obs, rewards, _, truncated, _ = env.step(got)
+        agent.record(rewards, done=truncated)
+        twin.record(rewards, done=truncated)
+    assert truncated
+    assert (started > 0) == explore
