@@ -117,7 +117,7 @@ class _PolicySlot:
 
     def __init__(self, net: PolicyNet, ppo_cfg: PpoConfig, threshold: int):
         self.net = net
-        self.opt = Adam(net.params, ppo_cfg.learning_rate)
+        self.opt = Adam(net.flat, ppo_cfg.learning_rate)
         self.threshold = threshold
         self.pending: dict = {}
         self.trajs: dict = {}
@@ -453,7 +453,8 @@ class _PpoAgentBase:
                         f"{mine[name].params[key].shape} in the agent: refusing to load"
                     )
         for name, net in theirs.items():
-            mine[name].params = net.params
+            # into the net's own vector, which its params view and its Adam steps
+            mine[name].flat[...] = net.flat
         self.rng = blob["rng"]
         self.episodes_trained = int(blob["meta"].get("episodes_trained", 0))
         self.updates = int(blob["meta"].get("updates", 0))

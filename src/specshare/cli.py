@@ -109,7 +109,12 @@ def _load_cfg(args) -> ScenarioConfig:
 
 def _parse_seeds(args, cfg: ScenarioConfig) -> list[int]:
     if getattr(args, "seeds", None):
-        return [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
+        # every seed is checked here, before any output is written
+        for seed in seeds:
+            if seed < 0:
+                raise ConfigError(f"seed must be >= 0, got {seed}")
+        return seeds
     if getattr(args, "seed", None) is not None:
         return [args.seed]
     return [cfg.seed]

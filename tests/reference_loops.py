@@ -14,6 +14,10 @@ time, and ``ACT_LOOPS`` holds each learned agent's ``act`` with its own
 forward, sampling and pending-decision calls; ``test_vectorized_oracle.py``
 requires the agents, which decide through ``_PolicySlot.decide``, to give
 the same bundles, generator states and pending decisions.
+``ppo_update_loop`` runs the PPO update on per-key dicts of new arrays
+(``loss_and_grads_loop``, ``clip_grad_norm_loop``, ``AdamLoop``);
+``test_ppo.py`` requires the flat-buffer ``ppo_update`` to give the same
+parameters, moments, grads, report and generator state.
 """
 
 from __future__ import annotations
@@ -28,7 +32,25 @@ from specshare.allocation import BUDGET_TOL, AllocationState, EnumerationCapErro
 from specshare.channel import associate_users, co_channel_interference, link_gains
 from specshare.config import ScenarioConfig
 from specshare.metrics import StepMetrics, sinr, user_rate
-from specshare.ppo import forward, mode_action, mode_cont, mode_slots, sample_action
+from specshare.ppo import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    MAX_GRAD_NORM,
+    DistParams,
+    LossReport,
+    UpdateReport,
+    _clip,
+    _cont_entropy,
+    _cont_log_prob,
+    _log_softmax_runs,
+    _picked,
+    _probs_and_entropy,
+    forward,
+    mode_action,
+    mode_cont,
+    mode_slots,
+    sample_action,
+)
 from specshare.topology import TIER_UAV, build_topology
 from topo_helpers import beam_of_region, region_of_hap, region_transmitter_rows, region_user_slice
 
@@ -656,3 +678,166 @@ def madrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
 
 
 ACT_LOOPS = {"hdrl": hdrl_act_loop, "sadrl": sadrl_act_loop, "madrl": madrl_act_loop}
+
+
+# -- PPO update ---------------------------------------------------------------------
+#
+# The PPO training step as it ran on per-key dicts before the flat buffers:
+# every forward and backward quantity a new array, one gradient array per
+# parameter, a per-key clip and a per-key Adam.  ``net`` is anything with a
+# ``params`` dict of separate arrays, a ``schema`` and a ``hidden``.
+
+
+def loss_and_grads_loop(net, batch: dict, cfg) -> tuple[LossReport, dict[str, np.ndarray]]:
+    p = net.params
+    schema = net.schema
+    X = batch["obs"]
+    B = X.shape[0]
+    adv = batch["adv"]
+    ret = batch["ret"]
+    logp_old = batch["logp"]
+    cat, cont = batch["cat"], batch["cont"]
+
+    a1 = np.tanh(X @ p["W0"] + p["b0"])
+    a2 = np.tanh(a1 @ p["W1"] + p["b1"])
+    logits = a2 @ p["Wl"] + p["bl"]
+    mean = a2 @ p["Wm"] + p["bm"]
+    log_std = _clip(p["log_std"], LOG_STD_MIN, LOG_STD_MAX)
+    value = (a2 @ p["Wv"] + p["bv"])[..., 0]
+    params = DistParams(logits=logits, mean=mean, log_std=log_std, value=value, schema=schema)
+
+    runs = []
+    logp_new = np.zeros(B)
+    ent = np.zeros(B)
+    for slot_start, n, logit_start, logp_slot in _log_softmax_runs(params):
+        acts = cat[:, slot_start : slot_start + n]
+        prob, h_slot = _probs_and_entropy(logp_slot)
+        logp_new += _picked(logp_slot, acts)
+        ent += h_slot[..., 0].sum(axis=-1)
+        runs.append((logit_start, acts, logp_slot, prob, h_slot))
+    if schema.num_cont:
+        lp_cont, z = _cont_log_prob(params, cont)
+        logp_new += lp_cont
+        ent += _cont_entropy(params)
+
+    ratio = np.exp(logp_new - logp_old)
+    unclipped = ratio * adv
+    clipped = _clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
+    policy_loss = -(np.minimum(unclipped, clipped).sum() / B)
+    value_err = value - ret
+    value_loss = (value_err**2).sum() / B
+    entropy_mean = ent.sum() / B
+    loss = policy_loss + cfg.vf_coef * value_loss - cfg.entropy_coef * entropy_mean
+
+    use_unclipped = unclipped <= clipped
+    g_lp = np.where(use_unclipped, -adv * ratio / B, 0.0)
+
+    d_logits = np.zeros_like(logits)
+    d_mean = np.zeros_like(mean)
+    d_log_std = np.zeros_like(log_std)
+
+    for logit_start, acts, logp_slot, prob, h_slot in runs:
+        _, n, arity = prob.shape
+        onehot = np.zeros_like(prob)
+        onehot[np.arange(B)[:, None], np.arange(n), acts] = 1.0
+        d_slot = g_lp[:, None, None] * (onehot - prob)
+        d_slot += (cfg.entropy_coef / B) * prob * (logp_slot + h_slot)
+        d_logits[:, logit_start : logit_start + n * arity] = d_slot.reshape(B, n * arity)
+
+    if schema.num_cont:
+        std = np.exp(log_std)
+        zc = (z - mean) / std
+        d_mean = g_lp[:, None] * zc / std
+        d_log_std = (g_lp[:, None] * (zc * zc - 1.0)).sum(axis=0)
+        d_log_std += -cfg.entropy_coef
+        raw = p["log_std"]
+        d_log_std *= ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(float)
+
+    d_value = cfg.vf_coef * 2.0 * value_err / B
+
+    grads = {}
+    grads["Wl"] = a2.T @ d_logits
+    grads["bl"] = d_logits.sum(axis=0)
+    grads["Wm"] = a2.T @ d_mean
+    grads["bm"] = d_mean.sum(axis=0)
+    grads["Wv"] = a2.T @ d_value[:, None]
+    grads["bv"] = np.array([d_value.sum()])
+    grads["log_std"] = d_log_std
+
+    da2 = d_logits @ p["Wl"].T + d_mean @ p["Wm"].T + d_value[:, None] @ p["Wv"].T
+    dz2 = da2 * (1.0 - a2 * a2)
+    grads["W1"] = a1.T @ dz2
+    grads["b1"] = dz2.sum(axis=0)
+    da1 = dz2 @ p["W1"].T
+    dz1 = da1 * (1.0 - a1 * a1)
+    grads["W0"] = X.T @ dz1
+    grads["b0"] = dz1.sum(axis=0)
+
+    report = LossReport(
+        loss=float(loss),
+        policy_loss=float(policy_loss),
+        value_loss=float(value_loss),
+        entropy=float(entropy_mean),
+        clip_fraction=float((~use_unclipped).mean()),
+    )
+    return report, grads
+
+
+def clip_grad_norm_loop(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    if total > max_norm and total > 0.0:
+        scale = max_norm / total
+        for g in grads.values():
+            g *= scale
+    return total
+
+
+class AdamLoop:
+    """Adam with one moment array per parameter key."""
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float, betas=(0.9, 0.999), eps=1e-8):
+        self.lr = lr
+        self.b1, self.b2 = betas
+        self.eps = eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        self.t += 1
+        b1t = 1.0 - self.b1**self.t
+        b2t = 1.0 - self.b2**self.t
+        for k, g in grads.items():
+            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
+            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * (g * g)
+            step = self.lr * (self.m[k] / b1t) / (np.sqrt(self.v[k] / b2t) + self.eps)
+            params[k] -= step
+
+
+def ppo_update_loop(
+    net, batch: dict, cfg, rng: np.random.Generator, optimizer: AdamLoop
+) -> UpdateReport:
+    B = batch["obs"].shape[0]
+    adv = batch["adv"]
+    batch = dict(batch)
+    batch["adv"] = (adv - adv.mean()) / (adv.std() + 1e-8)
+    mb = min(cfg.minibatch_size, B)
+    last = None
+    steps = 0
+    for _ in range(cfg.sgd_iters):
+        perm = rng.permutation(B)
+        for start in range(0, B, mb):
+            idx = perm[start : start + mb]
+            minibatch = {k: v[idx] for k, v in batch.items()}
+            report, grads = loss_and_grads_loop(net, minibatch, cfg)
+            clip_grad_norm_loop(grads, MAX_GRAD_NORM)
+            optimizer.step(net.params, grads)
+            last = report
+            steps += 1
+    return UpdateReport(
+        policy_loss=last.policy_loss,
+        value_loss=last.value_loss,
+        entropy=last.entropy,
+        clip_fraction=last.clip_fraction,
+        grad_steps=steps,
+    )

@@ -291,6 +291,41 @@ def test_checkpoint_round_trip_keeps_update_count(tmp_path):
     assert (clone.updates, clone.episodes_trained) == (agent.updates, agent.episodes_trained)
 
 
+@pytest.mark.parametrize("kind", ["sadrl", "madrl", "hdrl"])
+def test_loaded_weights_stay_in_the_vector_adam_updates(tmp_path, kind):
+    # a load that rebound a parameter would leave the forward reading the
+    # loaded array while Adam steps the net's flat vector
+    cfg = _cfg()
+    source = make_agent(kind, cfg)
+    rng = np.random.default_rng(5)
+    for net in source.net_dict().values():
+        for value in net.params.values():
+            value += rng.normal(scale=0.1, size=value.shape)
+    path = tmp_path / "ckpt.json"
+    source.save(path)
+    agent = make_agent(kind, cfg)
+    agent.load(path)
+    for name, slot in agent.slots.items():
+        net, twin = slot.net, source.slots[name]
+        for key, value in net.params.items():
+            # an empty view (a tier with no continuous slots) shares no memory
+            assert value.size == 0 or np.shares_memory(value, net.flat), (name, key)
+        assert net.flat.tobytes() == twin.net.flat.tobytes(), name
+        # one update of the loaded net equals the update of the net built with those weights
+        obs = rng.normal(size=(20, net.input_dim))
+        action, logp = specshare.ppo.sample_action(specshare.ppo.forward(net, obs), rng)
+        batch = {
+            "obs": obs, "cat": action.cat, "cont": action.cont, "logp": logp,
+            "adv": rng.normal(size=20), "ret": rng.normal(size=20),
+        }
+        loaded = net.flat.copy()
+        for s in (slot, twin):
+            specshare.ppo.ppo_update(s.net, batch, cfg.ppo, np.random.default_rng(3), s.opt)
+        assert not np.array_equal(net.flat, loaded), name
+        assert net.flat.tobytes() == twin.net.flat.tobytes(), name
+        assert all(np.array_equal(net.params[k], twin.net.params[k]) for k in net.params), name
+
+
 def _edited_checkpoint(tmp_path, edit):
     cfg = _cfg()
     path = tmp_path / "ckpt.json"

@@ -264,6 +264,19 @@ def test_negative_seed_fails_before_any_output(tmp_path, caplog):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "benchmark"])
+def test_negative_listed_seed_fails_before_any_output(tmp_path, caplog, command):
+    # the first seed is valid: it must not be run, nor a manifest written, before -1 is refused
+    out = tmp_path / command
+    algo = ["--algo", "random"] if command == "evaluate" else ["--algos", "random"]
+    rc = main([
+        command, "--config", _write_tiny_cfg(tmp_path), *algo, "--seeds", "0,-1", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "seed must be >= 0, got -1" in caplog.text
+    assert not out.exists()
+
+
 def test_benchmark_rejects_unknown_algo(tmp_path, caplog):
     rc = main([
         "benchmark", "--config", CONFIG, "--algos", "random,greedy", "--out", str(tmp_path / "b"),

@@ -1,12 +1,20 @@
 import copy
+import tracemalloc
+from dataclasses import astuple
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import specshare.ppo
+from reference_loops import AdamLoop, clip_grad_norm_loop, loss_and_grads_loop, ppo_update_loop
 from specshare.config import PpoConfig
 from specshare.ppo import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
+    MAX_GRAD_NORM,
     ActionBatch,
     ActionSchema,
     Adam,
@@ -26,6 +34,7 @@ from specshare.ppo import (
     ppo_update,
     sample_action,
     save_checkpoint,
+    _Workspace,
 )
 
 
@@ -280,7 +289,7 @@ def test_ppo_update_moves_params_and_reports():
     net = _net()
     cfg = PpoConfig(learning_rate=1e-3, minibatch_size=8, batch_size=32, sgd_iters=2)
     before = param_vector(net).copy()
-    opt = Adam(net.params, cfg.learning_rate)
+    opt = Adam(net.flat, cfg.learning_rate)
     report = ppo_update(net, _batch(net), cfg, np.random.default_rng(9), opt)
     assert report.grad_steps == 2 * 4  # sgd_iters * ceil(32 / 8)
     assert not np.array_equal(before, param_vector(net))
@@ -292,25 +301,141 @@ def test_zero_learning_rate_is_a_bitwise_no_op():
     net = _net()
     cfg = PpoConfig(learning_rate=0.0, minibatch_size=8, batch_size=32, sgd_iters=3)
     before = param_vector(net).copy()
-    opt = Adam(net.params, cfg.learning_rate)
+    opt = Adam(net.flat, cfg.learning_rate)
     ppo_update(net, _batch(net), cfg, np.random.default_rng(10), opt)
     assert np.array_equal(before, param_vector(net))
 
 
 def test_adam_single_step_reference():
     # one Adam step from zeroed moments: delta = lr * g / (|g| sqrt(1-b2) / sqrt(1-b2) ...)
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.array([0.5, -0.25])}
-    opt = Adam(params, lr=0.01)
-    opt.step(params, grads)
+    flat, grad = np.array([1.0, -2.0]), np.array([0.5, -0.25])
+    params = {"w": flat[:]}  # a view, as a net's params are
+    opt = Adam(flat, lr=0.01)
+    opt.step(flat, grad, (np.empty(2), np.empty(2)))
     # bias-corrected m-hat = g, v-hat = g^2, so the step is lr * sign(g) (up to eps)
     expect = np.array([1.0, -2.0]) - 0.01 * np.sign([0.5, -0.25])
     assert np.allclose(params["w"], expect, atol=1e-6)
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    kind=st.sampled_from(["cat", "cont", "mixed"]),
+    arities=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    widths=st.lists(st.sampled_from([0.0, 0.5, 20.0]), min_size=1, max_size=3),
+    raw_log_std=st.sampled_from([None, LOG_STD_MIN, LOG_STD_MAX, -9.0, 4.0]),
+    rows=st.integers(1, 40),
+    minibatch=st.integers(1, 24),
+    hidden=st.sampled_from([(4, 4), (8, 5), (3, 9)]),
+    max_norm=st.sampled_from([1e-3, MAX_GRAD_NORM, 1e9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# desk's local tier: 200-row minibatches through 128 hidden units
+@example(
+    kind="mixed", arities=[2, 2, 2, 2], widths=[0.5, 0.0, 20.0], raw_log_std=None, rows=600,
+    minibatch=200, hidden=(128, 128), max_norm=MAX_GRAD_NORM, seed=0,
+)
+def test_update_matches_the_per_key_loops_bitwise(
+    kind, arities, widths, raw_log_std, rows, minibatch, hidden, max_norm, seed
+):
+    # the flat buffers, the workspace and the in-place ops must give the bits
+    # of the same update on per-key dicts of new arrays
+    schema = ActionSchema(
+        cat_arities=() if kind == "cont" else tuple(arities),
+        cont_bounds=() if kind == "cat" else tuple((-1.0, -1.0 + w) for w in widths),
+    )
+    rng = np.random.default_rng(seed)
+    net = PolicyNet(int(rng.integers(1, 7)), schema, hidden=hidden, rng=rng)
+    if raw_log_std is not None and schema.num_cont:
+        net.params["log_std"][0] = raw_log_std  # at or past the clamp: its gradient is gated off
+    twin = SimpleNamespace(
+        params={k: v.copy() for k, v in net.params.items()}, schema=schema, hidden=net.hidden
+    )
+    batch = _batch(net, B=rows, seed=seed)
+    cfg = PpoConfig(learning_rate=3e-3, minibatch_size=minibatch, batch_size=rows, sgd_iters=2)
+
+    # one step, in a workspace with rows to spare, and with clipping that
+    # fires (1e-3), may fire (the update's cap) or does not (1e9)
+    ws = _Workspace(net, rows + 3)
+    report, grads = loss_and_grads(net, batch, cfg, ws)
+    want_report, want = loss_and_grads_loop(twin, batch, cfg)
+    assert astuple(report) == astuple(want_report)
+    assert list(grads) == list(want)
+    assert all(_same(grads[k], want[k]) for k in want)
+    assert clip_grad_norm(grads, ws.grad, max_norm) == clip_grad_norm_loop(want, max_norm)
+    assert all(_same(grads[k], want[k]) for k in want)
+    opt, opt_ref = Adam(net.flat, cfg.learning_rate), AdamLoop(twin.params, cfg.learning_rate)
+    opt.step(net.flat, ws.grad, ws.scratch)
+    opt_ref.step(twin.params, want)
+
+    # then a whole update on the moments that step left
+    rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got = ppo_update(net, batch, cfg, rng_a, opt)
+    assert astuple(got) == astuple(ppo_update_loop(twin, batch, cfg, rng_b, opt_ref))
+    assert all(_same(net.params[k], twin.params[k]) for k in twin.params)
+    m, v = net.views(opt.m), net.views(opt.v)
+    assert all(_same(m[k], opt_ref.m[k]) and _same(v[k], opt_ref.v[k]) for k in twin.params)
+    assert opt.t == opt_ref.t == 1 + got.grad_steps
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_minibatch_steps_allocate_no_hidden_sized_arrays(monkeypatch):
+    # the workspace is allocated once per update; a step that went back to
+    # new (minibatch, hidden) arrays, even one, raises the peak past this bound
+    schema = ActionSchema(cat_arities=(2, 2, 2, 2), cont_bounds=((0.0, 1.0),) * 6)
+    net = PolicyNet(22, schema, rng=np.random.default_rng(0))
+    batch = _batch(net, B=600, seed=1)
+    cfg = PpoConfig(minibatch_size=200, batch_size=600, sgd_iters=2)
+    inner = specshare.ppo.loss_and_grads
+    calls, base = [], []
+
+    def marking(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # the second minibatch: every buffer of the update exists
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(specshare.ppo, "loss_and_grads", marking)
+    tracemalloc.start()
+    try:
+        report = ppo_update(net, batch, cfg, np.random.default_rng(2), Adam(net.flat, 1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.grad_steps == 6
+    assert peak - base[0] < 200 * 128 * 8
+
+
+def test_grads_without_a_workspace_are_new_arrays():
+    # grad_check keeps the analytic grads while it calls the loss again
+    net = _net()
+    batch = _batch(net, B=16)
+    cfg = PpoConfig()
+    _, first = loss_and_grads(net, batch, cfg)
+    kept = {k: g.copy() for k, g in first.items()}
+    _, second = loss_and_grads(net, batch, cfg)
+    for k in first:
+        assert not np.shares_memory(first[k], second[k]), k
+        assert np.array_equal(first[k], kept[k]), k
+
+
+def test_params_are_aligned_views_into_the_flat_vector():
+    net = _net()
+    for k, value in net.params.items():
+        assert np.shares_memory(value, net.flat), k
+        assert value.ctypes.data % 64 == 0, k  # the decision-time products are slower off it
+    for a, b in zip(list(net.params.values()), list(net.params.values())[1:]):
+        assert not np.shares_memory(a, b)
+
+
 def test_clip_grad_norm_scales_to_the_cap():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([4.0])}
-    norm = clip_grad_norm(grads, 0.5)
+    flat = np.array([3.0, 0.0, 4.0])
+    grads = {"a": flat[:2], "b": flat[2:]}
+    norm = clip_grad_norm(grads, flat, 0.5)
     assert norm == pytest.approx(5.0)
     total = np.sqrt(sum((g**2).sum() for g in grads.values()))
     assert total == pytest.approx(0.5)
@@ -321,7 +446,7 @@ def test_update_is_deterministic_given_the_rng_seed():
     net_a, net_b = _net(), _net()
     batch = _batch(net_a)
     for net in (net_a, net_b):
-        opt = Adam(net.params, cfg.learning_rate)
+        opt = Adam(net.flat, cfg.learning_rate)
         ppo_update(net, copy.deepcopy(batch), cfg, np.random.default_rng(11), opt)
     assert np.array_equal(param_vector(net_a), param_vector(net_b))
 
