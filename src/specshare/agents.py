@@ -13,8 +13,11 @@ Action factorization (shared by all learned agents):
 
 Every learned policy decides through ``_PolicySlot.decide``: one stacked
 ``(S, B, D)`` forward, then one ``mode_action`` when greedy, or per-batch
-sampling that starts each entity's pending decision when exploring.  The
-one exception is the flat baseline's greedy step, which decodes only the
+sampling when exploring, whose decisions for all ``S * B`` entities go into
+the slot's ``Trajectory`` as one epoch.  ``record`` hands each slot one step's
+rewards as one vector, one per entity, and at the episode's end the slot
+turns its trajectory into training rows with GAE over all entities at once.
+The one exception is the flat baseline's greedy step, which decodes only the
 slots the env takes at that step (``mode_slots`` from a start slot).  The
 hierarchical agent evaluates its shared local policy over all regions
 (each region's nodes as one batch) every step and its shared regional
@@ -93,34 +96,19 @@ def _local_schema(cfg: ScenarioConfig) -> ActionSchema:
 # -- policy slots ----------------------------------------------------------------
 
 
-class _Pending:
-    """A decision awaiting its interval's rewards before entering a trajectory."""
-
-    __slots__ = ("obs", "cat", "cont", "logp", "value", "rewards")
-
-    def __init__(self, obs, cat, cont, logp, value):
-        self.obs = obs
-        self.cat = cat
-        self.cont = cont
-        self.logp = logp
-        self.value = value
-        self.rewards: list[float] = []
-
-
 class _PolicySlot:
     """One PPO policy and its bookkeeping.
 
-    Owns the net and its Adam state, each entity's pending decision and
-    episode trajectory, and the batch buffer, which feeds one PPO update
-    once it holds ``threshold`` transitions.
+    Owns the net and its Adam state, the episode's ``Trajectory`` (every
+    entity's decisions, epoch by epoch), and the batch buffer, which feeds
+    one PPO update once it holds ``threshold`` transitions.
     """
 
     def __init__(self, net: PolicyNet, ppo_cfg: PpoConfig, threshold: int):
         self.net = net
         self.opt = Adam(net.flat, ppo_cfg.learning_rate)
         self.threshold = threshold
-        self.pending: dict = {}
-        self.trajs: dict = {}
+        self.traj = Trajectory()
         self.buffer: list[dict] = []
 
     def decide(self, obs: np.ndarray, rng: np.random.Generator, explore: bool) -> ActionBatch:
@@ -128,9 +116,9 @@ class _PolicySlot:
         is row ``i`` of batch ``s``, as (S * B, ·) arrays in entity order.
 
         Greedy, one ``mode_action`` decides every entity.  Exploring samples
-        batch by batch, in the order a forward per batch would, and starts
-        each entity's pending decision; one draw over the whole stack would
-        change the generator stream.
+        batch by batch, in the order a forward per batch would, and adds the
+        decisions to the trajectory as one epoch; one draw over the whole
+        stack would change the generator stream.
         """
         S, B = obs.shape[:2]
         stacked = forward(self.net, obs)
@@ -140,48 +128,27 @@ class _PolicySlot:
                 cat=action.cat.reshape(S * B, action.cat.shape[-1]),
                 cont=action.cont.reshape(S * B, action.cont.shape[-1]),
             )
-        cats, conts = [], []
+        cats, conts, logps = [], [], []
         for s in range(S):
-            params = stacked[s]
-            action, logp = sample_action(params, rng)
-            for i in range(B):
-                self.start(
-                    s * B + i, obs[s, i], action.cat[i], action.cont[i], logp[i], params.value[i]
-                )
+            action, logp = sample_action(stacked[s], rng)
             cats.append(action.cat)
             conts.append(action.cont)
-        return ActionBatch(cat=np.concatenate(cats), cont=np.concatenate(conts))
+            logps.append(logp)
+        action = ActionBatch(cat=np.concatenate(cats), cont=np.concatenate(conts))
+        logp, value = np.concatenate(logps), stacked.value.reshape(S * B)
+        self.traj.add(obs.reshape(S * B, -1), action.cat, action.cont, logp, value)
+        return action
 
-    def start(self, entity, obs, cat, cont, logp, value) -> None:
-        self.flush(entity, done=False)
-        self.pending[entity] = _Pending(obs, cat, cont, logp, value)
-
-    def reward(self, entity, r: float) -> None:
-        if entity in self.pending:
-            self.pending[entity].rewards.append(float(r))
-
-    def flush(self, entity, done: bool) -> None:
-        p = self.pending.pop(entity, None)
-        if p is None:
-            return
-        traj = self.trajs.get(entity)
-        if traj is None:
-            traj = self.trajs[entity] = Trajectory()
-        # sum / count is np.mean bit for bit, without the wrapper overhead
-        reward = float(np.add.reduce(p.rewards) / len(p.rewards))
-        traj.add(p.obs, p.cat, p.cont, p.logp, p.value, reward, done)
-
-    def flush_all(self, done: bool) -> None:
-        for entity in list(self.pending):
-            self.flush(entity, done)
+    def reward(self, r) -> None:
+        """One step's rewards, one per entity, for the latest decisions."""
+        self.traj.reward(r)
 
     def end_episode(self, ppo_cfg: PpoConfig, rng: np.random.Generator) -> bool:
-        """Move the episode's trajectories into the buffer and update once it
+        """Move the episode's trajectory into the buffer and update once it
         holds a batch; True when an update ran."""
-        self.buffer.extend(
-            t.finalize(ppo_cfg.discount, ppo_cfg.gae_lambda) for t in self.trajs.values() if len(t)
-        )
-        self.trajs.clear()
+        if len(self.traj):
+            self.buffer.append(self.traj.finalize(ppo_cfg.discount, ppo_cfg.gae_lambda))
+        self.traj = Trajectory()
         if sum(part["obs"].shape[0] for part in self.buffer) < self.threshold:
             return False
         batch = {k: np.concatenate([part[k] for part in self.buffer], axis=0) for k in self.buffer[0]}
@@ -212,9 +179,9 @@ class RandomAgent:
         n, tcount = cfg.num_subbands, cfg.num_transmitters
         m = cfg.nodes_per_region
         bundle: dict = {}
-        if t % cfg.decision_intervals[0] == 0:
+        if cfg.global_due(t):
             bundle["global"] = slots_to_region(self.rng.integers(0, cfg.beams + 1, n), cfg.beams)
-        if t % cfg.decision_intervals[1] == 0:
+        if cfg.regional_due(t):
             slots = [self.rng.integers(0, m + 1, n) for _ in range(cfg.num_regions)]
             bundle["regional"] = slots_to_region(slots, m)
         bundle["local"] = {
@@ -373,9 +340,9 @@ class ExhaustiveAgent:
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
         cfg = self.cfg
         bundle: dict = {}
-        if t % cfg.decision_intervals[1] == 0:
+        if cfg.regional_due(t):
             self.solution = exhaustive_solve(cfg, search=self.search)
-            if t % cfg.decision_intervals[0] == 0:
+            if cfg.global_due(t):
                 bundle["global"] = self.solution["global"]
             bundle["regional"] = self.solution["regional"]
         bundle["local"] = self.solution["local"]
@@ -418,7 +385,7 @@ class _PpoAgentBase:
 
     def begin_episode(self, env: SpectrumSharingEnv) -> None:
         for slot in self.slots.values():
-            slot.pending.clear()
+            slot.traj = Trajectory()
 
     def _end_episode(self) -> None:
         self.episodes_trained += 1
@@ -488,14 +455,14 @@ class HdrlAgent(_PpoAgentBase):
         n, m = cfg.num_subbands, cfg.nodes_per_region
         bundle: dict = {}
 
-        if t % cfg.decision_intervals[0] == 0:
+        if cfg.global_due(t):
             action = self.g_slot.decide(obs["global"][None, None], self.rng, explore)
             bundle["global"] = slots_to_region(action.cat[0], cfg.beams)
 
         # The HAPs share the regional policy and the regions share the local
         # one: each tier runs one stacked forward (see ppo.forward) and
         # decides all its entities from it.
-        if t % cfg.decision_intervals[1] == 0:
+        if cfg.regional_due(t):
             action = self.r_slot.decide(obs["regional"][:, None, :], self.rng, explore)
             # a HAP's slots are its regions' slots in region order
             bundle["regional"] = slots_to_region(action.cat.reshape(cfg.num_regions, n), m)
@@ -510,16 +477,10 @@ class HdrlAgent(_PpoAgentBase):
         return bundle
 
     def record(self, rewards: dict, done: bool) -> None:
-        cfg = self.cfg
-        self.g_slot.reward(0, rewards["r_s"])
-        for hap in range(cfg.num_haps):
-            self.r_slot.reward(hap, rewards["r_h"][hap])
-        local = self.l_slot
-        for row, r in enumerate(np.repeat(rewards["r_l"], cfg.nodes_per_region).tolist()):
-            local.reward(row, r)
-        if done:
-            for slot in self.slots.values():
-                slot.flush_all(done=True)
+        self.g_slot.reward([rewards["r_s"]])
+        self.r_slot.reward(rewards["r_h"])
+        # a region's reward is each of its nodes'
+        self.l_slot.reward(np.repeat(rewards["r_l"], self.cfg.nodes_per_region))
 
     def end_episode(self) -> None:
         self._end_episode()
@@ -556,8 +517,8 @@ class SadrlAgent(_PpoAgentBase):
         n, m = cfg.num_subbands, cfg.nodes_per_region
         tcount, regions = cfg.num_transmitters, cfg.num_regions
         local_n, regional_n = tcount * n, regions * n
-        global_due = t % cfg.decision_intervals[0] == 0
-        regional_due = t % cfg.decision_intervals[1] == 0
+        global_due = cfg.global_due(t)
+        regional_due = cfg.regional_due(t)
         # the slots the env takes at this step are a suffix of the action: the
         # local ones every step, the regional ones at regional epochs, and the
         # global ones at global epochs, which are regional epochs too
@@ -585,8 +546,7 @@ class SadrlAgent(_PpoAgentBase):
         return bundle
 
     def record(self, rewards: dict, done: bool) -> None:
-        self.policy.reward(0, rewards["r_s"])
-        self.policy.flush(0, done=done)
+        self.policy.reward([rewards["r_s"]])
 
     def end_episode(self) -> None:
         self._end_episode()
@@ -633,7 +593,7 @@ class MadrlAgent(_PpoAgentBase):
         n, m = cfg.num_subbands, cfg.nodes_per_region
         tcount = cfg.num_transmitters
         bundle: dict = {}
-        if t % cfg.decision_intervals[0] == 0:
+        if cfg.global_due(t):
             bundle["global"] = self.fixed_global
         region_obs = self._region_obs(obs)
         actions = [
@@ -645,7 +605,7 @@ class MadrlAgent(_PpoAgentBase):
         # no timescale gating inside the agent: the full per-region action
         # (assignment included) is produced every step; the schedule only
         # controls what the env consumes
-        if t % cfg.decision_intervals[1] == 0:
+        if cfg.regional_due(t):
             bundle["regional"] = slots_to_region(cat[:, :n], m)
         bundle["local"] = {
             "beta": cat[:, n:].reshape(tcount, n).astype(np.int8),
@@ -656,8 +616,7 @@ class MadrlAgent(_PpoAgentBase):
 
     def record(self, rewards: dict, done: bool) -> None:
         for region, slot in enumerate(self.region_slots):
-            slot.reward(0, rewards["r_l"][region])
-            slot.flush(0, done=done)
+            slot.reward(rewards["r_l"][region : region + 1])
 
     def end_episode(self) -> None:
         self._end_episode()

@@ -351,9 +351,6 @@ def cmd_benchmark(args) -> int:
     )
 
     if args.sweep:
-        if args.sweep != "local_power":
-            log.error("unknown sweep %r (only local_power is available)", args.sweep)
-            return 1
         scales = [0.2, 0.4, 0.6, 0.8, 1.0]
         sweep_rows = []
         for algo in algos:
@@ -459,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seeds")
     p_bench.add_argument("--episodes", type=int)
     p_bench.add_argument("--train-episodes", type=int, default=0)
-    p_bench.add_argument("--sweep")
+    p_bench.add_argument("--sweep", choices=("local_power",))
     p_bench.add_argument("--out", required=True)
     p_bench.set_defaults(func=cmd_benchmark)
 

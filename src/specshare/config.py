@@ -128,6 +128,14 @@ class ScenarioConfig:
         """Thermal noise power per subband in watts."""
         return 10.0 ** ((self.noise_psd - 30.0) / 10.0) * self.subband_bandwidth
 
+    def global_due(self, t: int) -> bool:
+        """Whether step ``t`` is a global decision epoch."""
+        return t % self.decision_intervals[0] == 0
+
+    def regional_due(self, t: int) -> bool:
+        """Whether step ``t`` is a regional decision epoch (every global one is)."""
+        return t % self.decision_intervals[1] == 0
+
     def validate(self) -> None:
         counts = {
             "beams": self.beams,

@@ -154,14 +154,6 @@ class SpectrumSharingEnv:
             self._trace_fh.close()
             self._trace_fh = None
 
-    # -- scheduling ----------------------------------------------------------
-
-    def global_due(self, t: int) -> bool:
-        return t % self.cfg.decision_intervals[0] == 0
-
-    def regional_due(self, t: int) -> bool:
-        return t % self.cfg.decision_intervals[1] == 0
-
     # -- stepping -------------------------------------------------------------
 
     def step(self, actions: dict):
@@ -186,14 +178,14 @@ class SpectrumSharingEnv:
         r_action = actions.get("regional")
         l_action = actions.get("local")
 
-        if self.global_due(t):
+        if cfg.global_due(t):
             if g_action is None:
                 raise ScheduleError(f"missing required action: global at t={t}")
             self._apply_global(g_action)
         elif g_action is not None:
             raise ScheduleError(f"off-schedule action: global at t={t}")
 
-        if self.regional_due(t):
+        if cfg.regional_due(t):
             if r_action is None:
                 raise ScheduleError(f"missing required action: regional at t={t}")
             self._apply_regional(r_action)
@@ -220,8 +212,8 @@ class SpectrumSharingEnv:
 
         if self._trace_fh is not None:
             decisions = {
-                "global": self.global_due(t),
-                "regional": list(range(cfg.num_haps)) if self.regional_due(t) else [],
+                "global": cfg.global_due(t),
+                "regional": list(range(cfg.num_haps)) if cfg.regional_due(t) else [],
                 "local": cfg.num_transmitters,
             }
             self._write_trace(t, decisions, state)

@@ -19,6 +19,10 @@ ufunc keeps the operation order of the written-out expression, and the
 grad-norm clip sums its squares key by key in the order the gradients are
 computed.  ``forward``, the decision path, takes no workspace and allocates
 new activation arrays.
+
+A ``Trajectory`` holds one policy's episode as (epochs, entities) arrays, the
+layout of a (steps, envs) rollout buffer, and ``gae`` runs over all its
+entities at once.
 """
 
 from __future__ import annotations
@@ -397,15 +401,18 @@ def gae(
     lam: float,
     bootstrap_value: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimates and returns for one ordered sequence."""
+    """Generalized advantage estimates and returns along the first axis.
+
+    ``rewards`` and ``values`` are (T, ...): trailing axes are independent
+    sequences sharing the (T,) ``dones``, and each column gets the bits of
+    the 1-D call on it."""
     r = np.asarray(rewards, dtype=float)
     v = np.asarray(values, dtype=float)
     d = np.asarray(dones, dtype=float)
-    T = len(r)
-    adv = np.zeros(T)
+    adv = np.zeros(r.shape)
     next_adv = 0.0
     next_value = bootstrap_value
-    for t in range(T - 1, -1, -1):
+    for t in range(len(r) - 1, -1, -1):
         not_done = 1.0 - d[t]
         delta = r[t] + gamma * next_value * not_done - v[t]
         next_adv = delta + gamma * lam * not_done * next_adv
@@ -416,40 +423,62 @@ def gae(
 
 @dataclass
 class Trajectory:
-    """Raw per-entity decision sequence collected during rollouts."""
+    """One policy's episode of decisions, epoch by epoch.
 
-    obs: list = field(default_factory=list)
-    cat: list = field(default_factory=list)
-    cont: list = field(default_factory=list)
-    logp: list = field(default_factory=list)
-    value: list = field(default_factory=list)
-    reward: list = field(default_factory=list)
-    done: list = field(default_factory=list)
+    A tier's E entities decide together, so each epoch is one ``add`` of
+    (E, ·) rows (entity order), and each env step between two epochs one
+    ``reward`` of the (E,) rewards, which the latest epoch collects.
+    """
 
-    def add(self, obs, cat, cont, logp, value, reward, done) -> None:
-        self.obs.append(np.asarray(obs, dtype=float))
-        self.cat.append(np.asarray(cat, dtype=np.int64))
-        self.cont.append(np.asarray(cont, dtype=float))
-        self.logp.append(float(logp))
-        self.value.append(float(value))
-        self.reward.append(float(reward))
-        self.done.append(bool(done))
+    obs: list = field(default_factory=list)  # per epoch, (E, D)
+    cat: list = field(default_factory=list)  # (E, num_cat) int
+    cont: list = field(default_factory=list)  # (E, C)
+    logp: list = field(default_factory=list)  # (E,)
+    value: list = field(default_factory=list)  # (E,)
+    rewards: list = field(default_factory=list)  # per epoch, one (E,) per step
+
+    def add(self, obs, cat, cont, logp, value) -> None:
+        self.obs.append(obs)
+        self.cat.append(cat)
+        self.cont.append(cont)
+        self.logp.append(logp)
+        self.value.append(value)
+        self.rewards.append([])
+
+    def reward(self, r) -> None:
+        """One step's (E,) rewards, credited to the latest epoch (none before the first)."""
+        if self.rewards:
+            self.rewards[-1].append(r)
 
     def __len__(self) -> int:
         return len(self.obs)
 
     def finalize(self, gamma: float, lam: float) -> dict:
-        """GAE over this sequence; returns flat training arrays."""
-        adv, ret = gae(
-            np.array(self.reward), np.array(self.value), np.array(self.done, dtype=float), gamma, lam
+        """Flat training arrays, entity-major (entity 0's epochs, then entity
+        1's, ...).  An epoch's reward is the mean of its steps' rewards, the
+        last epoch ends the episode, and GAE runs over all entities at once."""
+        K, E = len(self), len(self.logp[0])
+        # sum / count along a contiguous last axis is np.mean of each entity's
+        # interval bit for bit; a reduce over the first axis is not pairwise
+        reward = np.stack(
+            [np.add.reduce(np.stack(rs, axis=-1), axis=-1) / len(rs) for rs in self.rewards]
         )
+        done = np.zeros(K)
+        done[-1] = 1.0
+        adv, ret = gae(reward, np.stack(self.value), done, gamma, lam)
+
+        def rows(epochs, dtype=float) -> np.ndarray:
+            x = np.asarray(epochs, dtype=dtype)  # (K, E, ...)
+            # the row count is named: a zero-width (K, E, 0) has no -1 to infer
+            return x.swapaxes(0, 1).reshape(K * E, *x.shape[2:])
+
         return {
-            "obs": np.stack(self.obs),
-            "cat": np.stack(self.cat) if self.cat else np.zeros((len(self), 0), dtype=np.int64),
-            "cont": np.stack(self.cont) if self.cont else np.zeros((len(self), 0)),
-            "logp": np.array(self.logp),
-            "adv": adv,
-            "ret": ret,
+            "obs": rows(self.obs),
+            "cat": rows(self.cat, np.int64),
+            "cont": rows(self.cont),
+            "logp": rows(self.logp),
+            "adv": rows(adv),
+            "ret": rows(ret),
         }
 
 
@@ -476,10 +505,10 @@ class _Workspace:
 
     Four (rows, hidden) activation buffers for the forward and backward, and
     one flat gradient vector laid out like the net's ``flat``, with its named
-    views in ``grads``.  Adam's two scratch vectors are the first two
-    activation buffers, which the step's backward is done with by then.  All
-    of it is one block: freed as one chunk, it is reused by the next
-    update's block rather than handed back to the system and faulted in
+    views in ``grads``.  The grad-norm clip's and Adam's scratch vectors are
+    the first two activation buffers, which the step's backward is done with
+    by then.  All of it is one block: freed as one chunk, it is reused by the
+    next update's block rather than handed back to the system and faulted in
     again.
     """
 
@@ -619,13 +648,20 @@ def loss_and_grads(
     return report, grads
 
 
-def clip_grad_norm(grads: dict[str, np.ndarray], flat: np.ndarray, max_norm: float) -> float:
+def clip_grad_norm(
+    grads: dict[str, np.ndarray], flat: np.ndarray, max_norm: float, scratch: np.ndarray
+) -> float:
     """Scale the gradient vector ``flat``, whose named views are ``grads``, to
     a global norm of at most ``max_norm``; returns the norm before scaling.
 
     The squares are summed key by key in ``grads``' order, which fixes the
-    bits of the norm; the scaling is one multiply over the whole vector."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    bits of the norm; each key is squared into ``scratch`` (a vector at least
+    ``flat``'s size) in its own shape.  The scaling is one multiply over the
+    whole vector."""
+    squares = 0.0
+    for g in grads.values():
+        squares += float(np.multiply(g, g, out=scratch[: g.size].reshape(g.shape)).sum())
+    total = float(np.sqrt(squares))
     if total > max_norm and total > 0.0:
         flat *= max_norm / total
     return total
@@ -712,7 +748,7 @@ def ppo_update(
             idx = perm[start : start + mb]
             minibatch = {k: v[idx] for k, v in batch.items()}
             report, grads = loss_and_grads(net, minibatch, cfg, ws)
-            clip_grad_norm(grads, ws.grad, MAX_GRAD_NORM)
+            clip_grad_norm(grads, ws.grad, MAX_GRAD_NORM, ws.scratch[0])
             optimizer.step(net.flat, ws.grad, ws.scratch)
             last = report
             steps += 1

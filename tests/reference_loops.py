@@ -13,7 +13,13 @@ requires the batched ``exhaustive_solve`` to pick the same optimum.
 time, and ``ACT_LOOPS`` holds each learned agent's ``act`` with its own
 forward, sampling and pending-decision calls; ``test_vectorized_oracle.py``
 requires the agents, which decide through ``_PolicySlot.decide``, to give
-the same bundles, generator states and pending decisions.
+the same bundles, generator states and decisions.  ``SlotBook`` keeps a
+slot's transitions one entity at a time (a pending decision per entity,
+flushed into the entity's own ``EntityTrajectory``), with ``RECORD_LOOPS``
+and ``end_episode_loop`` as the agents' ``record`` and ``end_episode``;
+``test_vectorized_oracle.py`` requires every batch the agents hand to
+``ppo_update`` to be the books' batch, and ``test_ppo.py`` requires
+``Trajectory.finalize`` to give the rows of its entities' ``EntityTrajectory``.
 ``ppo_update_loop`` runs the PPO update on per-key dicts of new arrays
 (``loss_and_grads_loop``, ``clip_grad_norm_loop``, ``AdamLoop``);
 ``test_ppo.py`` requires the flat-buffer ``ppo_update`` to give the same
@@ -26,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from specshare import metrics
+from specshare import metrics, ppo
 from specshare.agents import count_joint_candidates, slots_to_region
 from specshare.allocation import BUDGET_TOL, AllocationState, EnumerationCapError, LocalAction, Violation
 from specshare.channel import associate_users, co_channel_interference, link_gains
@@ -548,16 +554,176 @@ def hdrl_greedy_act_loop(agent, obs: dict, t: int) -> dict:
     return bundle
 
 
+# -- per-entity bookkeeping ---------------------------------------------------------
+#
+# Each policy slot's transitions as they were kept before the epoch-wise
+# ``ppo.Trajectory``: one pending decision per entity, collecting its rewards
+# until the entity's next decision (hdrl), the episode's end (hdrl) or the
+# step's reward (sadrl and madrl) flushes it, with the interval's mean
+# reward, into that entity's own trajectory.  At the episode's end each
+# entity's trajectory runs its own GAE and the slot's buffer gets the
+# entities' rows in the order they were first flushed.
+
+
+class EntityTrajectory:
+    """One entity's decision sequence, a decision at a time."""
+
+    def __init__(self):
+        self.obs, self.cat, self.cont = [], [], []
+        self.logp, self.value, self.reward, self.done = [], [], [], []
+
+    def add(self, obs, cat, cont, logp, value, reward, done) -> None:
+        self.obs.append(np.asarray(obs, dtype=float))
+        self.cat.append(np.asarray(cat, dtype=np.int64))
+        self.cont.append(np.asarray(cont, dtype=float))
+        self.logp.append(float(logp))
+        self.value.append(float(value))
+        self.reward.append(float(reward))
+        self.done.append(bool(done))
+
+    def __len__(self) -> int:
+        return len(self.obs)
+
+    def finalize(self, gamma: float, lam: float) -> dict:
+        adv, ret = gae_loop(
+            np.array(self.reward), np.array(self.value), np.array(self.done, dtype=float), gamma, lam
+        )
+        return {
+            "obs": np.stack(self.obs),
+            "cat": np.stack(self.cat) if self.cat else np.zeros((len(self), 0), dtype=np.int64),
+            "cont": np.stack(self.cont) if self.cont else np.zeros((len(self), 0)),
+            "logp": np.array(self.logp),
+            "adv": adv,
+            "ret": ret,
+        }
+
+
+def gae_loop(rewards, values, dones, gamma: float, lam: float, bootstrap_value: float = 0.0):
+    """GAE over one 1-D sequence, a step at a time."""
+    T = len(rewards)
+    adv = np.zeros(T)
+    next_adv = 0.0
+    next_value = bootstrap_value
+    for t in range(T - 1, -1, -1):
+        not_done = 1.0 - dones[t]
+        delta = rewards[t] + gamma * next_value * not_done - values[t]
+        next_adv = delta + gamma * lam * not_done * next_adv
+        adv[t] = next_adv
+        next_value = values[t]
+    return adv, adv + values
+
+
+class Pending:
+    """A decision awaiting its interval's rewards before entering a trajectory."""
+
+    def __init__(self, obs, cat, cont, logp, value):
+        self.obs = obs
+        self.cat = cat
+        self.cont = cont
+        self.logp = logp
+        self.value = value
+        self.rewards: list[float] = []
+
+
+class SlotBook:
+    """One policy slot's per-entity pending decisions, trajectories and batch buffer."""
+
+    def __init__(self, threshold: int):
+        self.threshold = threshold
+        self.pending: dict = {}
+        self.trajs: dict = {}
+        self.buffer: list[dict] = []
+
+    def start(self, entity, obs, cat, cont, logp, value) -> None:
+        self.flush(entity, done=False)
+        self.pending[entity] = Pending(obs, cat, cont, logp, value)
+
+    def reward(self, entity, r: float) -> None:
+        if entity in self.pending:
+            self.pending[entity].rewards.append(float(r))
+
+    def flush(self, entity, done: bool) -> None:
+        p = self.pending.pop(entity, None)
+        if p is None:
+            return
+        traj = self.trajs.get(entity)
+        if traj is None:
+            traj = self.trajs[entity] = EntityTrajectory()
+        traj.add(p.obs, p.cat, p.cont, p.logp, p.value, np.mean(p.rewards), done)
+
+    def flush_all(self, done: bool) -> None:
+        for entity in list(self.pending):
+            self.flush(entity, done)
+
+    def end_episode(self, slot, ppo_cfg, rng) -> bool:
+        """The old ``_PolicySlot.end_episode``, updating ``slot``'s net and Adam."""
+        self.buffer.extend(
+            t.finalize(ppo_cfg.discount, ppo_cfg.gae_lambda) for t in self.trajs.values() if len(t)
+        )
+        self.trajs.clear()
+        if sum(part["obs"].shape[0] for part in self.buffer) < self.threshold:
+            return False
+        batch = {k: np.concatenate([part[k] for part in self.buffer], axis=0) for k in self.buffer[0]}
+        ppo.ppo_update(slot.net, batch, ppo_cfg, rng, optimizer=slot.opt)
+        self.buffer = []
+        return True
+
+
+def slot_books(agent) -> dict[str, SlotBook]:
+    """A fresh book per policy slot of ``agent``, keyed by slot name."""
+    return {name: SlotBook(slot.threshold) for name, slot in agent.slots.items()}
+
+
+def begin_episode_loop(books: dict) -> None:
+    for book in books.values():
+        book.pending.clear()
+
+
+def hdrl_record_loop(agent, books: dict, rewards: dict, done: bool) -> None:
+    cfg = agent.cfg
+    books["global"].reward(0, rewards["r_s"])
+    for hap in range(cfg.num_haps):
+        books["regional"].reward(hap, rewards["r_h"][hap])
+    for row, r in enumerate(np.repeat(rewards["r_l"], cfg.nodes_per_region).tolist()):
+        books["local"].reward(row, r)
+    if done:
+        for book in books.values():
+            book.flush_all(done=True)
+
+
+def sadrl_record_loop(agent, books: dict, rewards: dict, done: bool) -> None:
+    books["policy"].reward(0, rewards["r_s"])
+    books["policy"].flush(0, done=done)
+
+
+def madrl_record_loop(agent, books: dict, rewards: dict, done: bool) -> None:
+    for region in range(agent.cfg.num_regions):
+        book = books[f"region_{region}"]
+        book.reward(0, rewards["r_l"][region])
+        book.flush(0, done=done)
+
+
+RECORD_LOOPS = {"hdrl": hdrl_record_loop, "sadrl": sadrl_record_loop, "madrl": madrl_record_loop}
+
+
+def end_episode_loop(agent, books: dict) -> None:
+    """``agent.end_episode()`` from the books instead of the slots' trajectories."""
+    agent.episodes_trained += 1
+    for name, slot in agent.slots.items():
+        agent.updates += books[name].end_episode(slot, agent.ppo, agent.rng)
+
+
 # -- per-agent decisions ----------------------------------------------------------
 #
 # Each learned agent's ``act`` as it ran its own forward, sampling and
 # ``slot.start`` calls before ``_PolicySlot.decide``: hdrl's global tier on a
 # (1, D) forward and its regional and local tiers batch by batch, sadrl on a
-# (1, D) forward, and madrl one (1, D) forward per region.  Entities are
-# keyed as the agents key them now.
+# (1, D) forward, and madrl one (1, D) forward per region.  The decisions are
+# started in the slots' per-entity ``books``, keyed as the agents key
+# entities now.
 
 
-def _sample_tier(agent, slot, stacked, entity_obs):
+def _sample_tier(agent, book, stacked, entity_obs):
     """Sample a tier's stacked forward batch by batch; entity ``s * B + i``
     is row ``i`` of batch ``s``."""
     cats, conts = [], []
@@ -567,7 +733,7 @@ def _sample_tier(agent, slot, stacked, entity_obs):
         rows = len(logp)
         for i in range(rows):
             entity = s * rows + i
-            slot.start(
+            book.start(
                 entity, entity_obs[entity], action.cat[i], action.cont[i], logp[i], params.value[i]
             )
         cats.append(action.cat)
@@ -575,7 +741,7 @@ def _sample_tier(agent, slot, stacked, entity_obs):
     return np.concatenate(cats), np.concatenate(conts)
 
 
-def hdrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
+def hdrl_act_loop(agent, books: dict, obs: dict, t: int, explore: bool) -> dict:
     cfg = agent.cfg
     n, m = cfg.num_subbands, cfg.nodes_per_region
     bundle: dict = {}
@@ -583,7 +749,7 @@ def hdrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
         params = forward(agent.net_g, obs["global"][None])
         if explore:
             action, logp = sample_action(params, agent.rng)
-            agent.g_slot.start(0, obs["global"], action.cat[0], action.cont[0], logp[0], params.value[0])
+            books["global"].start(0, obs["global"], action.cat[0], action.cont[0], logp[0], params.value[0])
         else:
             action = mode_action(params)
         bundle["global"] = slots_to_region(action.cat[0], cfg.beams)
@@ -591,14 +757,14 @@ def hdrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
         hap_obs = obs["regional"]
         stacked = forward(agent.net_r, hap_obs[:, None, :])
         if explore:
-            cat, _ = _sample_tier(agent, agent.r_slot, stacked, hap_obs)
+            cat, _ = _sample_tier(agent, books["regional"], stacked, hap_obs)
         else:
             cat = mode_action(stacked).cat
         bundle["regional"] = slots_to_region(cat.reshape(cfg.num_regions, n), m)
     local_obs = obs["local"]
     stacked = forward(agent.net_l, local_obs.reshape(cfg.num_regions, m, -1))
     if explore:
-        cat, cont = _sample_tier(agent, agent.l_slot, stacked, local_obs)
+        cat, cont = _sample_tier(agent, books["local"], stacked, local_obs)
     else:
         action = mode_action(stacked)
         cat, cont = action.cat, action.cont
@@ -611,7 +777,7 @@ def hdrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
     return bundle
 
 
-def sadrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
+def sadrl_act_loop(agent, books: dict, obs: dict, t: int, explore: bool) -> dict:
     cfg = agent.cfg
     n, m = cfg.num_subbands, cfg.nodes_per_region
     tcount, regions = cfg.num_transmitters, cfg.num_regions
@@ -619,7 +785,7 @@ def sadrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
     params = forward(agent.policy.net, X[None])
     if explore:
         action, logp = sample_action(params, agent.rng)
-        agent.policy.start(0, X, action.cat[0], action.cont[0], logp[0], params.value[0])
+        books["policy"].start(0, X, action.cat[0], action.cont[0], logp[0], params.value[0])
         cat, cont = action.cat[0], action.cont[0]
 
         def slots(lo, hi):
@@ -647,7 +813,7 @@ def sadrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
     return bundle
 
 
-def madrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
+def madrl_act_loop(agent, books: dict, obs: dict, t: int, explore: bool) -> dict:
     cfg = agent.cfg
     n, m = cfg.num_subbands, cfg.nodes_per_region
     tcount = cfg.num_transmitters
@@ -657,11 +823,12 @@ def madrl_act_loop(agent, obs: dict, t: int, explore: bool) -> dict:
     cats, conts = [], []
     region_obs = agent._region_obs(obs)
     for region, slot in enumerate(agent.region_slots):
+        book = books[f"region_{region}"]
         X = region_obs[region]
         params = forward(slot.net, X[None])
         if explore:
             action, logp = sample_action(params, agent.rng)
-            slot.start(0, X, action.cat[0], action.cont[0], logp[0], params.value[0])
+            book.start(0, X, action.cat[0], action.cont[0], logp[0], params.value[0])
         else:
             action = mode_action(params)
         cats.append(action.cat[0])

@@ -330,12 +330,35 @@ def test_criterion_5_gae_brute_force():
             expect[t] = g
         worst = max(worst, float(np.max(np.abs(adv - expect))))
         worst = max(worst, float(np.max(np.abs(ret - expect))))
-    ok = worst < 1e-10
+    # (T, E): E sequences sharing the dones in one call; each column must be
+    # the 1-D call on it, bit for bit, and match the brute force too
+    columns_differ = 0
+    for _ in range(200):
+        T, E = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+        r = rng.normal(size=(T, E)) * 10.0 ** rng.integers(-2, 3)
+        v = rng.normal(size=(T, E))
+        d = (rng.random(T) < 0.15).astype(float)
+        gamma, lam = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0))
+        adv, ret = gae(r, v, d, gamma, lam)
+        for e in range(E):
+            adv_e, ret_e = gae(r[:, e], v[:, e], d, gamma, lam)
+            columns_differ += adv[:, e].tobytes() != adv_e.tobytes()
+            columns_differ += ret[:, e].tobytes() != ret_e.tobytes()
+        adv, ret = gae(r, np.zeros((T, E)), d, gamma, 1.0)
+        expect = np.zeros((T, E))
+        g = np.zeros(E)
+        for t in range(T - 1, -1, -1):
+            g = r[t] + gamma * g * (1.0 - d[t])
+            expect[t] = g
+        worst = max(worst, float(np.max(np.abs(adv - expect))))
+        worst = max(worst, float(np.max(np.abs(ret - expect))))
+    ok = worst < 1e-10 and columns_differ == 0
     _verdict(
         5,
         "GAE brute-force equivalence",
         ok,
-        f"1000 sequences, max |adv - discounted reward-to-go| = {worst:.3e} (< 1e-10)",
+        f"1000 sequences and 200 (T, E) batches, max |adv - discounted reward-to-go| = "
+        f"{worst:.3e} (< 1e-10), {columns_differ} (T, E) columns off the 1-D call's bits",
     )
 
 

@@ -285,6 +285,19 @@ def test_benchmark_rejects_unknown_algo(tmp_path, caplog):
     assert "unknown" in caplog.text
 
 
+def test_benchmark_rejects_unknown_sweep_before_any_output(tmp_path, capsys):
+    # refused while parsing: no manifest, no agent run, no benchmark.csv
+    out = tmp_path / "b"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "benchmark", "--config", _write_tiny_cfg(tmp_path), "--algos", "random",
+            "--sweep", "bogus", "--out", str(out),
+        ])
+    assert exc.value.code != 0
+    assert "local_power" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_std_rows_appear_with_three_seeds(tmp_path):
     cfg_path = _write_tiny_cfg(tmp_path)
     out = tmp_path / "bench"

@@ -39,9 +39,9 @@ def _bundle(env, rng, t):
             "dp": rng.uniform(-cfg.uav_step, cfg.uav_step, size=(cfg.num_transmitters, 2)),
         }
     }
-    if env.global_due(t):
+    if cfg.global_due(t):
         actions["global"] = (rng.random((cfg.beams, cfg.num_subbands)) < 0.7).astype(float)
-    if env.regional_due(t):
+    if cfg.regional_due(t):
         m = cfg.nodes_per_region
         actions["regional"] = (rng.random((cfg.num_regions, m, cfg.num_subbands)) < 0.7).astype(float)
     return actions
@@ -100,7 +100,7 @@ def test_schedule_gating():
     env.step(_bundle(env, rng, 1))
 
     # t=2: regional due again (interval 2), global not until t=4
-    assert env.regional_due(2) and not env.global_due(2)
+    assert cfg.regional_due(2) and not cfg.global_due(2)
 
 
 def test_missing_region_in_regional_action():
@@ -147,7 +147,7 @@ def test_global_revocation_cascades_downward():
     # quiet steps until the next global slot
     for t in (1, 2, 3):
         bundle = {"local": grant_all["local"]}
-        if env.regional_due(t):
+        if cfg.regional_due(t):
             bundle["regional"] = np.tile(np.eye(m, n), (cfg.num_regions, 1, 1))
         env.step(bundle)
 

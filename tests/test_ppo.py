@@ -9,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import specshare.ppo
-from reference_loops import AdamLoop, clip_grad_norm_loop, loss_and_grads_loop, ppo_update_loop
+from reference_loops import (
+    AdamLoop,
+    EntityTrajectory,
+    clip_grad_norm_loop,
+    loss_and_grads_loop,
+    ppo_update_loop,
+)
 from specshare.config import PpoConfig
 from specshare.ppo import (
     LOG_STD_MAX,
@@ -258,18 +264,55 @@ def test_gae_bootstrap_value_feeds_the_last_step():
     assert adv_bs[0] - adv_no[0] == pytest.approx(0.5 * 2.0)
 
 
-def test_trajectory_finalize_shapes():
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    counts=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+    entities=st.integers(1, 5),
+    dim=st.integers(1, 4),
+    num_cat=st.integers(0, 3),
+    num_cont=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+)
+@example(counts=[10, 3, 8, 1], entities=3, dim=2, num_cat=0, num_cont=2, seed=0)
+@example(counts=[6, 6, 1], entities=1, dim=3, num_cat=2, num_cont=0, seed=1)
+def test_trajectory_finalize_matches_the_per_entity_trajectories(
+    counts, entities, dim, num_cat, num_cont, seed
+):
+    # K epochs of E entities with ragged reward counts: the epoch-wise store
+    # must give, bit for bit, each entity's own trajectory's rows, entity by
+    # entity, the last epoch done
+    rng = np.random.default_rng(seed)
+    K, E = len(counts), entities
     traj = Trajectory()
-    rng = np.random.default_rng(8)
-    for t in range(6):
-        traj.add(rng.normal(size=4), [1, 0], [0.3, -0.2], -1.2, 0.1, 1.0, t == 5)
-    out = traj.finalize(0.99, 0.95)
-    assert out["obs"].shape == (6, 4)
-    assert out["cat"].shape == (6, 2)
-    assert out["cont"].shape == (6, 2)
-    assert out["logp"].shape == (6,)
-    assert out["adv"].shape == (6,)
-    assert out["ret"].shape == (6,)
+    want = [EntityTrajectory() for _ in range(E)]
+    for k, n in enumerate(counts):
+        obs = rng.normal(size=(E, dim))
+        cat = rng.integers(0, 3, size=(E, num_cat))
+        cont = rng.normal(size=(E, num_cont))
+        logp, value = rng.normal(size=E), rng.normal(size=E)
+        rewards = rng.normal(size=(n, E)) * 10.0 ** rng.integers(-2, 3, size=E)
+        traj.add(obs, cat, cont, logp, value)
+        for step in rewards:
+            traj.reward(step.copy())
+        for e in range(E):
+            want[e].add(obs[e], cat[e], cont[e], logp[e], value[e], np.mean(rewards[:, e]), k == K - 1)
+    assert len(traj) == K
+    got = traj.finalize(0.99, 0.95)
+    parts = [w.finalize(0.99, 0.95) for w in want]
+    assert list(got) == list(parts[0])
+    for key in parts[0]:
+        expect = np.concatenate([part[key] for part in parts])
+        assert _same(got[key], expect), key
+    assert got["obs"].shape == (K * E, dim)
+    assert (got["cat"].shape, got["cont"].shape) == ((K * E, num_cat), (K * E, num_cont))
+
+
+def test_trajectory_rewards_before_the_first_epoch_are_dropped():
+    traj = Trajectory()
+    traj.reward(np.ones(2))
+    traj.add(np.zeros((2, 3)), np.zeros((2, 1), dtype=np.int64), np.zeros((2, 0)), np.zeros(2), np.zeros(2))
+    traj.reward(np.array([1.0, 3.0]))
+    assert [list(r) for r in traj.rewards[0]] == [[1.0, 3.0]]
 
 
 def test_analytic_gradients_match_finite_differences():
@@ -365,7 +408,7 @@ def test_update_matches_the_per_key_loops_bitwise(
     assert astuple(report) == astuple(want_report)
     assert list(grads) == list(want)
     assert all(_same(grads[k], want[k]) for k in want)
-    assert clip_grad_norm(grads, ws.grad, max_norm) == clip_grad_norm_loop(want, max_norm)
+    assert clip_grad_norm(grads, ws.grad, max_norm, ws.scratch[0]) == clip_grad_norm_loop(want, max_norm)
     assert all(_same(grads[k], want[k]) for k in want)
     opt, opt_ref = Adam(net.flat, cfg.learning_rate), AdamLoop(twin.params, cfg.learning_rate)
     opt.step(net.flat, ws.grad, ws.scratch)
@@ -410,6 +453,24 @@ def test_minibatch_steps_allocate_no_hidden_sized_arrays(monkeypatch):
     assert peak - base[0] < 200 * 128 * 8
 
 
+def test_grad_norm_clip_allocates_no_gradient_sized_array():
+    # the squares go into the workspace's scratch vector; a new g * g for W1
+    # alone is 128 KiB at 128 hidden units
+    schema = ActionSchema(cat_arities=(2, 2, 2, 2), cont_bounds=((0.0, 1.0),) * 6)
+    net = PolicyNet(22, schema, rng=np.random.default_rng(0))
+    ws = _Workspace(net, 200)
+    _, grads = loss_and_grads(net, _batch(net, B=200, seed=1), PpoConfig(), ws)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        norm = clip_grad_norm(grads, ws.grad, 1e-3, ws.scratch[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm > 1e-3  # the scaling ran too
+    assert peak - base < 4096
+
+
 def test_grads_without_a_workspace_are_new_arrays():
     # grad_check keeps the analytic grads while it calls the loss again
     net = _net()
@@ -435,7 +496,7 @@ def test_params_are_aligned_views_into_the_flat_vector():
 def test_clip_grad_norm_scales_to_the_cap():
     flat = np.array([3.0, 0.0, 4.0])
     grads = {"a": flat[:2], "b": flat[2:]}
-    norm = clip_grad_norm(grads, flat, 0.5)
+    norm = clip_grad_norm(grads, flat, 0.5, np.empty(3))
     assert norm == pytest.approx(5.0)
     total = np.sqrt(sum((g**2).sum() for g in grads.values()))
     assert total == pytest.approx(0.5)

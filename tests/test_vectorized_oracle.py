@@ -9,8 +9,10 @@ each state, so the first-violation contract (constraint, location and
 message) is checked on infeasible states as well as feasible ones.  Greedy
 hdrl, which decides each tier in one call, is compared with the per-entity
 loop at every step; every learned agent, greedy and exploring, with its
-own forward-and-sample loop (bundles, generator state and pending
-decisions); and the link gains with the per-row fading draw.
+own forward-and-sample loop (bundles, generator state and the decisions
+recorded); every batch a training agent hands ``ppo_update`` with the one
+the per-entity pending/flush bookkeeping builds; and the link gains with
+the per-row fading draw.
 """
 
 import copy
@@ -20,14 +22,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import specshare.ppo
 from reference_loops import (
     ACT_LOOPS,
+    RECORD_LOOPS,
     apply_local_loop,
     associate_users_loop,
+    begin_episode_loop,
+    end_episode_loop,
     hdrl_greedy_act_loop,
     interference_loop,
     link_gains_loop,
     observe_all_loop,
+    slot_books,
     step_metrics_loop,
     validate_loop,
 )
@@ -243,7 +250,8 @@ def test_link_gains_match_the_loop_oracle_at_128_regions(frozen):
 
 def _assert_same_bundle(got, want, cfg, t):
     """The same keys in the same order, and the same dtypes, shapes and bytes."""
-    epochs = ["global"] * (t % 6 == 0) + ["regional"] * (t % 3 == 0)
+    ds, dh, _ = cfg.decision_intervals
+    epochs = ["global"] * (t % ds == 0) + ["regional"] * (t % dh == 0)
     assert list(got) == list(want) == epochs + ["local"]
     if "global" in want:
         assert _same_bits(got["global"], want["global"])
@@ -280,32 +288,99 @@ def test_policy_slot_decide_matches_the_per_agent_loops(name, kind, explore):
     # the learned agents decide through _PolicySlot.decide (sadrl's greedy
     # step decodes on its own); over a whole episode each must hand the env
     # the loop's bundle, leave the generator where the loop leaves it, and
-    # start the same pending decisions
+    # record as each slot's latest epoch the loop's pending decisions
     cfg = _scenario(name)
     cfg.decision_intervals = (6, 3, 1)
     cfg.steps_per_episode = 13
     env = SpectrumSharingEnv(cfg)
     agent = make_agent(kind, cfg)
     twin = copy.deepcopy(agent)
+    books = slot_books(twin)
     obs = env.reset(seed=4)
     agent.begin_episode(env)
-    twin.begin_episode(env)
+    begin_episode_loop(books)
     started = 0
     for t in range(cfg.steps_per_episode):
-        want = ACT_LOOPS[kind](twin, obs, t, explore)
+        want = ACT_LOOPS[kind](twin, books, obs, t, explore)
         got = agent.act(obs, t, explore)
         _assert_same_bundle(got, want, cfg, t)
         assert agent.rng.bit_generator.state == twin.rng.bit_generator.state
         for slot_name, slot in agent.slots.items():
-            pending, want_pending = slot.pending, twin.slots[slot_name].pending
-            assert list(pending) == list(want_pending), slot_name
+            traj, want_pending = slot.traj, books[slot_name].pending
+            entities = range(len(traj.logp[-1])) if len(traj) else []
+            assert list(entities) == list(want_pending), slot_name
             for entity, p in want_pending.items():
                 for field in ("obs", "cat", "cont", "logp", "value"):
-                    got_v, want_v = getattr(pending[entity], field), getattr(p, field)
+                    got_v, want_v = getattr(traj, field)[-1][entity], getattr(p, field)
                     assert _same_bits(got_v, want_v), (slot_name, entity, field)
-            started += len(pending)
+            started += len(want_pending)
         obs, rewards, _, truncated, _ = env.step(got)
         agent.record(rewards, done=truncated)
-        twin.record(rewards, done=truncated)
+        RECORD_LOOPS[kind](twin, books, rewards, truncated)
     assert truncated
     assert (started > 0) == explore
+
+
+def _assert_same_batch(got: dict, want: dict, where) -> None:
+    assert list(got) == list(want), where
+    for key, arr in want.items():
+        assert _same_bits(got[key], arr), (where, key)
+
+
+@pytest.mark.parametrize(
+    "kind, intervals",
+    [("sadrl", (6, 3, 1)), ("madrl", (6, 3, 1)), ("hdrl", (6, 3, 1)), ("hdrl", (10, 10, 1))],
+    ids=["sadrl", "madrl", "hdrl", "hdrl-10"],
+)
+@pytest.mark.parametrize("name", ["desk", "default"])
+def test_ppo_update_batches_match_the_per_entity_bookkeeping(name, kind, intervals, monkeypatch):
+    # four training episodes of 13 steps, whose last epochs are short; every
+    # batch the agent hands ppo_update must be, bit for bit, the one the
+    # per-entity pending/flush bookkeeping builds, and a batch size of 16
+    # makes every slot update at least once.  An epoch of 10 steps averages
+    # 10 rewards: numpy sums 8 or more contiguous values pairwise, so a sum
+    # over the epoch axis instead would change the bits.
+    cfg = _scenario(name)
+    cfg.decision_intervals = intervals
+    cfg.steps_per_episode = 13
+    cfg.ppo = dataclasses.replace(cfg.ppo, batch_size=16, minibatch_size=8, sgd_iters=2)
+    env = SpectrumSharingEnv(cfg)
+    # built, not deep-copied: a copy's params would stop being views of the
+    # flat vector its Adam updates
+    agent, twin = make_agent(kind, cfg), make_agent(kind, cfg)
+    books = slot_books(twin)
+    names = {id(slot.net): name for who in (agent, twin) for name, slot in who.slots.items()}
+    handed = []
+    update = specshare.ppo.ppo_update
+
+    def recording(net, batch, *args, **kwargs):
+        handed.append((names[id(net)], {k: v.copy() for k, v in batch.items()}))
+        return update(net, batch, *args, **kwargs)
+
+    monkeypatch.setattr(specshare.ppo, "ppo_update", recording)
+    updated = set()
+    for episode in range(4):
+        obs = env.reset(seed=episode)
+        agent.begin_episode(env)
+        twin.begin_episode(env)
+        begin_episode_loop(books)
+        for t in range(cfg.steps_per_episode):
+            want = ACT_LOOPS[kind](twin, books, obs, t, True)
+            got = agent.act(obs, t, True)
+            _assert_same_bundle(got, want, cfg, t)
+            obs, rewards, _, truncated, _ = env.step(got)
+            agent.record(rewards, done=truncated)
+            RECORD_LOOPS[kind](twin, books, rewards, truncated)
+        agent.end_episode()
+        got_batches, handed[:] = handed[:], []
+        end_episode_loop(twin, books)
+        want_batches, handed[:] = handed[:], []
+        assert [n for n, _ in got_batches] == [n for n, _ in want_batches], episode
+        for (slot_name, got_batch), (_, want_batch) in zip(got_batches, want_batches):
+            _assert_same_batch(got_batch, want_batch, (episode, slot_name))
+            updated.add(slot_name)
+        assert agent.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert (agent.updates, agent.episodes_trained) == (twin.updates, twin.episodes_trained)
+    assert updated == set(agent.slots)
+    for slot_name, slot in agent.slots.items():
+        assert _same_bits(slot.net.flat, twin.slots[slot_name].net.flat), slot_name
