@@ -38,19 +38,19 @@ def main():
     cumulative = 0.0
     for t in range(cfg.steps_per_episode):
         bundle = agent.act(obs, t, explore=True)
-        obs, rewards, _, truncated, info = env.step(bundle)
-        agent.record(rewards, done=truncated)
+        obs, rewards, _, _, _ = env.step(bundle)
+        agent.record(rewards)
         cumulative += rewards["r_s"]
 
         # the environment validates internally; double-check from the outside
         assert validate(env.state.alloc, cfg) is None
 
         m = env.state.metrics
-        if t % ds == 0:
+        if cfg.global_due(t):
             grants = env.state.alloc.global_alloc.sum()
             print(f"t={t:4d}  satellite re-plan: {grants:.0f}/{cfg.num_subbands} "
                   f"subbands granted to beams")
-        if t % dh == 0:
+        if cfg.regional_due(t):
             active = env.state.alloc.beta.sum()
             print(f"t={t:4d}  eta={m.eta:6.3f} bit/s/Hz  "
                   f"fairness={m.fairness:5.3f}  active pairs={active:.0f}  "

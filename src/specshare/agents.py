@@ -1,6 +1,10 @@
 """Allocation agents: random, exhaustive search, flat PPO, per-region PPO,
 and the hierarchical three-tier PPO, plus the shared train/evaluate loops.
 
+Every agent speaks one protocol: ``begin_episode(env)``, ``act(obs, t,
+explore)`` returning an action bundle, ``record(rewards)`` with the step's
+reward dict, and ``end_episode()``, which is where an episode ends.
+
 Action factorization (shared by all learned agents):
 
 * global: one categorical slot per subband with arity beams+1 (0 = leave
@@ -191,7 +195,7 @@ class RandomAgent:
         }
         return bundle
 
-    def record(self, rewards: dict, done: bool) -> None:
+    def record(self, rewards: dict) -> None:
         pass
 
     def end_episode(self) -> None:
@@ -231,7 +235,7 @@ class JointSearch:
             )
         self.topo, self.total = topo, total
         home = np.stack([nd.position for nd in topo.transmitters()])
-        self.gains = link_gains(topo, home, rng=None, frozen=True)
+        self.gains = link_gains(topo, home, rng=None)
         m = cfg.nodes_per_region
         self.states, self.per_beam = _subband_states(cfg)
         regions_per_beam = cfg.haps_per_beam * cfg.regions_per_hap
@@ -348,7 +352,7 @@ class ExhaustiveAgent:
         bundle["local"] = self.solution["local"]
         return bundle
 
-    def record(self, rewards: dict, done: bool) -> None:
+    def record(self, rewards: dict) -> None:
         pass
 
     def end_episode(self) -> None:
@@ -358,7 +362,11 @@ class ExhaustiveAgent:
 class _PpoAgentBase:
     """Shared machinery of the learned agents: policy slots, episode ends,
     checkpoints.  Each agent class still defines its own ``act``, ``record``
-    and ``end_episode``, so per-class tracing finds all three."""
+    and ``end_episode``, so per-class tracing finds all three.
+
+    ``load`` checks the checkpoint's kind, config hash, net names, and each
+    net's parameter names and shapes before it writes anything, then writes
+    the saved arrays into the nets' own views."""
 
     trainable = True
 
@@ -392,9 +400,8 @@ class _PpoAgentBase:
         for slot in self.slots.values():
             self.updates += slot.end_episode(self.ppo, self.rng)
 
-    def save(self, path, extra_meta: dict | None = None) -> None:
+    def save(self, path) -> None:
         meta = {"episodes_trained": self.episodes_trained, "updates": self.updates}
-        meta.update(extra_meta or {})
         save_checkpoint(
             path, self.kind, self.cfg.config_hash(), self.net_dict(), self.ppo, self.rng, meta
         )
@@ -412,16 +419,23 @@ class _PpoAgentBase:
             where = "checkpoint" if name in theirs else "agent"
             raise ValueError(f"net {name!r} exists only in the {where}: refusing to load")
         # check every net before assigning any, so a refused load changes nothing
-        for name, net in theirs.items():
-            for key, value in net.params.items():
-                if value.shape != mine[name].params[key].shape:
+        for name, params in theirs.items():
+            own = mine[name].params
+            for key in sorted(set(own) ^ set(params)):
+                where = "checkpoint" if key in params else "agent"
+                raise ValueError(
+                    f"net {name!r} parameter {key!r} exists only in the {where}: refusing to load"
+                )
+            for key, value in params.items():
+                if value.shape != own[key].shape:
                     raise ValueError(
                         f"net {name!r} parameter {key!r} has shape {value.shape} in the checkpoint, "
-                        f"{mine[name].params[key].shape} in the agent: refusing to load"
+                        f"{own[key].shape} in the agent: refusing to load"
                     )
-        for name, net in theirs.items():
-            # into the net's own vector, which its params view and its Adam steps
-            mine[name].flat[...] = net.flat
+        for name, params in theirs.items():
+            # into the net's views of its own vector, which Adam steps
+            for key, value in params.items():
+                mine[name].params[key][...] = value
         self.rng = blob["rng"]
         self.episodes_trained = int(blob["meta"].get("episodes_trained", 0))
         self.updates = int(blob["meta"].get("updates", 0))
@@ -476,7 +490,7 @@ class HdrlAgent(_PpoAgentBase):
         }
         return bundle
 
-    def record(self, rewards: dict, done: bool) -> None:
+    def record(self, rewards: dict) -> None:
         self.g_slot.reward([rewards["r_s"]])
         self.r_slot.reward(rewards["r_h"])
         # a region's reward is each of its nodes'
@@ -545,7 +559,7 @@ class SadrlAgent(_PpoAgentBase):
         }
         return bundle
 
-    def record(self, rewards: dict, done: bool) -> None:
+    def record(self, rewards: dict) -> None:
         self.policy.reward([rewards["r_s"]])
 
     def end_episode(self) -> None:
@@ -614,7 +628,7 @@ class MadrlAgent(_PpoAgentBase):
         }
         return bundle
 
-    def record(self, rewards: dict, done: bool) -> None:
+    def record(self, rewards: dict) -> None:
         for region, slot in enumerate(self.region_slots):
             slot.reward(rewards["r_l"][region : region + 1])
 
@@ -656,8 +670,8 @@ def train(agent, env: SpectrumSharingEnv, episodes: int | None = None, on_episod
         step_metrics = []
         for t in range(cfg.steps_per_episode):
             bundle = agent.act(obs, t, explore=True)
-            obs, rewards, _, truncated, metrics = env.step(bundle)
-            agent.record(rewards, done=truncated)
+            obs, rewards, _, _, metrics = env.step(bundle)
+            agent.record(rewards)
             step_metrics.append(metrics)
         agent.end_episode()
         summary = episode_summary(step_metrics)
@@ -700,7 +714,7 @@ def evaluate(
             t0 = clock()
             bundle = act(obs, t, False)
             decision_time += clock() - t0
-            obs, rewards, _, truncated, metrics = env.step(bundle)
+            obs, _, _, _, metrics = env.step(bundle)
             step_metrics.append(metrics)
             series.append(metrics.r_avg)
             step_rows.append(

@@ -3,8 +3,9 @@
 Channel power gain for a link is ``10 ** (-(PL + X) / 10) * F`` with
 free-space path loss PL, log-normal shadowing X (sigma 4 dB), and a
 Rayleigh fading power factor F drawn per link (every transmitter is a
-ground node: a TBS or a UAV).  A frozen mode (shadowing 0, fading 1) makes
-the whole channel deterministic.
+ground node: a TBS or a UAV).  A scenario with ``fading_frozen`` set
+(shadowing 0, fading 1) has a deterministic channel, and its gains take no
+generator.
 
 Two rules keep the gains, and every output built on them, byte-identical
 for a seed: one shadowing draw, then one fading draw, each over the whole
@@ -101,20 +102,19 @@ def _link_distances(topo: Topology, tx_positions: np.ndarray) -> np.ndarray:
 
 
 def link_gains(
-    topo: Topology,
-    tx_positions: np.ndarray,
-    rng: np.random.Generator | None,
-    frozen: bool,
+    topo: Topology, tx_positions: np.ndarray, rng: np.random.Generator | None
 ) -> np.ndarray:
     """Draw the (num_transmitters, num_users) gain matrix for one step.
 
-    Unfrozen, exactly two draws over (T, U): ``rng.standard_normal`` scaled
-    by 4 in place, then ``rng.standard_exponential``.  They give the numbers
-    and generator state of ``rng.normal(0, 4, (T, U))`` and
-    ``rng.exponential(1, (T, U))``, which leave the generator where T
-    per-row fading draws would.  Frozen, ``rng`` is not touched.  Distances
-    are summed ``(dx**2 + dy**2) + dz**2`` (``_link_distances``).
+    Unless the scenario's fading is frozen, exactly two draws over (T, U):
+    ``rng.standard_normal`` scaled by 4 in place, then
+    ``rng.standard_exponential``.  They give the numbers and generator state
+    of ``rng.normal(0, 4, (T, U))`` and ``rng.exponential(1, (T, U))``, which
+    leave the generator where T per-row fading draws would.  Frozen, ``rng``
+    is not touched and may be None.  Distances are summed ``(dx**2 + dy**2)
+    + dz**2`` (``_link_distances``).
     """
+    frozen = topo.cfg.fading_frozen
     if not frozen and rng is None:
         raise ValueError("unfrozen fading draws shadowing and fading: rng must not be None")
     pl = path_loss_db(_link_distances(topo, tx_positions), topo.cfg.carrier_freq)
@@ -191,13 +191,12 @@ def compute_snapshot(
     alloc: AllocationState,
     tx_positions: np.ndarray,
     rng: np.random.Generator | None = None,
-    frozen: bool = False,
     gains: np.ndarray | None = None,
 ) -> ChannelSnapshot:
     """Draw gains (unless supplied) and derive association and interference."""
     cfg = topo.cfg
     if gains is None:
-        gains = link_gains(topo, tx_positions, rng, frozen or cfg.fading_frozen)
+        gains = link_gains(topo, tx_positions, rng)
     power = topo.tx_power_w
     association = associate_users(topo, gains, alloc.regional)
     interference = co_channel_interference(

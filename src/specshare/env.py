@@ -59,7 +59,6 @@ class EnvState:
     tx_positions: np.ndarray  # (num_transmitters, 3), current
     snapshot: ChannelSnapshot
     metrics: StepMetrics | None
-    episode_seed: int
 
 
 def episode_summary(step_metrics: list[StepMetrics]) -> dict:
@@ -112,7 +111,6 @@ class SpectrumSharingEnv:
         user_xy = ((users[:, :, :2] - origin) / extent).reshape(cfg.num_regions, -1)
         self._local_template = np.zeros((cfg.num_transmitters, 2 * n + 3 * k + 2))
         self._local_template[:, n : n + 2 * k] = user_xy[self._row_region]
-        self._features_for = None
 
         self.state: EnvState | None = None
         self._auto_seed = cfg.seed
@@ -130,16 +128,9 @@ class SpectrumSharingEnv:
         self._chan_rng = np.random.default_rng((cfg.seed, 0x5EED, seed))
         alloc = AllocationState.zeros(cfg)
         tx_positions = self._home.copy()
-        snapshot = compute_snapshot(
-            self.topology, alloc, tx_positions, rng=self._chan_rng, frozen=cfg.fading_frozen
-        )
+        snapshot = compute_snapshot(self.topology, alloc, tx_positions, rng=self._chan_rng)
         self.state = EnvState(
-            t=0,
-            alloc=alloc,
-            tx_positions=tx_positions,
-            snapshot=snapshot,
-            metrics=None,
-            episode_seed=seed,
+            t=0, alloc=alloc, tx_positions=tx_positions, snapshot=snapshot, metrics=None
         )
         if self._trace_path:
             if self._trace_fh is None:
@@ -199,8 +190,7 @@ class SpectrumSharingEnv:
         self._move_uavs()
 
         state.snapshot = compute_snapshot(
-            self.topology, state.alloc, state.tx_positions, rng=self._chan_rng,
-            frozen=cfg.fading_frozen,
+            self.topology, state.alloc, state.tx_positions, rng=self._chan_rng
         )
         state.metrics = compute_step_metrics(
             self.topology, state.alloc, state.snapshot, state.tx_positions, self.norms
@@ -282,41 +272,36 @@ class SpectrumSharingEnv:
     # -- observations ----------------------------------------------------------
 
     def _channel_features(self) -> tuple:
-        """Observation features that depend only on the channel snapshot,
-        built once per snapshot.
+        """Observation features that depend only on the channel snapshot.
 
         Returns unit gains of each row to its own region's users (T, k), of
         each row's mean over them (T,), and of each beam's mean over its rows
         (B,), plus each region's mean interference per subband in unit form
         (R, N).
         """
+        cfg = self.cfg
         snap = self.state.snapshot
-        if self._features_for is not snap:
-            cfg = self.cfg
-            t, k = cfg.num_transmitters, cfg.users_per_region
-            blocks = self.topology.own_region_gains(snap.gains)  # (R, m, k)
-            row_means = blocks.sum(axis=2).reshape(-1) / k
-            # each beam's regions, and so its rows, are contiguous
-            per_beam = row_means.reshape(cfg.beams, -1)
-            beam_means = per_beam.sum(axis=1) / per_beam.shape[1]
-            interf = snap.interference.reshape(cfg.num_regions, k, cfg.num_subbands).sum(axis=1) / k
-            # the three gain sets share one mapping pass
-            unit = gain_to_unit(np.concatenate([blocks.reshape(-1), row_means, beam_means]))
-            self._features = (
-                unit[: t * k].reshape(t, k),
-                unit[t * k : t * k + t],
-                unit[t * k + t :],
-                interference_to_unit(interf),
-            )
-            self._features_for = snap
-        return self._features
+        t, k = cfg.num_transmitters, cfg.users_per_region
+        blocks = self.topology.own_region_gains(snap.gains)  # (R, m, k)
+        row_means = blocks.sum(axis=2).reshape(-1) / k
+        # each beam's regions, and so its rows, are contiguous
+        per_beam = row_means.reshape(cfg.beams, -1)
+        beam_means = per_beam.sum(axis=1) / per_beam.shape[1]
+        interf = snap.interference.reshape(cfg.num_regions, k, cfg.num_subbands).sum(axis=1) / k
+        # the three gain sets share one mapping pass
+        unit = gain_to_unit(np.concatenate([blocks.reshape(-1), row_means, beam_means]))
+        return (
+            unit[: t * k].reshape(t, k),
+            unit[t * k : t * k + t],
+            unit[t * k + t :],
+            interference_to_unit(interf),
+        )
 
-    def _observe_global(self) -> np.ndarray:
+    def _observe_global(self, beam_gain: np.ndarray) -> np.ndarray:
         avail = 1.0 - self.state.alloc.global_alloc.any(axis=0)
-        beam_gain = self._channel_features()[2]
         return np.concatenate([avail, self._beam_user_share, beam_gain])
 
-    def _observe_regional(self) -> np.ndarray:
+    def _observe_regional(self, node_gain: np.ndarray) -> np.ndarray:
         """(num_haps, D) regional observations: beam grant, node load, node gain."""
         cfg = self.cfg
         state = self.state
@@ -328,16 +313,15 @@ class SpectrumSharingEnv:
         counts = np.bincount(assoc[assoc >= 0], minlength=cfg.num_transmitters)
         hap_users = cfg.regions_per_hap * cfg.users_per_region
         out[:, n : n + per_hap] = (counts / hap_users).reshape(cfg.num_haps, per_hap)
-        out[:, n + per_hap :] = self._channel_features()[1].reshape(cfg.num_haps, per_hap)
+        out[:, n + per_hap :] = node_gain.reshape(cfg.num_haps, per_hap)
         return out
 
-    def _observe_local(self) -> np.ndarray:
+    def _observe_local(self, row_gain: np.ndarray, interf: np.ndarray) -> np.ndarray:
         """(num_transmitters, D) local observations: grant, the region's users,
         own position, gains to the region's users, mean interference over them."""
         cfg = self.cfg
         state = self.state
         n, k = cfg.num_subbands, cfg.users_per_region
-        row_gain, _, _, interf = self._channel_features()
         out = self._local_template.copy()  # user positions are static
         out[:, :n] = state.alloc.regional
         own = (state.tx_positions[:, :2] - self._row_origin) / self._row_extent
@@ -348,11 +332,13 @@ class SpectrumSharingEnv:
 
     def _observe_all(self) -> dict:
         """The global vector, and the (num_haps, D) regional and
-        (num_transmitters, D) local arrays: row i is entity i's vector."""
+        (num_transmitters, D) local arrays: row i is entity i's vector.  The
+        channel features are computed once, for all three."""
+        row_gain, node_gain, beam_gain, interf = self._channel_features()
         return {
-            "global": self._observe_global(),
-            "regional": self._observe_regional(),
-            "local": self._observe_local(),
+            "global": self._observe_global(beam_gain),
+            "regional": self._observe_regional(node_gain),
+            "local": self._observe_local(row_gain, interf),
         }
 
     # -- tracing ----------------------------------------------------------------

@@ -23,6 +23,11 @@ new activation arrays.
 A ``Trajectory`` holds one policy's episode as (epochs, entities) arrays, the
 layout of a (steps, envs) rollout buffer, and ``gae`` runs over all its
 entities at once.
+
+A checkpoint is JSON: each net's layout and parameters, the PPO config, the
+generator state and a meta dict.  ``load_checkpoint`` returns each net's
+parameters as plain arrays; the agent that loads them checks them against
+its own nets and writes them into their flat vectors.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _SQUASH_EPS = 1e-12
 # global gradient-norm clip of every PPO minibatch step
 MAX_GRAD_NORM = 0.5
+# Adam's moment decays and denominator floor
+ADAM_B1, ADAM_B2, ADAM_EPS = 0.9, 0.999, 1e-8
 # flat buffers start every parameter, gradient and hidden buffer on a 64-byte
 # boundary (8 floats): a decision-time forward measured ~10% slower with its
 # weights off that boundary
@@ -80,15 +87,12 @@ class ActionSchema:
     def num_logits(self) -> int:
         return int(sum(self.cat_arities))
 
-    def runs(self) -> list[tuple[int, int, int, int]]:
-        """Contiguous equal-arity slot runs: (slot_start, n_slots, arity, logit_start)."""
-        return list(self._runs)
-
     # The schema is immutable, so everything derived from it is computed once
     # per schema rather than on every forward/sample/log-prob call.
 
     @cached_property
     def _runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Contiguous equal-arity slot runs: (slot_start, n_slots, arity, logit_start)."""
         out = []
         slot = logit = 0
         arities = self.cat_arities
@@ -156,9 +160,9 @@ class PolicyNet:
         input_dim: int,
         schema: ActionSchema,
         hidden: tuple[int, int] = (128, 128),
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
-        rng = rng or np.random.default_rng(0)
         self.input_dim = input_dim
         self.schema = schema
         self.hidden = tuple(hidden)
@@ -399,19 +403,19 @@ def gae(
     dones: np.ndarray,
     gamma: float,
     lam: float,
-    bootstrap_value: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Generalized advantage estimates and returns along the first axis.
 
     ``rewards`` and ``values`` are (T, ...): trailing axes are independent
     sequences sharing the (T,) ``dones``, and each column gets the bits of
-    the 1-D call on it."""
+    the 1-D call on it.  The value after the last step is 0: every
+    trajectory ends its episode."""
     r = np.asarray(rewards, dtype=float)
     v = np.asarray(values, dtype=float)
     d = np.asarray(dones, dtype=float)
     adv = np.zeros(r.shape)
     next_adv = 0.0
-    next_value = bootstrap_value
+    next_value = 0.0
     for t in range(len(r) - 1, -1, -1):
         not_done = 1.0 - d[t]
         delta = r[t] + gamma * next_value * not_done - v[t]
@@ -668,16 +672,15 @@ def clip_grad_norm(
 
 
 class Adam:
-    """First-order adaptive optimizer with standard moment decay, over a net's
-    flat parameter vector.  The moments are flat vectors, updated in place in
-    the operation order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``
-    and ``p -= lr * (m/b1t) / (sqrt(v/b2t) + eps)``.
+    """First-order adaptive optimizer with the standard moment decays
+    (``ADAM_B1``, ``ADAM_B2``, ``ADAM_EPS``), over a net's flat parameter
+    vector.  The moments are flat vectors, updated in place in the operation
+    order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr * (m/b1t) / (sqrt(v/b2t) + eps)``.
     """
 
-    def __init__(self, params: np.ndarray, lr: float, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params: np.ndarray, lr: float):
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         # one allocation for both, left untouched until the first step: building
         # an agent writes no moment pages
@@ -689,20 +692,20 @@ class Adam:
         """One step of the flat ``params`` along the flat ``grads``; ``scratch``
         is two vectors of the same size to work in."""
         self.t += 1
-        b1t = 1.0 - self.b1**self.t
-        b2t = 1.0 - self.b2**self.t
+        b1t = 1.0 - ADAM_B1**self.t
+        b2t = 1.0 - ADAM_B2**self.t
         s1, s2 = scratch
         m, v = self.m, self.v
-        m *= self.b1
-        m += np.multiply(grads, 1.0 - self.b1, out=s1)
-        v *= self.b2
+        m *= ADAM_B1
+        m += np.multiply(grads, 1.0 - ADAM_B1, out=s1)
+        v *= ADAM_B2
         sq = np.multiply(grads, grads, out=s1)
-        sq *= 1.0 - self.b2
+        sq *= 1.0 - ADAM_B2
         v += sq
         step = np.divide(m, b1t, out=s1)
         step *= self.lr
         denom = np.sqrt(np.divide(v, b2t, out=s2), out=s2)
-        denom += self.eps
+        denom += ADAM_EPS
         step /= denom
         params -= step
 
@@ -822,23 +825,17 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Rebuild nets and RNG state from a checkpoint blob."""
+    """A checkpoint's fields, each net's parameters as float arrays keyed as
+    saved (``nets[name][key]``), and its generator in the saved state."""
     with open(path) as fh:
         blob = json.load(fh)
     version = blob.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version}")
-    nets = {}
-    for name, spec in blob["nets"].items():
-        schema = ActionSchema(
-            cat_arities=tuple(spec["cat_arities"]),
-            cont_bounds=tuple(tuple(b) for b in spec["cont_bounds"]),
-        )
-        net = PolicyNet(spec["input_dim"], schema, hidden=tuple(spec["hidden"]))
-        for k, v in spec["params"].items():
-            # into the view, so the weights stay in the net's flat vector
-            net.params[k][...] = np.asarray(v, dtype=float).reshape(net.params[k].shape)
-        nets[name] = net
+    nets = {
+        name: {key: np.asarray(value, dtype=float) for key, value in spec["params"].items()}
+        for name, spec in blob["nets"].items()
+    }
     rng = np.random.default_rng()
     rng.bit_generator.state = blob["rng_state"]
     return {

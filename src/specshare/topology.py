@@ -50,10 +50,6 @@ class Topology:
     user_positions: np.ndarray  # (num_users, 3), region-major order
     region_bounds: np.ndarray  # (num_regions, 4): xmin, ymin, xmax, ymax
 
-    @property
-    def num_regions(self) -> int:
-        return len(self.region_bounds)
-
     def transmitters(self) -> list[Node]:
         return self.nodes
 

@@ -446,7 +446,7 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
 
     topo = build_topology(cfg, np.random.default_rng(cfg.seed))
     home = np.stack([nd.position for nd in topo.transmitters()])
-    gains = link_gains(topo, home, rng=None, frozen=True)
+    gains = link_gains(topo, home, rng=None)
     power = topo.tx_power_w
     noise = cfg.noise_power_w
     n, m = cfg.num_subbands, cfg.nodes_per_region

@@ -127,8 +127,8 @@ def test_criterion_1_constraint_soundness():
             agent.begin_episode(env)
             for t in range(cfg.steps_per_episode):
                 bundle = agent.act(obs, t, explore=True)
-                obs, rewards, _, truncated, _ = env.step(bundle)
-                agent.record(rewards, done=truncated)
+                obs, rewards, _, _, _ = env.step(bundle)
+                agent.record(rewards)
                 if validate(env.state.alloc, cfg) is not None:
                     violations += 1
                 stepped += 1
@@ -193,7 +193,7 @@ def test_criterion_2_metric_oracle_equivalence():
 
         pos = np.stack([n.position for n in topo.transmitters()])
         pos[:, :2] += rng.normal(0, 250, size=(cfg.num_transmitters, 2))
-        snap = compute_snapshot(topo, state, pos, rng=None, frozen=True)
+        snap = compute_snapshot(topo, state, pos, rng=None)
         got = compute_step_metrics(topo, state, snap, pos, norms)
 
         # straight-line oracle: plain loops, no shared helpers

@@ -86,8 +86,8 @@ def test_agent_runs_a_full_episode_with_feasible_actions(kind):
         agent.begin_episode(env)
         for t in range(cfg.steps_per_episode):
             bundle = agent.act(obs, t, explore=explore)
-            obs, rewards, _, truncated, _ = env.step(bundle)
-            agent.record(rewards, done=truncated)
+            obs, rewards, _, _, _ = env.step(bundle)
+            agent.record(rewards)
             assert validate(env.state.alloc, cfg) is None
         agent.end_episode()
 
@@ -326,14 +326,25 @@ def test_loaded_weights_stay_in_the_vector_adam_updates(tmp_path, kind):
         assert all(np.array_equal(net.params[k], twin.net.params[k]) for k in net.params), name
 
 
-def _edited_checkpoint(tmp_path, edit):
+def _edited_checkpoint(tmp_path, edit, kind="hdrl"):
+    """A checkpoint of a ``kind`` agent edited by ``edit(nets)``; its weights
+    differ from those of a new agent of ``cfg`` (another seed, same scenario)."""
     cfg = _cfg()
     path = tmp_path / "ckpt.json"
-    make_agent("hdrl", cfg).save(path)
+    make_agent(kind, _cfg(seed=77)).save(path)
     blob = json.loads(path.read_text())
     edit(blob["nets"])
     path.write_text(json.dumps(blob))
     return cfg, path
+
+
+def _assert_load_refused(agent, path, match):
+    """``agent.load(path)`` raises ValueError matching ``match`` and leaves every weight as it was."""
+    before = {name: net.flat.copy() for name, net in agent.net_dict().items()}
+    with pytest.raises(ValueError, match=match):
+        agent.load(path)
+    for name, net in agent.net_dict().items():
+        assert net.flat.tobytes() == before[name].tobytes(), name
 
 
 def test_checkpoint_with_a_reshaped_parameter_refused(tmp_path):
@@ -353,6 +364,25 @@ def test_checkpoint_with_a_renamed_net_refused(tmp_path):
     cfg, path = _edited_checkpoint(tmp_path, lambda nets: nets.update(regional_v2=nets.pop("regional")))
     with pytest.raises(ValueError, match="net 'regional' exists only in the agent"):
         make_agent("hdrl", cfg).load(path)
+
+
+def test_checkpoint_missing_a_parameter_refused(tmp_path):
+    cfg, path = _edited_checkpoint(tmp_path, lambda nets: nets["policy"]["params"].pop("W1"), "sadrl")
+    _assert_load_refused(
+        make_agent("sadrl", cfg), path, "net 'policy' parameter 'W1' exists only in the agent"
+    )
+
+
+def test_checkpoint_with_an_unknown_parameter_refused(tmp_path):
+    # the odd net is the last one, so a load that assigned net by net would
+    # already have written the first two
+    def add_a_key(nets):
+        nets["local"]["params"]["W2"] = nets["local"]["params"]["W1"]
+
+    cfg, path = _edited_checkpoint(tmp_path, add_a_key)
+    _assert_load_refused(
+        make_agent("hdrl", cfg), path, "net 'local' parameter 'W2' exists only in the checkpoint"
+    )
 
 
 def test_evaluate_output_structure():

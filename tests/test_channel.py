@@ -75,7 +75,7 @@ def test_frozen_gains_are_pure_path_loss():
     cfg = _desk_cfg()
     topo = build_topology(cfg, np.random.default_rng(0))
     tx_pos = np.stack([n.position for n in topo.transmitters()])
-    gains = link_gains(topo, tx_pos, rng=None, frozen=True)
+    gains = link_gains(topo, tx_pos, rng=None)
     d = np.linalg.norm(tx_pos[:, None, :] - topo.user_positions[None, :, :], axis=2)
     expected = 10.0 ** (-path_loss_db(d, cfg.carrier_freq) / 10.0)
     assert np.allclose(gains, expected, rtol=0, atol=0)
@@ -86,9 +86,9 @@ def test_unfrozen_gains_are_random_but_seeded():
     cfg.fading_frozen = False
     topo = build_topology(cfg, np.random.default_rng(0))
     tx_pos = np.stack([n.position for n in topo.transmitters()])
-    g1 = link_gains(topo, tx_pos, np.random.default_rng(9), frozen=False)
-    g2 = link_gains(topo, tx_pos, np.random.default_rng(9), frozen=False)
-    g3 = link_gains(topo, tx_pos, np.random.default_rng(10), frozen=False)
+    g1 = link_gains(topo, tx_pos, np.random.default_rng(9))
+    g2 = link_gains(topo, tx_pos, np.random.default_rng(9))
+    g3 = link_gains(topo, tx_pos, np.random.default_rng(10))
     assert np.array_equal(g1, g2)
     assert not np.array_equal(g1, g3)
     assert (g1 <= 1.0).all() and (g1 > 0).all()
@@ -96,10 +96,11 @@ def test_unfrozen_gains_are_random_but_seeded():
 
 def test_unfrozen_gains_need_a_generator():
     cfg = _desk_cfg()
+    cfg.fading_frozen = False
     topo = build_topology(cfg, np.random.default_rng(0))
     tx_pos = np.stack([n.position for n in topo.transmitters()])
     with pytest.raises(ValueError, match="rng"):
-        link_gains(topo, tx_pos, rng=None, frozen=False)
+        link_gains(topo, tx_pos, rng=None)
 
 
 def test_association_picks_best_granted_node_per_region():
@@ -178,7 +179,7 @@ def test_snapshot_accepts_precomputed_gains():
     topo = build_topology(cfg, np.random.default_rng(0))
     tx_pos = np.stack([n.position for n in topo.transmitters()])
     state = _random_state(cfg, np.random.default_rng(6))
-    snap = compute_snapshot(topo, state, tx_pos, rng=None, frozen=True)
+    snap = compute_snapshot(topo, state, tx_pos, rng=None)
     replay = compute_snapshot(topo, state, tx_pos, gains=snap.gains)
     assert np.array_equal(replay.gains, snap.gains)
     assert np.array_equal(replay.association, snap.association)

@@ -200,7 +200,7 @@ def test_hierarchy_index_maps():
     cfg.regions_per_hap = 2
     cfg.validate()
     topo = build_topology(cfg, np.random.default_rng(0))
-    assert topo.num_regions == 8
+    assert len(topo.region_bounds) == 8
     assert region_of_hap(topo, 1) == [2, 3]
     assert hap_of_region(topo, 5) == 2
     assert beam_of_region(topo, 5) == 1

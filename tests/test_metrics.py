@@ -177,7 +177,7 @@ def test_step_metrics_match_straight_line_reference():
         state = _random_feasible_state(cfg, rng)
         pos = tx_pos.copy()
         pos[:, :2] += rng.normal(0, 300, size=(cfg.num_transmitters, 2))
-        snap = compute_snapshot(topo, state, pos, rng=None, frozen=True)
+        snap = compute_snapshot(topo, state, pos, rng=None)
         got = compute_step_metrics(topo, state, snap, pos, norms)
 
         per_band = cfg.total_bandwidth / cfg.num_subbands
@@ -243,6 +243,6 @@ def test_spectrum_utilization_counts_active_over_granted():
     state.regional[2, 1] = 1
     state.beta[0, 0] = 1  # one of the two granted pairs is actually radiating
     state.alpha[0, 0] = 0.5
-    snap = compute_snapshot(topo, state, tx_pos, rng=None, frozen=True)
+    snap = compute_snapshot(topo, state, tx_pos, rng=None)
     got = compute_step_metrics(topo, state, snap, tx_pos, norms)
     assert got.spectrum_utilization == pytest.approx(0.5)

@@ -145,8 +145,8 @@ def _run_episode_and_check(kind, cfg, seed, rng) -> int:
     agent.begin_episode(env)
     for t in range(cfg.steps_per_episode):
         bundle = agent.act(obs, t, explore=True)
-        obs, rewards, _, truncated, _ = env.step(bundle)
-        agent.record(rewards, done=truncated)
+        obs, rewards, _, _, _ = env.step(bundle)
+        agent.record(rewards)
         _check_step(env, obs, bundle, rng)
     agent.end_episode()
     return cfg.steps_per_episode
@@ -191,9 +191,11 @@ def _scenario(name):
     return cfg
 
 
-def _gain_topology(name):
-    """The scenario's topology with its user coordinates made read-only."""
+def _gain_topology(name, frozen):
+    """The scenario's topology, its fading frozen or not, with its user
+    coordinates made read-only."""
     cfg = _scenario(name)
+    cfg.fading_frozen = frozen
     topo = build_topology(cfg, np.random.default_rng(cfg.seed))
     _read_only(topo.user_positions)
     return topo
@@ -212,38 +214,38 @@ def _moved_positions(topo, moves):
 def test_unfrozen_link_gains_match_the_per_row_fading_draw(name):
     # one (T, U) fading draw must give the per-row draws' numbers and leave
     # the generator where they leave it, so later draws are unchanged too
-    topo = _gain_topology(name)
+    topo = _gain_topology(name, frozen=False)
     moves = np.random.default_rng(7)
     for seed in range(4):
         pos = _moved_positions(topo, moves)
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):  # consecutive steps share one generator
-            got = link_gains(topo, pos, rng_got, frozen=False)
+            got = link_gains(topo, pos, rng_got)
             assert _same_bits(got, link_gains_loop(topo, pos, rng_want))
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 @pytest.mark.parametrize("name", ["desk", "default", "multi-hap"])
 def test_frozen_link_gains_match_the_loop_oracle_and_draw_nothing(name):
-    topo = _gain_topology(name)
+    topo = _gain_topology(name, frozen=True)
     moves = np.random.default_rng(8)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
     for _ in range(3):
         pos = _moved_positions(topo, moves)
         for gen in (None, rng):
-            got = link_gains(topo, pos, gen, frozen=True)
+            got = link_gains(topo, pos, gen)
             assert _same_bits(got, link_gains_loop(topo, pos, None, frozen=True))
     assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("frozen", [False, True])
 def test_link_gains_match_the_loop_oracle_at_128_regions(frozen):
-    topo = _gain_topology("r128")
+    topo = _gain_topology("r128", frozen)
     assert (len(topo.nodes), topo.cfg.num_users) == (384, 1280)
     pos = _moved_positions(topo, np.random.default_rng(9))
     rng_got, rng_want = np.random.default_rng(3), np.random.default_rng(3)
-    got = link_gains(topo, pos, rng_got, frozen=frozen)
+    got = link_gains(topo, pos, rng_got)
     assert _same_bits(got, link_gains_loop(topo, pos, rng_want, frozen=frozen))
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
@@ -315,7 +317,7 @@ def test_policy_slot_decide_matches_the_per_agent_loops(name, kind, explore):
                     assert _same_bits(got_v, want_v), (slot_name, entity, field)
             started += len(want_pending)
         obs, rewards, _, truncated, _ = env.step(got)
-        agent.record(rewards, done=truncated)
+        agent.record(rewards)
         RECORD_LOOPS[kind](twin, books, rewards, truncated)
     assert truncated
     assert (started > 0) == explore
@@ -369,7 +371,7 @@ def test_ppo_update_batches_match_the_per_entity_bookkeeping(name, kind, interva
             got = agent.act(obs, t, True)
             _assert_same_bundle(got, want, cfg, t)
             obs, rewards, _, truncated, _ = env.step(got)
-            agent.record(rewards, done=truncated)
+            agent.record(rewards)
             RECORD_LOOPS[kind](twin, books, rewards, truncated)
         agent.end_episode()
         got_batches, handed[:] = handed[:], []
