@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -802,6 +803,9 @@ def save_checkpoint(
     rng: np.random.Generator,
     meta: dict | None = None,
 ) -> None:
+    """Write the checkpoint to a temporary file beside ``path``, then move it
+    into place: a save that fails leaves any earlier file at ``path`` as it
+    was."""
     blob = {
         "format_version": CHECKPOINT_VERSION,
         "kind": kind,
@@ -820,8 +824,16 @@ def save_checkpoint(
             for name, n in nets.items()
         },
     }
-    with open(path, "w") as fh:
-        json.dump(blob, fh)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(blob, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> dict:

@@ -1,6 +1,16 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from specshare import channel
+from specshare.agents import make_agent
 from specshare.allocation import AllocationState
 from specshare.channel import (
     associate_users,
@@ -12,9 +22,12 @@ from specshare.channel import (
     path_loss_db,
     rayleigh_power,
 )
-from specshare.config import ScenarioConfig
+from specshare.config import ScenarioConfig, load_config
+from specshare.env import SpectrumSharingEnv
 from specshare.topology import build_topology
 from topo_helpers import region_of_user
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # 20 log10(1000) + 20 log10(28e9) - 147.55, evaluated independently
 FSPL_1KM_28GHZ_DB = 121.39316062684437
@@ -185,3 +198,159 @@ def test_snapshot_accepts_precomputed_gains():
     assert np.array_equal(replay.association, snap.association)
     assert np.array_equal(replay.interference, snap.interference)
     assert np.array_equal(replay.tx_power_w, snap.tx_power_w)
+
+
+# -- the interference product in user chunks --------------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    tx=st.integers(1, 512),
+    subbands=st.integers(1, 16),
+    chunks=st.integers(0, 5),
+    rest=st.one_of(st.sampled_from([-2, -1, 0, 1, 2]), st.integers(3, 400)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the 128-region product (384 x 1280 x 10), which OpenBLAS runs on two
+# threads in one call
+@example(tx=384, subbands=10, chunks=18, rest=56, seed=0)
+# one user past a multiple of the chunk
+@example(tx=100, subbands=4, chunks=2, rest=1, seed=1)
+# sums longer than one pass: the single product is kept
+@example(tx=448, subbands=10, chunks=5, rest=5, seed=2)
+def test_chunked_interference_product_matches_one_gemm_bitwise(tx, subbands, chunks, rest, seed):
+    # the global interference product runs in user chunks so that no BLAS
+    # thread wakes for it; that only keeps the outputs byte-identical if
+    # every chunk's rows get exactly the numbers of the single product.
+    # Users below, at, one past and anywhere between multiples of the chunk;
+    # transmitters on both sides of the one-pass sum length
+    rows = channel._BLAS_SERIAL_MNK // (tx * subbands)
+    users = max(1, chunks * rows + min(rest, rows - 1))
+    rng = np.random.default_rng(seed)
+    gains = 10 ** rng.uniform(-14, -6, size=(tx, users))
+    psd = rng.uniform(0.0, 0.04, size=(tx, subbands)) * (rng.random((tx, subbands)) < 0.7)
+    got = channel._serial_matmul(gains.T, psd)
+    want = gains.T @ psd
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# -- the channel worker ------------------------------------------------------------
+
+
+def _large_topology():
+    """A scenario just above the overlap cut-off (12,000 links), unfrozen."""
+    cfg = load_config(CONFIGS / "default.cfg")
+    cfg.haps_per_beam, cfg.regions_per_hap = 2, 5
+    topo = build_topology(cfg, np.random.default_rng(2))
+    assert cfg.num_transmitters * cfg.num_users > channel.OVERLAP_MIN_LINKS
+    return topo
+
+
+@pytest.mark.parametrize("name", ["desk", "default"])
+def test_small_scenarios_start_no_thread(name, monkeypatch):
+    def no_worker():
+        raise AssertionError("the channel worker was asked for")
+
+    monkeypatch.setattr(channel, "_channel_worker", no_worker)
+    before = threading.active_count()
+    cfg = load_config(CONFIGS / f"{name}.cfg")
+    assert cfg.num_transmitters * cfg.num_users <= channel.OVERLAP_MIN_LINKS
+    env = SpectrumSharingEnv(cfg)
+    agent = make_agent("random", cfg)
+    obs = env.reset(seed=1)
+    for t in range(4):
+        obs = env.step(agent.act(obs, t, explore=True))[0]
+    assert threading.active_count() == before
+
+
+def test_small_scenarios_do_not_import_the_executor():
+    # the worker's module is imported on first use only, so a desk or default
+    # run does not carry it (~0.6 MB resident); a fresh interpreter, because
+    # pytest itself may have imported it
+    code = (
+        "import sys\n"
+        "from specshare.agents import make_agent\n"
+        "from specshare.config import load_config\n"
+        "from specshare.env import SpectrumSharingEnv\n"
+        "for name in ('desk', 'default'):\n"
+        f"    cfg = load_config({str(CONFIGS)!r} + '/' + name + '.cfg')\n"
+        "    env, agent = SpectrumSharingEnv(cfg), make_agent('random', cfg)\n"
+        "    obs = env.reset(seed=1)\n"
+        "    for t in range(3):\n"
+        "        obs = env.step(agent.act(obs, t, explore=True))[0]\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(CONFIGS.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_large_calls_reuse_one_worker():
+    topo = _large_topology()
+    pos = np.stack([n.position for n in topo.transmitters()])
+    rng = np.random.default_rng(0)
+    link_gains(topo, pos, rng)
+    worker = channel._worker
+    for _ in range(3):
+        link_gains(topo, pos, rng)
+    assert channel._worker is worker
+    names = [t.name for t in threading.enumerate() if t.name.startswith("specshare-channel")]
+    assert len(names) == 1
+
+
+def test_zero_distance_on_the_worker_raises_in_the_caller(monkeypatch):
+    topo = _large_topology()
+    pos = np.stack([n.position for n in topo.transmitters()])
+    on = []
+    path_loss = channel._path_loss
+
+    def recorded(*args):
+        on.append(threading.current_thread())
+        return path_loss(*args)
+
+    monkeypatch.setattr(channel, "_path_loss", recorded)
+    bad = pos.copy()
+    bad[0] = topo.user_positions[5]  # a transmitter exactly on a user
+    with pytest.raises(ValueError, match="distance must be > 0"):
+        link_gains(topo, bad, np.random.default_rng(1))
+    assert on[-1] is not threading.current_thread()
+    # the worker survives the error, and the next call is the one a fresh
+    # generator gives
+    got = link_gains(topo, pos, np.random.default_rng(1))
+    monkeypatch.setattr(channel, "OVERLAP_MIN_LINKS", 10**12)
+    want = link_gains(topo, pos, np.random.default_rng(1))
+    assert on[-1] is threading.current_thread()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_concurrent_callers_share_the_worker(monkeypatch):
+    # callers on several threads queue their passes on the one worker; each
+    # must still get the gains its own generator gives inline
+    topo = _large_topology()
+    pos = np.stack([n.position for n in topo.transmitters()])
+    with monkeypatch.context() as inline:
+        inline.setattr(channel, "OVERLAP_MIN_LINKS", 10**12)
+        want = [[link_gains(topo, pos, rng) for _ in range(3)] for rng in map(np.random.default_rng, range(4))]
+    got = [[] for _ in want]
+
+    def caller(i):
+        rng = np.random.default_rng(i)
+        for _ in range(3):
+            got[i].append(link_gains(topo, pos, rng))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(want))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for mine, theirs in zip(got, want):
+        assert [g.tobytes() for g in mine] == [g.tobytes() for g in theirs]

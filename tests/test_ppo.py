@@ -529,6 +529,21 @@ def test_checkpoint_round_trip(tmp_path):
     assert blob["rng"].normal() == rng.normal()
 
 
+def test_failed_checkpoint_save_leaves_the_previous_file(tmp_path):
+    # json.dump raises on the unserializable meta after it has written the
+    # fields before it; the earlier checkpoint must survive byte for byte
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, "sadrl", "h", {"pi": _net(seed=3)}, PpoConfig(), np.random.default_rng(0))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_checkpoint(
+            path, "sadrl", "h", {"pi": _net(seed=4)}, PpoConfig(), np.random.default_rng(1),
+            meta={"episodes": object()},
+        )
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
 def test_checkpoint_version_gate(tmp_path):
     net = _net()
     path = tmp_path / "ckpt.json"

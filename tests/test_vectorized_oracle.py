@@ -12,7 +12,7 @@ loop at every step; every learned agent, greedy and exploring, with its
 own forward-and-sample loop (bundles, generator state and the decisions
 recorded); every batch a training agent hands ``ppo_update`` with the one
 the per-entity pending/flush bookkeeping builds; and the link gains with
-the per-row fading draw.
+the per-row fading draw, at 128 regions through whole steps too.
 """
 
 import copy
@@ -173,6 +173,28 @@ def test_block_step_matches_loop_oracle_on_shipped_configs(name):
         for cfg in _variants(kind, base):
             _run_episode_and_check(kind, cfg, 5, rng)
 
+
+def test_block_step_matches_loop_oracle_at_128_regions():
+    # unfrozen fading under global scope at 128 regions: the gains overlap
+    # the draws on the channel worker and the interference product runs in
+    # user chunks; the reset and every step must give the loop oracles' bits
+    # and leave the channel generator where the per-row fading draw leaves it
+    cfg = _scenario("r128")
+    cfg.fading_frozen, cfg.interference_scope = False, "global"
+    env = SpectrumSharingEnv(cfg)
+    agent = make_agent("random", cfg)
+    obs = env.reset(seed=3)
+    oracle = np.random.default_rng((cfg.seed, 0x5EED, 3))
+    want = link_gains_loop(env.topology, env.state.tx_positions, oracle)
+    assert _same_bits(env.state.snapshot.gains, want)
+    rng = np.random.default_rng(96)
+    for t in range(3):
+        bundle = agent.act(obs, t, explore=True)
+        obs = env.step(bundle)[0]
+        want = link_gains_loop(env.topology, env.state.tx_positions, oracle)
+        assert _same_bits(env.state.snapshot.gains, want)
+        assert env._chan_rng.bit_generator.state == oracle.bit_generator.state
+        _check_step(env, obs, bundle, rng)
 
 
 def _read_only(arr):
