@@ -171,6 +171,9 @@ def cmd_evaluate(args) -> int:
     if args.algo in TRAINABLE and not args.checkpoint:
         log.error("checkpoint required for learnable agent %r", args.algo)
         return 1
+    if args.algo not in TRAINABLE and args.checkpoint:
+        log.error("agent kind %r has no weights to load from a checkpoint", args.algo)
+        return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_manifest(out, cfg, seeds, [args.algo], ["steps.csv", "report.json", "timing.json"])
@@ -366,6 +369,9 @@ def cmd_benchmark(args) -> int:
 
 # -- replay -----------------------------------------------------------------------
 
+# the fields replay reads from each kind of trace line
+_TRACE_FIELDS = {"header": ("config",), "step": ("allocation", "tx_positions", "gains", "metrics")}
+
 
 def cmd_replay(args) -> int:
     path = Path(args.trace)
@@ -378,11 +384,19 @@ def cmd_replay(args) -> int:
     if not lines:
         log.error("empty trace: %s", path)
         return 1
+    objects = [isinstance(ln, dict) for ln in lines]
+    if not all(objects):
+        log.error("malformed trace: line %d is not a JSON object", objects.index(False) + 1)
+        return 1
     header = lines[0]
-    if header.get("type") != "header" or "config" not in header:
+    if header.get("type") != "header":
         log.error("malformed trace: first line must be a header with a config snapshot")
         return 1
-    for ln in lines[1:]:
+    for line_no, ln in enumerate(lines, start=1):
+        missing = [key for key in _TRACE_FIELDS.get(ln.get("type"), ()) if key not in ln]
+        if missing:
+            log.error("malformed trace: line %d has no %r field", line_no, missing[0])
+            return 1
         if ln.get("type") == "header" and ln["config"] != header["config"]:
             log.error("malformed trace: episodes with different configs in one file")
             return 1
@@ -391,7 +405,11 @@ def cmd_replay(args) -> int:
         log.error("trace contains no steps: %s", path)
         return 1
 
-    cfg = config_from_dict(header["config"])
+    try:
+        cfg = config_from_dict(header["config"])
+    except ConfigError as exc:
+        log.error("malformed trace: the header's config on line 1: %s", exc)
+        return 1
     topo = build_topology(cfg, np.random.default_rng(cfg.seed))
     norms = RewardNorms.from_config(cfg)
 

@@ -4,6 +4,11 @@ The on-disk format is INI-style with five sections ([topology], [radio],
 [reward], [ppo], [run]), ``key = value`` pairs, and ``#`` comments.  Keys
 match the dataclass field names one to one; unknown keys are rejected so
 typos fail loudly instead of silently running the defaults.
+
+The dataclass annotations are the only record of each field's type.  A
+config file is read into the ``to_dict`` shape and built by
+``config_from_dict``, which also reads trace headers, so every reader
+applies the same per-field coercion and refuses unknown keys at every level.
 """
 
 from __future__ import annotations
@@ -11,8 +16,10 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -47,12 +54,9 @@ class PpoConfig:
     vf_coef: float = 1.0
 
     def validate(self) -> None:
+        _check_counts(self)
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
-        if self.minibatch_size < 1 or self.batch_size < 1:
-            raise ConfigError("minibatch_size and batch_size must be >= 1")
-        if self.sgd_iters < 1:
-            raise ConfigError("sgd_iters must be >= 1")
         if not (0.0 <= self.discount <= 1.0):
             raise ConfigError("discount must lie in [0, 1]")
         if not (0.0 <= self.gae_lambda <= 1.0):
@@ -137,27 +141,13 @@ class ScenarioConfig:
         return t % self.decision_intervals[1] == 0
 
     def validate(self) -> None:
-        counts = {
-            "beams": self.beams,
-            "haps_per_beam": self.haps_per_beam,
-            "regions_per_hap": self.regions_per_hap,
-            "uavs_per_region": self.uavs_per_region,
-            "users_per_region": self.users_per_region,
-            "num_subbands": self.num_subbands,
-            "episodes": self.episodes,
-            "steps_per_episode": self.steps_per_episode,
-        }
-        for name, value in counts.items():
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1, got {value}")
+        _check_counts(self)
         if self.total_bandwidth <= 0 or self.carrier_freq <= 0:
             raise ConfigError("total_bandwidth and carrier_freq must be > 0")
         if self.noise_psd >= 0:
             raise ConfigError(f"noise_psd must be negative dBm/Hz, got {self.noise_psd}")
         if self.r_min < 0:
             raise ConfigError("r_min must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if len(self.decision_intervals) != 3:
             raise ConfigError(
                 f"decision_intervals expects 3 values (ds, dh, dl), got {list(self.decision_intervals)}"
@@ -181,23 +171,11 @@ class ScenarioConfig:
             raise ConfigError(
                 f"interference_scope must be 'global' or 'region', got {self.interference_scope!r}"
             )
-        if self.exhaustive_cap < 1:
-            raise ConfigError("exhaustive_cap must be >= 1")
         self.ppo.validate()
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "reward_weights":
-                out[f.name] = {g.name: getattr(v, g.name) for g in fields(RewardWeights)}
-            elif f.name == "ppo":
-                out[f.name] = {g.name: getattr(v, g.name) for g in fields(PpoConfig)}
-            elif isinstance(v, tuple):
-                out[f.name] = list(v)
-            else:
-                out[f.name] = v
-        return out
+        """Every field by name, nested tables as dicts and tuples as lists."""
+        return asdict(self, dict_factory=_tuples_as_lists)
 
     # run-control fields a checkpoint stays valid across
     _HASH_EXCLUDE = ("seed", "episodes")
@@ -216,28 +194,94 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _from_dict(data: dict) -> ScenarioConfig:
-    rw = RewardWeights(**data.pop("reward_weights", {}))
-    ppo = PpoConfig(**data.pop("ppo", {}))
-    kwargs = {}
-    for f in fields(ScenarioConfig):
-        if f.name in ("reward_weights", "ppo"):
-            continue
-        if f.name in data:
-            v = data[f.name]
-            kwargs[f.name] = tuple(v) if isinstance(v, list) else v
-    return ScenarioConfig(reward_weights=rw, ppo=ppo, **kwargs)
+# -- typed fields ------------------------------------------------------------
+
+
+def _tuples_as_lists(items) -> dict:
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in items}
+
+
+@cache
+def _field_types(cls) -> dict:
+    """Each field's annotated type, resolved once per class."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _check_counts(obj) -> None:
+    """Every ``int`` field is a count, at least 1; ``seed`` may also be 0."""
+    for name, tp in _field_types(type(obj)).items():
+        if tp is int:
+            least = 0 if name == "seed" else 1
+            value = getattr(obj, name)
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
+_TRUE, _FALSE = ("true", "yes", "on", "1"), ("false", "no", "off", "0")
+
+
+def _coerce(key: str, tp, value):
+    """``value`` as field ``key`` of type ``tp``, from config-file text or a
+    decoded JSON value under the same rules.  An integer may be written as a
+    float with no fraction (``1e5``, ``2.0``); ``2.5`` and ``inf`` are
+    errors, and so is a bool where a number belongs."""
+    if tp is str:
+        if isinstance(value, str):
+            return value
+    elif tp is bool:
+        if isinstance(value, bool):
+            return value
+        if isinstance(value, str) and value.lower() in _TRUE + _FALSE:
+            return value.lower() in _TRUE
+    elif tp is int or tp is float:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except (ValueError, OverflowError):
+                pass
+            else:
+                if tp is float:
+                    return number
+                if number.is_integer():
+                    try:
+                        return int(value)  # every digit of an int or integer text
+                    except ValueError:
+                        return int(number)  # 1e5, 2.0
+    elif is_dataclass(tp):
+        return _build(tp, value, key)
+    else:  # a fixed-length tuple
+        types = get_args(tp)
+        parts = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
+        if not isinstance(parts, (list, tuple)) or len(parts) != len(types):
+            raise ConfigError(f"{key} expects {len(types)} comma-separated values, got {value!r}")
+        return tuple(_coerce(key, t, v) for t, v in zip(types, parts))
+    kind = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}[tp]
+    raise ConfigError(f"{key} expects {kind}, got {value!r}")
+
+
+def _build(cls, data, where: str):
+    """A ``cls`` from a dict of its fields; absent fields keep their defaults."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} expects a table of keys, got {type(data).__name__}")
+    types = _field_types(cls)
+    for key in data:
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+    return cls(**{key: _coerce(key, types[key], value) for key, value in data.items()})
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Rebuild a config from ``to_dict`` output (checkpoints, trace headers)."""
-    cfg = _from_dict(dict(data))
+    """Build and validate a config from the ``to_dict`` shape (a config
+    file's sections, a trace header, a reseeded copy)."""
+    cfg = _build(ScenarioConfig, data, "config")
     cfg.validate()
     return cfg
 
 
 # -- file parsing ------------------------------------------------------------
 
+# the file's layout: which section holds which top-level field
 _SECTIONS = {
     "topology": (
         "beams",
@@ -260,18 +304,6 @@ _SECTIONS = {
         "interference_scope",
         "fading_frozen",
     ),
-    "reward": ("w_rate", "w_eff", "w_fair", "w_uav", "w_qos"),
-    "ppo": (
-        "learning_rate",
-        "minibatch_size",
-        "batch_size",
-        "sgd_iters",
-        "discount",
-        "gae_lambda",
-        "clip_eps",
-        "entropy_coef",
-        "vf_coef",
-    ),
     "run": (
         "episodes",
         "steps_per_episode",
@@ -280,64 +312,8 @@ _SECTIONS = {
         "exhaustive_cap",
     ),
 }
-
-_INT_FIELDS = {
-    "beams",
-    "haps_per_beam",
-    "regions_per_hap",
-    "uavs_per_region",
-    "users_per_region",
-    "num_subbands",
-    "episodes",
-    "steps_per_episode",
-    "seed",
-    "exhaustive_cap",
-    "minibatch_size",
-    "batch_size",
-    "sgd_iters",
-}
-_BOOL_FIELDS = {"fading_frozen"}
-_STR_FIELDS = {"interference_scope"}
-_TUPLE_FIELDS = {
-    "region_size": (float, 2),
-    "decision_intervals": (int, 3),
-}
-
-
-def _parse_int(key: str, raw: str) -> int:
-    """An integer written as one (``3``) or as a float with no fraction
-    (``1e5``); anything else, ``2.5`` included, is an error."""
-    value = float(raw)
-    if not value.is_integer():
-        raise ConfigError(f"{key} expects an integer, got {raw!r}")
-    return int(value)
-
-
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    try:
-        if key in _TUPLE_FIELDS:
-            cast, n = _TUPLE_FIELDS[key]
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            if len(parts) != n:
-                raise ConfigError(f"{key} expects {n} comma-separated values, got {raw!r}")
-            return tuple(_parse_int(key, p) if cast is int else cast(p) for p in parts)
-        if key in _BOOL_FIELDS:
-            low = raw.lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ConfigError(f"{key} expects a boolean, got {raw!r}")
-        if key in _STR_FIELDS:
-            return raw
-        if key in _INT_FIELDS:
-            return _parse_int(key, raw)
-        return float(raw)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"could not parse {key} = {raw!r}: {exc}") from None
+# sections that are one nested table each, by the field that holds it
+_TABLES = {"reward": "reward_weights", "ppo": "ppo"}
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -352,20 +328,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file {path}: {exc}") from None
 
-    cfg = ScenarioConfig()
+    data = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        items = dict(parser.items(section))
+        if section in _TABLES:
+            data[_TABLES[section]] = items
+        elif section in _SECTIONS:
+            for key in items:
+                if key not in _SECTIONS[section]:
+                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            data.update(items)
+        else:
             raise ConfigError(f"unknown config section [{section}]")
-        allowed = _SECTIONS[section]
-        for key, raw in parser.items(section):
-            if key not in allowed:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            value = _parse_value(key, raw)
-            if section == "reward":
-                setattr(cfg.reward_weights, key, value)
-            elif section == "ppo":
-                setattr(cfg.ppo, key, value)
-            else:
-                setattr(cfg, key, value)
-    cfg.validate()
-    return cfg
+    return config_from_dict(data)

@@ -838,12 +838,16 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> dict:
     """A checkpoint's fields, each net's parameters as float arrays keyed as
-    saved (``nets[name][key]``), and its generator in the saved state."""
+    saved (``nets[name][key]``), and its generator in the saved state.  The
+    saved PPO settings are not read back: ``config_hash`` covers them."""
     with open(path) as fh:
         blob = json.load(fh)
-    version = blob.get("format_version")
+    version = blob.get("format_version") if isinstance(blob, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version}")
+    for key in ("kind", "config_hash", "nets", "rng_state"):
+        if key not in blob:
+            raise ValueError(f"checkpoint {path} has no {key!r} field")
     nets = {
         name: {key: np.asarray(value, dtype=float) for key, value in spec["params"].items()}
         for name, spec in blob["nets"].items()
@@ -853,7 +857,6 @@ def load_checkpoint(path: str | Path) -> dict:
     return {
         "kind": blob["kind"],
         "config_hash": blob["config_hash"],
-        "ppo": PpoConfig(**blob["ppo"]),
         "nets": nets,
         "rng": rng,
         "meta": blob.get("meta", {}),

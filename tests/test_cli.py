@@ -7,8 +7,9 @@ import pytest
 
 from specshare.agents import evaluate, make_agent
 from specshare.cli import BENCHMARK_COLUMNS, STEPS_COLUMNS, SWEEP_COLUMNS, TRAIN_LOG_COLUMNS, main
-from specshare.config import ScenarioConfig
+from specshare.config import ScenarioConfig, load_config
 from specshare.env import SpectrumSharingEnv
+from specshare.ppo import load_checkpoint
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "desk.cfg")
 
@@ -71,6 +72,52 @@ def test_evaluate_requires_checkpoint_for_learnable_agents(tmp_path, caplog):
     rc = main(["evaluate", "--config", CONFIG, "--algo", "sadrl", "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "checkpoint" in caplog.text
+
+
+@pytest.mark.parametrize("algo", ["random", "exhaustive"])
+def test_evaluate_refuses_a_checkpoint_for_an_untrainable_agent(tmp_path, caplog, algo):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text("{}")
+    out = tmp_path / "e"
+    rc = main(["evaluate", "--config", CONFIG, "--algo", algo, "--checkpoint", str(ckpt), "--out", str(out)])
+    assert rc == 1
+    assert f"{algo!r} has no weights to load" in caplog.text
+    assert not out.exists()  # refused before any output
+
+
+def _hdrl_checkpoint(tmp_path, edit) -> tuple[str, Path]:
+    """The tiny config's path and an untrained hdrl checkpoint for it, its
+    JSON edited in place by ``edit(blob)``."""
+    cfg_path = _write_tiny_cfg(tmp_path)
+    ckpt = tmp_path / "checkpoint.json"
+    make_agent("hdrl", load_config(cfg_path)).save(ckpt)
+    blob = json.loads(ckpt.read_text())
+    edit(blob)
+    ckpt.write_text(json.dumps(blob))
+    return cfg_path, ckpt
+
+
+@pytest.mark.parametrize("field", ["kind", "config_hash", "nets", "rng_state"])
+def test_evaluate_names_a_field_missing_from_the_checkpoint(tmp_path, caplog, field):
+    cfg_path, ckpt = _hdrl_checkpoint(tmp_path, lambda blob: blob.pop(field))
+    with pytest.raises(ValueError, match=f"no '{field}' field"):
+        load_checkpoint(ckpt)
+    rc = main([
+        "evaluate", "--config", cfg_path, "--algo", "hdrl", "--checkpoint", str(ckpt),
+        "--out", str(tmp_path / "e"),
+    ])
+    assert rc == 1
+    assert f"no '{field}' field" in caplog.text
+
+
+def test_evaluate_does_not_read_the_checkpoints_ppo_settings(tmp_path):
+    # config_hash covers the PPO settings; the saved block is for readers
+    cfg_path, ckpt = _hdrl_checkpoint(tmp_path, lambda blob: blob["ppo"].update(bogus=1))
+    rc = main([
+        "evaluate", "--config", cfg_path, "--algo", "hdrl", "--checkpoint", str(ckpt),
+        "--out", str(tmp_path / "e"),
+    ])
+    assert rc == 0
 
 
 def test_evaluate_random_agent_default_episode_count(tmp_path):
@@ -189,6 +236,66 @@ def test_replay_pinpoints_a_corrupted_field(tmp_path, capsys):
     assert "'eta'" in printed
 
 
+def _tiny_trace(tmp_path, episodes: int = 1) -> tuple[Path, list[dict]]:
+    """A random agent's trace on the tiny config and its lines, decoded."""
+    trace = tmp_path / "trace.jsonl"
+    assert main([
+        "evaluate", "--config", _write_tiny_cfg(tmp_path), "--algo", "random",
+        "--episodes", str(episodes), "--out", str(tmp_path / "e"), "--trace", str(trace),
+    ]) == 0
+    return trace, [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+def _write_trace(path: Path, lines: list[dict]) -> None:
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("field", ["allocation", "tx_positions", "gains", "metrics"])
+def test_replay_names_a_field_missing_from_a_step_and_its_line(tmp_path, caplog, field):
+    trace, lines = _tiny_trace(tmp_path)
+    del lines[7][field]  # 1-based trace line 8
+    _write_trace(trace, lines)
+    assert main(["replay", "--trace", str(trace)]) == 1
+    assert f"line 8 has no '{field}' field" in caplog.text
+
+
+@pytest.mark.parametrize("episode", [0, 1])
+def test_replay_names_a_header_without_a_config(tmp_path, caplog, episode):
+    trace, lines = _tiny_trace(tmp_path, episodes=2)
+    index = [i for i, line in enumerate(lines) if line["type"] == "header"][episode]
+    del lines[index]["config"]
+    _write_trace(trace, lines)
+    assert main(["replay", "--trace", str(trace)]) == 1
+    assert f"line {index + 1} has no 'config' field" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda cfg: cfg.update(beams=2.5), "beams"),
+        (lambda cfg: cfg.update(bogus=1), "bogus"),
+        (lambda cfg: cfg["ppo"].update(bogus=1), "bogus"),
+        (lambda cfg: cfg.update(reward_weights=[1.0]), "reward_weights"),
+    ],
+    ids=["non-integral-int", "unknown-top-level-key", "unknown-ppo-key", "table-not-a-dict"],
+)
+def test_replay_refuses_a_tampered_header_naming_the_key(tmp_path, caplog, edit, key):
+    trace, lines = _tiny_trace(tmp_path)
+    edit(lines[0]["config"])
+    _write_trace(trace, lines)
+    assert main(["replay", "--trace", str(trace)]) == 1
+    assert "line 1" in caplog.text and key in caplog.text
+
+
+def test_replay_reads_an_integral_float_in_the_header_as_the_file_reader_does(tmp_path, capsys):
+    # ``beams = 2.0`` parses in a config file, so 2.0 in a header means 2 too
+    trace, lines = _tiny_trace(tmp_path)
+    lines[0]["config"]["beams"] = 2.0
+    _write_trace(trace, lines)
+    assert main(["replay", "--trace", str(trace)]) == 0
+    assert "max absolute deviation 0.0" in capsys.readouterr().out
+
+
 def test_replay_rejects_empty_and_malformed_traces(tmp_path, caplog):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -199,6 +306,10 @@ def test_replay_rejects_empty_and_malformed_traces(tmp_path, caplog):
     bad.write_text("{not json\n")
     assert main(["replay", "--trace", str(bad)]) == 1
     assert "malformed trace" in caplog.text
+    caplog.clear()
+    bad.write_text('{"type": "header", "config": {}}\n[1, 2]\n')
+    assert main(["replay", "--trace", str(bad)]) == 1
+    assert "line 2 is not a JSON object" in caplog.text
     caplog.clear()
     missing = tmp_path / "missing.jsonl"
     assert main(["replay", "--trace", str(missing)]) == 1

@@ -1,11 +1,18 @@
 import dataclasses
+import re
+import string
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from specshare import config
 from specshare.config import (
     ConfigError,
+    PpoConfig,
+    RewardWeights,
     ScenarioConfig,
     config_from_dict,
     load_config,
@@ -137,6 +144,189 @@ def test_decision_intervals_need_three_values():
     data = ScenarioConfig().to_dict()
     data["decision_intervals"] = [10, 1]
     with pytest.raises(ConfigError, match="decision_intervals"):
+        config_from_dict(data)
+
+
+# -- one schema, two readers --------------------------------------------------
+#
+# A config file is read into the ``to_dict`` shape and built by
+# ``config_from_dict``, the reader of trace headers and checkpoints; these
+# properties hold for both readers on random scenarios.
+
+_COUNT = st.integers(1, 10**6)
+_REAL = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=1e-3, max_value=1e12)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _valid_configs(draw):
+    dl = draw(st.integers(1, 5))
+    dh = dl * draw(st.integers(1, 5))
+    return ScenarioConfig(
+        beams=draw(_COUNT),
+        haps_per_beam=draw(_COUNT),
+        regions_per_hap=draw(_COUNT),
+        uavs_per_region=draw(_COUNT),
+        users_per_region=draw(_COUNT),
+        region_size=(draw(_POSITIVE), draw(_POSITIVE)),
+        uav_step=draw(st.floats(0.0, 1e6)),
+        uav_altitude=draw(_POSITIVE),
+        total_bandwidth=draw(_POSITIVE),
+        num_subbands=draw(_COUNT),
+        carrier_freq=draw(_POSITIVE),
+        tx_power_tbs=draw(_REAL),
+        tx_power_uav=draw(_REAL),
+        noise_psd=draw(st.floats(-1e6, -1e-3)),
+        r_min=draw(st.floats(0.0, 1e12)),
+        interference_scope=draw(st.sampled_from(["global", "region"])),
+        fading_frozen=draw(st.booleans()),
+        episodes=draw(_COUNT),
+        steps_per_episode=draw(_COUNT),
+        decision_intervals=(dh * draw(st.integers(1, 5)), dh, dl),
+        seed=draw(st.integers(0, 2**63)),
+        exhaustive_cap=draw(_COUNT),
+        reward_weights=RewardWeights(*(draw(_REAL) for _ in range(5))),
+        ppo=PpoConfig(
+            learning_rate=draw(st.floats(0.0, 1.0)),
+            minibatch_size=draw(_COUNT),
+            batch_size=draw(_COUNT),
+            sgd_iters=draw(_COUNT),
+            discount=draw(_UNIT),
+            gae_lambda=draw(_UNIT),
+            clip_eps=draw(_POSITIVE),
+            entropy_coef=draw(_REAL),
+            vf_coef=draw(_REAL),
+        ),
+    )
+
+
+def _ini_text(data: dict, ints_as_floats: bool = False) -> str:
+    """``to_dict``-shaped ``data`` as a config file: each key in the section
+    the file layout gives it, a key it does not know in [run]."""
+    home = {key: section for section, keys in config._SECTIONS.items() for key in keys}
+    tables = {name: section for section, name in config._TABLES.items()}
+    sections = {section: {} for section in ("topology", "radio", "reward", "ppo", "run")}
+    for key, value in data.items():
+        if key in tables and isinstance(value, dict):
+            sections[tables[key]].update(value)
+        else:
+            sections[home.get(key, "run")][key] = value
+
+    def text(value) -> str:
+        if isinstance(value, list):
+            return ", ".join(text(v) for v in value)
+        if ints_as_floats and type(value) is int and float(value) == value:
+            return repr(float(value))  # an integer written as a float still parses
+        return str(value)
+
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {text(value)}\n" for key, value in items.items())
+        for section, items in sections.items()
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cfg=_valid_configs(), ints_as_floats=st.booleans())
+def test_random_configs_round_trip_through_both_readers(cfg, ints_as_floats, tmp_path_factory):
+    cfg.validate()
+    again = config_from_dict(cfg.to_dict())
+    assert again == cfg
+    assert again.config_hash() == cfg.config_hash()
+    path = tmp_path_factory.mktemp("cfg") / "c.cfg"
+    path.write_text(_ini_text(cfg.to_dict(), ints_as_floats))
+    read = load_config(path)
+    assert read == cfg
+    assert read.config_hash() == cfg.config_hash()
+    assert type(read.beams) is int and type(read.uav_step) is float
+
+
+def _fields():
+    """(table, key, default) for every config field; table is None for the
+    top level, else the nested table's key."""
+    for key, value in ScenarioConfig().to_dict().items():
+        if isinstance(value, dict):
+            yield from ((key, k, v) for k, v in value.items())
+        else:
+            yield None, key, value
+
+
+def _not_a_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return True
+    return False
+
+
+_BOOL_WORDS = ("true", "yes", "on", "1", "false", "no", "off", "0")
+_WORDS = st.text(string.ascii_lowercase, max_size=8)
+
+
+def _wrong_kind(default):
+    """Values that neither reader may take for a field with this default."""
+    if isinstance(default, bool):
+        return st.one_of(
+            _WORDS.filter(lambda w: w not in _BOOL_WORDS),
+            st.integers().filter(lambda i: i not in (0, 1)),
+            st.floats(),
+        )
+    if isinstance(default, int):
+        return st.one_of(
+            st.floats().filter(lambda x: not x.is_integer()), _WORDS.filter(_not_a_number), st.booleans()
+        )
+    if isinstance(default, float):
+        return st.one_of(_WORDS.filter(_not_a_number), st.booleans())
+    if isinstance(default, list):
+        return st.lists(st.integers(1, 100), max_size=5).filter(lambda v: len(v) != len(default))
+    assert isinstance(default, str)
+    return st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans())
+
+
+def _assert_both_readers_refuse(data: dict, key: str, path: Path) -> None:
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        config_from_dict(data)
+    path.write_text(_ini_text(data))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(path)
+
+
+@pytest.mark.parametrize("table, key, default", list(_fields()), ids=lambda v: str(v))
+def test_every_field_refuses_a_value_of_the_wrong_kind(table, key, default, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "c.cfg"
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(bad=_wrong_kind(default))
+    def refused(bad):
+        data = ScenarioConfig().to_dict()
+        (data[table] if table else data)[key] = bad
+        _assert_both_readers_refuse(data, key, path)
+
+    refused()
+
+
+_FIELD_NAMES = {key for _, key, _ in _fields()} | {"reward_weights", "ppo"}
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    table=st.sampled_from([None, "reward_weights", "ppo"]),
+    key=st.text(string.ascii_lowercase + "_", min_size=1, max_size=12).filter(
+        lambda k: k not in _FIELD_NAMES
+    ),
+)
+def test_unknown_keys_refused_at_every_level(table, key, tmp_path_factory):
+    data = ScenarioConfig().to_dict()
+    (data[table] if table else data)[key] = 1
+    _assert_both_readers_refuse(data, key, tmp_path_factory.mktemp("cfg") / "c.cfg")
+
+
+@pytest.mark.parametrize("table", [None, "reward_weights", "ppo"])
+def test_a_table_that_is_not_a_dict_refused(table):
+    data = ScenarioConfig().to_dict() if table else [1, 2]
+    if table:
+        data[table] = [1, 2]
+    with pytest.raises(ConfigError, match=table or "config"):
         config_from_dict(data)
 
 

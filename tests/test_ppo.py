@@ -553,3 +553,6 @@ def test_checkpoint_version_gate(tmp_path):
     path.write_text(json.dumps(blob))
     with pytest.raises(ValueError, match="format_version"):
         load_checkpoint(path)
+    path.write_text("[1]")  # JSON, but not a checkpoint object
+    with pytest.raises(ValueError, match="format_version"):
+        load_checkpoint(path)
