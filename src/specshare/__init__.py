@@ -21,7 +21,6 @@ from .allocation import (
 )
 from .channel import ChannelSnapshot, compute_snapshot, path_loss_db
 from .metrics import (
-    RewardNorms,
     StepMetrics,
     compose_rewards,
     jain_fairness,

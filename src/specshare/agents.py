@@ -30,6 +30,9 @@ global policy is one ``(1, 1, D)`` stack.  The per-region baseline runs one
 separate PPO per region every step; the flat baseline runs one network
 over the concatenated observation every step.  Every agent hands the env
 its regional action as one ``(num_regions, nodes, N)`` array.
+
+The exhaustive search scores candidates through the env's own channel and
+rate code, reading the scenario from the topology it searches.
 """
 
 from __future__ import annotations
@@ -221,11 +224,12 @@ def count_joint_candidates(cfg: ScenarioConfig) -> int:
 
 class JointSearch:
     """What every exhaustive solve of one scenario shares: the topology,
-    the frozen gains at the transmitters' home positions, and each subband
-    state's regional column.  Raises what ``exhaustive_solve`` raises for a
-    scenario it cannot solve."""
+    which alone records the scenario, the frozen gains at the transmitters'
+    home positions, and each subband state's regional column.  Raises what
+    ``exhaustive_solve`` raises for a scenario it cannot solve."""
 
-    def __init__(self, cfg: ScenarioConfig, topo: Topology):
+    def __init__(self, topo: Topology):
+        cfg = topo.cfg
         if not cfg.fading_frozen:
             raise ValueError("exhaustive_solve requires fading_frozen=true")
         total = count_joint_candidates(cfg)
@@ -259,7 +263,7 @@ class JointSearch:
         return digits, regional, alpha
 
 
-def exhaustive_solve(cfg: ScenarioConfig, *, search: JointSearch | None = None) -> dict:
+def exhaustive_solve(cfg: ScenarioConfig | None = None, *, search: JointSearch | None = None) -> dict:
     """Enumerate every joint (global, regional) allocation under frozen fading.
 
     Local actions are fixed to a heuristic: full access on granted subbands,
@@ -272,14 +276,15 @@ def exhaustive_solve(cfg: ScenarioConfig, *, search: JointSearch | None = None) 
     Candidate ``c`` is a mixed-radix number with one digit per subband (the
     first subband least significant), the subband's state
     (``_subband_states``); chunks of ``EXHAUSTIVE_CHUNK`` candidates go
-    through association, interference and rates at once.  ``search`` is
-    ``cfg``'s scenario prepared once (``JointSearch``); without it the
-    topology is built from ``cfg.seed``.
+    through association, interference and rates at once.  ``search`` is a
+    scenario prepared once (``JointSearch``), and the solve reads the
+    scenario from its topology; without it the topology is built from
+    ``cfg`` and ``cfg.seed``.
     """
     if search is None:
-        search = JointSearch(cfg, build_topology(cfg, np.random.default_rng(cfg.seed)))
+        search = JointSearch(build_topology(cfg, np.random.default_rng(cfg.seed)))
     topo, gains, total = search.topo, search.gains, search.total
-    power = topo.tx_power_w
+    cfg = topo.cfg
     n, m = cfg.num_subbands, cfg.nodes_per_region
 
     eta = np.empty(total)
@@ -292,10 +297,8 @@ def exhaustive_solve(cfg: ScenarioConfig, *, search: JointSearch | None = None) 
             global_alloc=None, regional=regional, beta=regional, alpha=alpha, dp=None
         )
         assoc = associate_users(topo, gains, regional)
-        interference = co_channel_interference(
-            topo, gains, alloc, power, assoc, cfg.interference_scope
-        )
-        _, rates = served_user_rates(cfg, alloc, ChannelSnapshot(gains, assoc, interference, power))
+        interference = co_channel_interference(topo, gains, alloc, assoc)
+        _, rates = served_user_rates(topo, alloc, ChannelSnapshot(gains, assoc, interference))
         eta[idx] = spectral_efficiency(rates, cfg.total_bandwidth)
         fairness[idx] = jain_fairness(rates)
 
@@ -339,13 +342,13 @@ class ExhaustiveAgent:
     def begin_episode(self, env: SpectrumSharingEnv) -> None:
         # the scene is fixed per env, so the search is prepared once per env
         if self.search is None or self.search.topo is not env.topology:
-            self.search = JointSearch(self.cfg, env.topology)
+            self.search = JointSearch(env.topology)
 
     def act(self, obs: dict, t: int, explore: bool = True) -> dict:
         cfg = self.cfg
         bundle: dict = {}
         if cfg.regional_due(t):
-            self.solution = exhaustive_solve(cfg, search=self.search)
+            self.solution = exhaustive_solve(search=self.search)
             if cfg.global_due(t):
                 bundle["global"] = self.solution["global"]
             bundle["regional"] = self.solution["regional"]

@@ -7,6 +7,10 @@ ground node: a TBS or a UAV).  A scenario with ``fading_frozen`` set
 (shadowing 0, fading 1) has a deterministic channel, and its gains take no
 generator.
 
+The ``Topology`` passed in is the only record of the scenario here: the
+carrier frequency, whether fading is frozen, the transmit powers and the
+interference scope are all read from it (``topo.cfg``, ``topo.tx_power_w``).
+
 Three rules keep the gains, and every output built on them, byte-identical
 for a seed: one shadowing draw, then one fading draw, each over the whole
 row-major (transmitters, users) matrix; distances summed
@@ -27,9 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .allocation import AllocationState
-from .config import ScenarioConfig
 from .topology import Topology
-from .topology import dbm_to_watts  # noqa: F401  (re-exported: part of this module's API)
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -112,7 +114,6 @@ class ChannelSnapshot:
     gains: np.ndarray
     association: np.ndarray
     interference: np.ndarray
-    tx_power_w: np.ndarray  # (num_transmitters,)
 
 
 def _link_distances(topo: Topology, tx_positions: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -236,14 +237,10 @@ def associate_users(topo: Topology, gains: np.ndarray, regional: np.ndarray) -> 
 
 
 def co_channel_interference(
-    topo: Topology,
-    gains: np.ndarray,
-    alloc: AllocationState,
-    tx_power_w: np.ndarray,
-    association: np.ndarray,
-    scope: str,
+    topo: Topology, gains: np.ndarray, alloc: AllocationState, association: np.ndarray
 ) -> np.ndarray:
-    """Interference per (user, subband) from other active co-channel nodes.
+    """Interference per (user, subband) from other active co-channel nodes,
+    at the topology's transmit powers and its scenario's interference scope.
 
     Reads only ``alloc``'s regional, beta and alpha.  (T, N) arrays and a
     (U,) association give (U, N); leading candidate axes on all four carry
@@ -251,9 +248,9 @@ def co_channel_interference(
     """
     cfg = topo.cfg
     active = alloc.regional * alloc.beta  # 0/1; exact under the cast to float below
-    tx_psd = active * alloc.alpha * tx_power_w[:, None]  # (..., T, N) radiated power
+    tx_psd = active * alloc.alpha * topo.tx_power_w[:, None]  # (..., T, N) radiated power
     lead = tx_psd.shape[:-2]
-    if scope == "region":
+    if cfg.interference_scope == "region":
         blocks = topo.own_region_gains(gains)  # (R, m, k)
         psd = tx_psd.reshape(lead + (cfg.num_regions, cfg.nodes_per_region, cfg.num_subbands))
         total = np.matmul(blocks.transpose(0, 2, 1), psd)
@@ -306,17 +303,8 @@ def compute_snapshot(
     gains: np.ndarray | None = None,
 ) -> ChannelSnapshot:
     """Draw gains (unless supplied) and derive association and interference."""
-    cfg = topo.cfg
     if gains is None:
         gains = link_gains(topo, tx_positions, rng)
-    power = topo.tx_power_w
     association = associate_users(topo, gains, alloc.regional)
-    interference = co_channel_interference(
-        topo, gains, alloc, power, association, cfg.interference_scope
-    )
-    return ChannelSnapshot(
-        gains=gains,
-        association=association,
-        interference=interference,
-        tx_power_w=power,
-    )
+    interference = co_channel_interference(topo, gains, alloc, association)
+    return ChannelSnapshot(gains=gains, association=association, interference=interference)

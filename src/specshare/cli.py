@@ -34,7 +34,7 @@ from .allocation import AllocationState, EnumerationCapError
 from .channel import compute_snapshot
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .env import SpectrumSharingEnv
-from .metrics import RewardNorms, compute_step_metrics
+from .metrics import compute_step_metrics
 from .topology import build_topology
 
 log = logging.getLogger("specshare")
@@ -369,8 +369,26 @@ def cmd_benchmark(args) -> int:
 
 # -- replay -----------------------------------------------------------------------
 
-# the fields replay reads from each kind of trace line
+# the fields replay reads from each kind of trace line, and from a step's allocation
 _TRACE_FIELDS = {"header": ("config",), "step": ("allocation", "tx_positions", "gains", "metrics")}
+_ALLOCATION_FIELDS = ("global", "regional", "beta", "alpha", "dp")
+
+
+def _unreadable(ln: dict) -> str | None:
+    """What replay cannot read in trace line ``ln``, or None."""
+    kind = ln.get("type")
+    missing = [key for key in _TRACE_FIELDS.get(kind, ()) if key not in ln]
+    if missing:
+        return f"has no {missing[0]!r} field"
+    if kind != "step":
+        return None
+    for table in ("allocation", "metrics"):
+        if not isinstance(ln[table], dict):
+            return f"has a non-object {table!r} field"
+    missing = [key for key in _ALLOCATION_FIELDS if key not in ln["allocation"]]
+    if missing:
+        return f"has no {missing[0]!r} in its 'allocation'"
+    return None
 
 
 def cmd_replay(args) -> int:
@@ -393,9 +411,9 @@ def cmd_replay(args) -> int:
         log.error("malformed trace: first line must be a header with a config snapshot")
         return 1
     for line_no, ln in enumerate(lines, start=1):
-        missing = [key for key in _TRACE_FIELDS.get(ln.get("type"), ()) if key not in ln]
-        if missing:
-            log.error("malformed trace: line %d has no %r field", line_no, missing[0])
+        problem = _unreadable(ln)
+        if problem:
+            log.error("malformed trace: line %d %s", line_no, problem)
             return 1
         if ln.get("type") == "header" and ln["config"] != header["config"]:
             log.error("malformed trace: episodes with different configs in one file")
@@ -411,7 +429,6 @@ def cmd_replay(args) -> int:
         log.error("malformed trace: the header's config on line 1: %s", exc)
         return 1
     topo = build_topology(cfg, np.random.default_rng(cfg.seed))
-    norms = RewardNorms.from_config(cfg)
 
     worst = 0.0
     worst_line = None
@@ -421,10 +438,12 @@ def cmd_replay(args) -> int:
         tx_positions = np.asarray(entry["tx_positions"], dtype=float)
         gains = np.asarray(entry["gains"], dtype=float)
         snap = compute_snapshot(topo, alloc, tx_positions, gains=gains)
-        metrics = compute_step_metrics(topo, alloc, snap, tx_positions, norms)
+        metrics = compute_step_metrics(topo, alloc, snap, tx_positions)
         recomputed = metrics.to_dict()
-        logged = entry["metrics"]
-        for field, value in logged.items():
+        for field, value in entry["metrics"].items():
+            if field not in recomputed:
+                log.error("malformed trace: line %d has an unknown metric %r", line_no, field)
+                return 1
             a = np.asarray(value, dtype=float)
             b = np.asarray(recomputed[field], dtype=float)
             dev = float(np.max(np.abs(a - b))) if a.size else 0.0

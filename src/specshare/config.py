@@ -16,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
@@ -224,8 +225,9 @@ _TRUE, _FALSE = ("true", "yes", "on", "1"), ("false", "no", "off", "0")
 def _coerce(key: str, tp, value):
     """``value`` as field ``key`` of type ``tp``, from config-file text or a
     decoded JSON value under the same rules.  An integer may be written as a
-    float with no fraction (``1e5``, ``2.0``); ``2.5`` and ``inf`` are
-    errors, and so is a bool where a number belongs."""
+    float with no fraction (``1e5``, ``2.0``); ``2.5`` is an error, and so
+    are ``nan``, ``inf`` and ``-inf`` for any number, and a bool where a
+    number belongs."""
     if tp is str:
         if isinstance(value, str):
             return value
@@ -242,8 +244,9 @@ def _coerce(key: str, tp, value):
                 pass
             else:
                 if tp is float:
-                    return number
-                if number.is_integer():
+                    if math.isfinite(number):
+                        return number
+                elif number.is_integer():
                     try:
                         return int(value)  # every digit of an int or integer text
                     except ValueError:
@@ -256,7 +259,7 @@ def _coerce(key: str, tp, value):
         if not isinstance(parts, (list, tuple)) or len(parts) != len(types):
             raise ConfigError(f"{key} expects {len(types)} comma-separated values, got {value!r}")
         return tuple(_coerce(key, t, v) for t, v in zip(types, parts))
-    kind = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}[tp]
+    kind = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}[tp]
     raise ConfigError(f"{key} expects {kind}, got {value!r}")
 
 

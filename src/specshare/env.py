@@ -25,7 +25,7 @@ import numpy as np
 from .allocation import AllocationState, clamp_local, validate
 from .channel import ChannelSnapshot, compute_snapshot, db_to_unit, gain_to_unit
 from .config import ScenarioConfig
-from .metrics import RewardNorms, StepMetrics, compute_step_metrics
+from .metrics import StepMetrics, compute_step_metrics
 from .topology import Topology, build_topology
 
 # dBm range used to squash interference into [0, 1] observation features;
@@ -79,7 +79,6 @@ class SpectrumSharingEnv:
     def __init__(self, cfg: ScenarioConfig, trace_path: str | Path | None = None):
         cfg.validate()
         self.cfg = cfg
-        self.norms = RewardNorms.from_config(cfg)
         self.topology: Topology = build_topology(cfg, np.random.default_rng(cfg.seed))
         topo = self.topology
         self._home = np.stack([n.position for n in topo.transmitters()])
@@ -193,7 +192,7 @@ class SpectrumSharingEnv:
             self.topology, state.alloc, state.tx_positions, rng=self._chan_rng
         )
         state.metrics = compute_step_metrics(
-            self.topology, state.alloc, state.snapshot, state.tx_positions, self.norms
+            self.topology, state.alloc, state.snapshot, state.tx_positions
         )
 
         violation = validate(state.alloc, cfg)

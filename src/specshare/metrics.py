@@ -6,6 +6,10 @@ shortfall of the worst user against the minimum rate, and the UAV penalty
 is the fraction of UAVs that left their home region.  Rewards compose the
 per-region metrics bottom-up: regions feed HAP means, HAP means feed the
 satellite-level scalar.
+
+The step's metrics read the scenario only from the ``Topology`` (``topo.cfg``
+and ``topo.tx_power_w``); the reward scales, like the noise power, are
+computed from the config where they are used.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ import numpy as np
 
 from .allocation import AllocationState
 from .channel import ChannelSnapshot
-from .config import RewardWeights, ScenarioConfig
+from .config import ScenarioConfig
 from .topology import Topology
 
-# Reference SINR anchoring the reward normalizers: a link at this SINR
-# counts as "full rate" for normalization purposes.
+# Reference SINR anchoring the reward scales: a link at this SINR counts as
+# "full rate" for normalization purposes.
 REFERENCE_SINR = 100.0
 
 def _scalar_or_array(x):
@@ -92,43 +96,27 @@ def uav_penalty(positions: np.ndarray, bounds):
     return _scalar_or_array(outside.sum(axis=-1) / n)
 
 
-@dataclass(frozen=True)
-class RewardNorms:
-    """Scale constants keeping reward terms O(1).
-
-    rate_norm is the one-subband rate at the reference SINR; eff_norm is
-    the spectral efficiency of all subbands running at it.
-    """
-
-    rate_norm: float
-    eff_norm: float
-
-    @classmethod
-    def from_config(cls, cfg: ScenarioConfig) -> "RewardNorms":
-        log_term = np.log2(1.0 + REFERENCE_SINR)
-        return cls(
-            rate_norm=float(cfg.subband_bandwidth * log_term),
-            eff_norm=float(cfg.num_subbands * log_term),
-        )
-
-
 def compose_rewards(
+    cfg: ScenarioConfig,
     region_rate_mean: np.ndarray,
     region_eta: np.ndarray,
     region_fairness: np.ndarray,
     region_uav: np.ndarray,
     region_qos: np.ndarray,
-    weights: RewardWeights,
-    norms: RewardNorms,
-    regions_per_hap: int,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Region rewards, then HAP means, then the satellite-level mean."""
+    """Region rewards, then HAP means, then the satellite-level mean.  Rates
+    are scaled by the one-subband rate at ``REFERENCE_SINR``, efficiency by
+    that of all subbands at it, keeping each term O(1)."""
+    weights, regions_per_hap = cfg.reward_weights, cfg.regions_per_hap
+    log_term = np.log2(1.0 + REFERENCE_SINR)
+    rate_norm = float(cfg.subband_bandwidth * log_term)
+    eff_norm = float(cfg.num_subbands * log_term)
     r_l = (
-        weights.w_rate * region_rate_mean / norms.rate_norm
-        + weights.w_eff * region_eta / norms.eff_norm
+        weights.w_rate * region_rate_mean / rate_norm
+        + weights.w_eff * region_eta / eff_norm
         + weights.w_fair * region_fairness
         + weights.w_uav * region_uav
-        + weights.w_qos * region_qos / norms.rate_norm
+        + weights.w_qos * region_qos / rate_norm
     )
     # sum / count is ndarray.mean bit for bit, without the wrapper overhead
     r_h = r_l.reshape(-1, regions_per_hap).sum(axis=1) / regions_per_hap
@@ -174,7 +162,7 @@ class StepMetrics:
 
 
 def served_user_rates(
-    cfg: ScenarioConfig, alloc: AllocationState, snap: ChannelSnapshot
+    topo: Topology, alloc: AllocationState, snap: ChannelSnapshot
 ) -> tuple[np.ndarray, np.ndarray]:
     """SINR (..., U, N) of each user on each subband from its serving node,
     zero where unserved, and the users' Shannon rates (..., U).
@@ -183,6 +171,7 @@ def served_user_rates(
     ``co_channel_interference``, leading candidate axes on those, the
     association and the interference carry through.
     """
+    cfg = topo.cfg
     # served[-1] holds the served users, served[:-1] their candidates
     served = np.nonzero(snap.association >= 0)
     rows = snap.association[served]
@@ -192,7 +181,7 @@ def served_user_rates(
     sinr_matrix[served] = sinr(
         snap.gains[rows, served[-1]][:, None],
         alloc.alpha[at] * active,
-        snap.tx_power_w[rows, None],
+        topo.tx_power_w[rows, None],
         snap.interference[served],
         cfg.noise_power_w,
     )
@@ -204,11 +193,10 @@ def compute_step_metrics(
     alloc: AllocationState,
     snap: ChannelSnapshot,
     tx_positions: np.ndarray,
-    norms: RewardNorms,
 ) -> StepMetrics:
     cfg = topo.cfg
     n_users = cfg.num_users
-    sinr_matrix, user_rates = served_user_rates(cfg, alloc, snap)
+    sinr_matrix, user_rates = served_user_rates(topo, alloc, snap)
 
     n_regions, k = cfg.num_regions, cfg.users_per_region
     rates = user_rates.reshape(n_regions, k)
@@ -224,14 +212,7 @@ def compute_step_metrics(
     )
 
     r_l, r_h, r_s = compose_rewards(
-        region_rate_mean,
-        region_eta,
-        region_fair,
-        region_uav,
-        region_qos,
-        cfg.reward_weights,
-        norms,
-        cfg.regions_per_hap,
+        cfg, region_rate_mean, region_eta, region_fair, region_uav, region_qos
     )
 
     total = user_rates.sum()

@@ -37,7 +37,7 @@ from specshare.agents import count_joint_candidates, slots_to_region
 from specshare.allocation import BUDGET_TOL, AllocationState, EnumerationCapError, LocalAction, Violation
 from specshare.channel import associate_users, co_channel_interference, link_gains
 from specshare.config import ScenarioConfig
-from specshare.metrics import StepMetrics, sinr, user_rate
+from specshare.metrics import REFERENCE_SINR, StepMetrics, sinr, user_rate
 from specshare.ppo import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -247,8 +247,11 @@ def uav_penalty_loop(positions: np.ndarray, bounds) -> float:
     return float(outside.mean())
 
 
-def step_metrics_loop(topo, alloc, snap, tx_positions, norms) -> StepMetrics:
+def step_metrics_loop(topo, alloc, snap, tx_positions) -> StepMetrics:
     cfg = topo.cfg
+    log_term = np.log2(1.0 + REFERENCE_SINR)
+    rate_norm = float(cfg.subband_bandwidth * log_term)
+    eff_norm = float(cfg.num_subbands * log_term)
     n_users, n_sub = cfg.num_users, cfg.num_subbands
     noise = cfg.noise_power_w
 
@@ -260,7 +263,7 @@ def step_metrics_loop(topo, alloc, snap, tx_positions, norms) -> StepMetrics:
         signal = (
             snap.gains[rows, served][:, None]
             * alloc.alpha[rows]
-            * snap.tx_power_w[rows, None]
+            * topo.tx_power_w[rows, None]
             * active
         )
         sinr_matrix[served] = signal / (snap.interference[served] + noise)
@@ -287,11 +290,11 @@ def step_metrics_loop(topo, alloc, snap, tx_positions, norms) -> StepMetrics:
         region_uav[region] = uav_penalty_loop(tx_positions[uav_rows], topo.region_bounds[region])
 
     r_l = (
-        cfg.reward_weights.w_rate * region_rate_mean / norms.rate_norm
-        + cfg.reward_weights.w_eff * region_eta / norms.eff_norm
+        cfg.reward_weights.w_rate * region_rate_mean / rate_norm
+        + cfg.reward_weights.w_eff * region_eta / eff_norm
         + cfg.reward_weights.w_fair * region_fair
         + cfg.reward_weights.w_uav * region_uav
-        + cfg.reward_weights.w_qos * region_qos / norms.rate_norm
+        + cfg.reward_weights.w_qos * region_qos / rate_norm
     )
     r_h = r_l.reshape(-1, cfg.regions_per_hap).mean(axis=1)
     r_s = float(r_h.mean())
@@ -485,9 +488,7 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
                 dp=np.zeros((cfg.num_transmitters, 2)),
             )
             assoc = associate_users(topo, gains, regional)
-            interference = co_channel_interference(
-                topo, gains, alloc, power, assoc, cfg.interference_scope
-            )
+            interference = co_channel_interference(topo, gains, alloc, assoc)
             rates = np.zeros(cfg.num_users)
             served = np.nonzero(assoc >= 0)[0]
             if served.size:

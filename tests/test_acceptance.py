@@ -15,13 +15,13 @@ import pytest
 
 from specshare.agents import evaluate, exhaustive_solve, make_agent, train
 from specshare.allocation import validate
-from specshare.channel import compute_snapshot, dbm_to_watts
+from specshare.channel import compute_snapshot
 from specshare.cli import main
 from specshare.config import PpoConfig, ScenarioConfig, load_config
 from specshare.env import SpectrumSharingEnv
-from specshare.metrics import RewardNorms, compute_step_metrics, jain_fairness
+from specshare.metrics import compute_step_metrics, jain_fairness
 from specshare.ppo import ActionSchema, PolicyNet, forward, gae, grad_check, loss_and_grads, sample_action
-from specshare.topology import TIER_UAV, build_topology
+from specshare.topology import TIER_UAV, build_topology, dbm_to_watts
 from topo_helpers import region_transmitter_rows
 
 DESK_CFG = Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
@@ -168,7 +168,6 @@ def test_criterion_2_metric_oracle_equivalence():
         cfg.seed = trial
         cfg.validate()
         topo = build_topology(cfg, np.random.default_rng(cfg.seed))
-        norms = RewardNorms.from_config(cfg)
         power = dbm_to_watts([n.tx_power_dbm for n in topo.transmitters()])
         w = cfg.reward_weights
 
@@ -194,7 +193,7 @@ def test_criterion_2_metric_oracle_equivalence():
         pos = np.stack([n.position for n in topo.transmitters()])
         pos[:, :2] += rng.normal(0, 250, size=(cfg.num_transmitters, 2))
         snap = compute_snapshot(topo, state, pos, rng=None)
-        got = compute_step_metrics(topo, state, snap, pos, norms)
+        got = compute_step_metrics(topo, state, snap, pos)
 
         # straight-line oracle: plain loops, no shared helpers
         per_band = cfg.total_bandwidth / cfg.num_subbands

@@ -16,7 +16,6 @@ from specshare.channel import (
     associate_users,
     co_channel_interference,
     compute_snapshot,
-    dbm_to_watts,
     gain_to_unit,
     link_gains,
     path_loss_db,
@@ -24,7 +23,7 @@ from specshare.channel import (
 )
 from specshare.config import ScenarioConfig, load_config
 from specshare.env import SpectrumSharingEnv
-from specshare.topology import build_topology
+from specshare.topology import build_topology, dbm_to_watts
 from topo_helpers import region_of_user
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -162,16 +161,17 @@ def topo_beam(cfg, region):
 def test_interference_matches_explicit_sum():
     # straight-line reference: sum over co-channel transmitters minus the
     # serving node, written with plain loops
-    cfg = _desk_cfg()
-    topo = build_topology(cfg, np.random.default_rng(1))
     rng = np.random.default_rng(5)
-    power = dbm_to_watts([n.tx_power_dbm for n in topo.transmitters()])
     for scope in ("global", "region"):
+        cfg = _desk_cfg()
+        cfg.interference_scope = scope
+        topo = build_topology(cfg, np.random.default_rng(1))
+        power = dbm_to_watts([n.tx_power_dbm for n in topo.transmitters()])
         for _ in range(20):
             state = _random_state(cfg, rng)
             gains = 10 ** rng.uniform(-12, -6, size=(cfg.num_transmitters, cfg.num_users))
             assoc = associate_users(topo, gains, state.regional)
-            got = co_channel_interference(topo, gains, state, power, assoc, scope)
+            got = co_channel_interference(topo, gains, state, assoc)
             want = np.zeros((cfg.num_users, cfg.num_subbands))
             for u in range(cfg.num_users):
                 for n in range(cfg.num_subbands):
@@ -197,7 +197,6 @@ def test_snapshot_accepts_precomputed_gains():
     assert np.array_equal(replay.gains, snap.gains)
     assert np.array_equal(replay.association, snap.association)
     assert np.array_equal(replay.interference, snap.interference)
-    assert np.array_equal(replay.tx_power_w, snap.tx_power_w)
 
 
 # -- the interference product in user chunks --------------------------------------

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshare.agents import evaluate, make_agent
 from specshare.cli import BENCHMARK_COLUMNS, STEPS_COLUMNS, SWEEP_COLUMNS, TRAIN_LOG_COLUMNS, main
@@ -259,6 +261,36 @@ def test_replay_names_a_field_missing_from_a_step_and_its_line(tmp_path, caplog,
     assert f"line 8 has no '{field}' field" in caplog.text
 
 
+def _drop(table: str, key: str):
+    return lambda step: step[table].pop(key)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda step: step.update(allocation=[1]), "has a non-object 'allocation' field"),
+        *[
+            (_drop("allocation", key), f"has no '{key}' in its 'allocation'")
+            for key in ("global", "regional", "beta", "alpha", "dp")
+        ],
+        (lambda step: step.update(metrics=3.0), "has a non-object 'metrics' field"),
+        (lambda step: step["metrics"].update(bogus=1.0), "has an unknown metric 'bogus'"),
+    ],
+    ids=[
+        "allocation-not-an-object",
+        *[f"allocation-without-{key}" for key in ("global", "regional", "beta", "alpha", "dp")],
+        "metrics-not-an-object",
+        "unknown-metric",
+    ],
+)
+def test_replay_names_a_malformed_allocation_or_metrics_and_its_line(tmp_path, caplog, edit, message):
+    trace, lines = _tiny_trace(tmp_path)
+    edit(lines[7])  # 1-based trace line 8
+    _write_trace(trace, lines)
+    assert main(["replay", "--trace", str(trace)]) == 1
+    assert f"malformed trace: line 8 {message}" in caplog.text
+
+
 @pytest.mark.parametrize("episode", [0, 1])
 def test_replay_names_a_header_without_a_config(tmp_path, caplog, episode):
     trace, lines = _tiny_trace(tmp_path, episodes=2)
@@ -294,6 +326,50 @@ def test_replay_reads_an_integral_float_in_the_header_as_the_file_reader_does(tm
     _write_trace(trace, lines)
     assert main(["replay", "--trace", str(trace)]) == 0
     assert "max absolute deviation 0.0" in capsys.readouterr().out
+
+
+def test_random_small_scenarios_replay_with_zero_deviation(tmp_path_factory, capsys):
+    # a random agent's trace on a drawn scenario recomputes with no deviation
+    # at all: replay runs the env's channel, metrics and reward code again
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(
+        topology=st.fixed_dictionaries({
+            "beams": st.integers(1, 2),
+            "haps_per_beam": st.integers(1, 2),
+            "regions_per_hap": st.integers(1, 2),
+            "uavs_per_region": st.integers(1, 2),
+            "users_per_region": st.integers(1, 5),
+        }),
+        radio=st.fixed_dictionaries({
+            "num_subbands": st.integers(2, 4),
+            "interference_scope": st.sampled_from(["global", "region"]),
+            "fading_frozen": st.booleans(),
+        }),
+        run=st.fixed_dictionaries({
+            "steps_per_episode": st.integers(3, 6),
+            "decision_intervals": st.sampled_from(["1, 1, 1", "2, 1, 1", "2, 2, 1"]),
+            "seed": st.integers(0, 999),
+        }),
+        episodes=st.integers(1, 2),
+    )
+    def replays(topology, radio, run, episodes):
+        out = tmp_path_factory.mktemp("replay")
+        sections = {"topology": topology, "radio": radio, "run": run}
+        cfg_path = out / "c.cfg"
+        cfg_path.write_text("".join(
+            f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in table.items())
+            for name, table in sections.items()
+        ))
+        trace = out / "trace.jsonl"
+        assert main([
+            "evaluate", "--config", str(cfg_path), "--algo", "random", "--episodes", str(episodes),
+            "--out", str(out / "e"), "--trace", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(trace)]) == 0
+        assert "max absolute deviation 0.0" in capsys.readouterr().out
+
+    replays()
 
 
 def test_replay_rejects_empty_and_malformed_traces(tmp_path, caplog):

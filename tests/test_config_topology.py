@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specshare import config
@@ -261,6 +261,27 @@ def _not_a_number(word: str) -> bool:
 
 _BOOL_WORDS = ("true", "yes", "on", "1", "false", "no", "off", "0")
 _WORDS = st.text(string.ascii_lowercase, max_size=8)
+# every number must be finite: as text (a config file) and as floats (JSON
+# decodes NaN and Infinity)
+_NON_FINITE = ("nan", "inf", "-inf", float("nan"), float("inf"), float("-inf"))
+
+
+def _non_finite_examples(default):
+    """Explicit examples for ``_wrong_kind``: each non-finite value as a
+    float field, or as the first element of a tuple field."""
+
+    def apply(test):
+        if isinstance(default, float):
+            values = _NON_FINITE
+        elif isinstance(default, list):
+            values = [[bad] + default[1:] for bad in _NON_FINITE]
+        else:
+            values = ()
+        for bad in values:
+            test = example(bad=bad)(test)
+        return test
+
+    return apply
 
 
 def _wrong_kind(default):
@@ -276,7 +297,7 @@ def _wrong_kind(default):
             st.floats().filter(lambda x: not x.is_integer()), _WORDS.filter(_not_a_number), st.booleans()
         )
     if isinstance(default, float):
-        return st.one_of(_WORDS.filter(_not_a_number), st.booleans())
+        return st.one_of(st.sampled_from(_NON_FINITE), _WORDS.filter(_not_a_number), st.booleans())
     if isinstance(default, list):
         return st.lists(st.integers(1, 100), max_size=5).filter(lambda v: len(v) != len(default))
     assert isinstance(default, str)
@@ -297,6 +318,7 @@ def test_every_field_refuses_a_value_of_the_wrong_kind(table, key, default, tmp_
 
     @settings(derandomize=True, deadline=None, max_examples=15)
     @given(bad=_wrong_kind(default))
+    @_non_finite_examples(default)
     def refused(bad):
         data = ScenarioConfig().to_dict()
         (data[table] if table else data)[key] = bad

@@ -6,7 +6,7 @@ import pytest
 from specshare.allocation import AllocationState, validate
 from specshare.config import ScenarioConfig, config_from_dict
 from specshare.env import ScheduleError, SpectrumSharingEnv, episode_summary
-from specshare.metrics import RewardNorms, compute_step_metrics
+from specshare.metrics import compute_step_metrics
 from specshare.channel import compute_snapshot
 from specshare.topology import build_topology
 from topo_helpers import beam_of_region
@@ -301,13 +301,12 @@ def test_trace_file_structure_and_replayability(tmp_path):
     # recompute one step's metrics from the traced state alone
     traced_cfg = config_from_dict(header["config"])
     topo = build_topology(traced_cfg, np.random.default_rng(traced_cfg.seed))
-    norms = RewardNorms.from_config(traced_cfg)
     step = steps[3]
     alloc = AllocationState.from_dict(step["allocation"])
     pos = np.asarray(step["tx_positions"])
     gains = np.asarray(step["gains"])
     snap = compute_snapshot(topo, alloc, pos, gains=gains)
-    metrics = compute_step_metrics(topo, alloc, snap, pos, norms)
+    metrics = compute_step_metrics(topo, alloc, snap, pos)
     for key, value in metrics.to_dict().items():
         traced = step["metrics"][key]
         assert np.allclose(traced, value, rtol=1e-12, atol=1e-12), key

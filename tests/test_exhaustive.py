@@ -136,9 +136,9 @@ def test_agent_solves_at_every_regional_epoch(monkeypatch):
     cfg = _with(load_config(DESK_CFG), steps_per_episode=25, decision_intervals=[10, 5, 1])
     solves = []
 
-    def counting_solve(c, **prepared):
-        solves.append(c)
-        return exhaustive_solve(c, **prepared)
+    def counting_solve(*args, **prepared):
+        solves.append(prepared)
+        return exhaustive_solve(*args, **prepared)
 
     monkeypatch.setattr(specshare.agents, "exhaustive_solve", counting_solve)
     env = SpectrumSharingEnv(cfg)

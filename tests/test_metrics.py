@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from specshare.allocation import AllocationState
-from specshare.channel import compute_snapshot, dbm_to_watts
+from specshare.channel import compute_snapshot
 from specshare.config import RewardWeights, ScenarioConfig
 from specshare.metrics import (
-    RewardNorms,
     compose_rewards,
     compute_step_metrics,
     jain_fairness,
@@ -15,7 +14,7 @@ from specshare.metrics import (
     uav_penalty,
     user_rate,
 )
-from specshare.topology import TIER_UAV, build_topology
+from specshare.topology import TIER_UAV, build_topology, dbm_to_watts
 from topo_helpers import region_transmitter_rows
 
 LOG2_101 = 6.658211482751795
@@ -81,37 +80,47 @@ def test_uav_penalty_boundary_is_inside():
     assert uav_penalty(np.zeros((0, 3)), bounds) == 0.0
 
 
+def _reward_scales(cfg):
+    """The one-subband rate and the all-subband efficiency at SINR 100."""
+    return cfg.subband_bandwidth * LOG2_101, cfg.num_subbands * LOG2_101
+
+
 def test_reward_norms_from_default_config():
-    norms = RewardNorms.from_config(ScenarioConfig())
-    assert norms.rate_norm == pytest.approx(20e6 * LOG2_101, rel=1e-12)
-    assert norms.eff_norm == pytest.approx(10 * LOG2_101, rel=1e-12)
+    # a region at the reference rate (or efficiency, or QoS shortfall) scores
+    # its weight: the default config's scales are 20 MHz and 10 subbands
+    # times log2(101)
+    cfg = ScenarioConfig()
+    zeros = np.zeros(cfg.num_regions)
+    full = np.ones(cfg.num_regions)
+    w = cfg.reward_weights
+    r_l, _, _ = compose_rewards(cfg, full * 20e6 * LOG2_101, zeros, zeros, zeros, zeros)
+    assert r_l == pytest.approx(w.w_rate * full, rel=1e-12)
+    r_l, _, _ = compose_rewards(cfg, zeros, full * 10 * LOG2_101, zeros, zeros, zeros)
+    assert r_l == pytest.approx(w.w_eff * full, rel=1e-12)
+    r_l, _, _ = compose_rewards(cfg, zeros, zeros, zeros, zeros, full * 20e6 * LOG2_101)
+    assert r_l == pytest.approx(w.w_qos * full, rel=1e-12)
 
 
 def test_zero_network_earns_only_the_fairness_term():
     cfg = ScenarioConfig()
-    norms = RewardNorms.from_config(cfg)
     zeros = np.zeros(cfg.num_regions)
-    r_l, r_h, r_s = compose_rewards(
-        zeros, zeros, np.ones(cfg.num_regions), zeros, zeros,
-        cfg.reward_weights, norms, cfg.regions_per_hap,
-    )
+    r_l, r_h, r_s = compose_rewards(cfg, zeros, zeros, np.ones(cfg.num_regions), zeros, zeros)
     assert np.allclose(r_l, 0.5)  # w_fair * 1 with default weights
     assert np.allclose(r_h, 0.5)
     assert r_s == pytest.approx(0.5)
 
 
 def test_reward_composition_hand_example():
-    norms = RewardNorms(rate_norm=100.0, eff_norm=10.0)
     weights = RewardWeights(w_rate=1.0, w_eff=1.5, w_fair=0.5, w_uav=-1.0, w_qos=-0.5)
+    cfg = ScenarioConfig(beams=2, regions_per_hap=1, reward_weights=weights)
+    rate_norm, eff_norm = _reward_scales(cfg)
     r_l, r_h, r_s = compose_rewards(
-        region_rate_mean=np.array([200.0, 0.0]),
-        region_eta=np.array([20.0, 0.0]),
+        cfg,
+        region_rate_mean=np.array([2.0, 0.0]) * rate_norm,
+        region_eta=np.array([2.0, 0.0]) * eff_norm,
         region_fairness=np.array([0.8, 1.0]),
         region_uav=np.array([0.0, 1.0]),
-        region_qos=np.array([0.0, 50.0]),
-        weights=weights,
-        norms=norms,
-        regions_per_hap=1,
+        region_qos=np.array([0.0, 0.5]) * rate_norm,
     )
     # region 0: 1*2 + 1.5*2 + 0.5*0.8 = 5.4; region 1: 0.5 - 1 - 0.25 = -0.75
     assert r_l == pytest.approx([5.4, -0.75], rel=1e-12)
@@ -120,11 +129,11 @@ def test_reward_composition_hand_example():
 
 
 def test_hap_reward_averages_its_regions():
-    norms = RewardNorms(rate_norm=1.0, eff_norm=1.0)
     weights = RewardWeights(w_rate=1.0, w_eff=0.0, w_fair=0.0, w_uav=0.0, w_qos=0.0)
+    cfg = ScenarioConfig(beams=2, regions_per_hap=2, reward_weights=weights)
+    rate_norm, _ = _reward_scales(cfg)
     r_l, r_h, r_s = compose_rewards(
-        np.array([1.0, 3.0, 5.0, 7.0]), np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4),
-        weights, norms, regions_per_hap=2,
+        cfg, np.array([1.0, 3.0, 5.0, 7.0]) * rate_norm, np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4)
     )
     assert r_h == pytest.approx([2.0, 6.0])
     assert r_s == pytest.approx(4.0)
@@ -168,7 +177,7 @@ def test_step_metrics_match_straight_line_reference():
     cfg = _desk_cfg()
     topo = build_topology(cfg, np.random.default_rng(2))
     tx_pos = np.stack([n.position for n in topo.transmitters()])
-    norms = RewardNorms.from_config(cfg)
+    rate_norm, eff_norm = _reward_scales(cfg)
     power = dbm_to_watts([n.tx_power_dbm for n in topo.transmitters()])
     w = cfg.reward_weights
     rng = np.random.default_rng(11)
@@ -178,7 +187,7 @@ def test_step_metrics_match_straight_line_reference():
         pos = tx_pos.copy()
         pos[:, :2] += rng.normal(0, 300, size=(cfg.num_transmitters, 2))
         snap = compute_snapshot(topo, state, pos, rng=None)
-        got = compute_step_metrics(topo, state, snap, pos, norms)
+        got = compute_step_metrics(topo, state, snap, pos)
 
         per_band = cfg.total_bandwidth / cfg.num_subbands
         rates = np.zeros(cfg.num_users)
@@ -211,11 +220,11 @@ def test_step_metrics_match_straight_line_reference():
             ]
             uav_r = float(np.mean(out)) if out else 0.0
             exp_r_l[region] = (
-                w.w_rate * rr.mean() / norms.rate_norm
-                + w.w_eff * eta_r / norms.eff_norm
+                w.w_rate * rr.mean() / rate_norm
+                + w.w_eff * eta_r / eff_norm
                 + w.w_fair * fair_r
                 + w.w_uav * uav_r
-                + w.w_qos * qos_r / norms.rate_norm
+                + w.w_qos * qos_r / rate_norm
             )
             assert got.region_eta[region] == pytest.approx(eta_r, rel=1e-12, abs=1e-15)
             assert got.region_fairness[region] == pytest.approx(fair_r, rel=1e-12)
@@ -236,7 +245,6 @@ def test_spectrum_utilization_counts_active_over_granted():
     cfg = _desk_cfg()
     topo = build_topology(cfg, np.random.default_rng(2))
     tx_pos = np.stack([n.position for n in topo.transmitters()])
-    norms = RewardNorms.from_config(cfg)
     state = AllocationState.zeros(cfg)
     state.global_alloc[0, :2] = 1
     state.regional[0, 0] = 1
@@ -244,5 +252,5 @@ def test_spectrum_utilization_counts_active_over_granted():
     state.beta[0, 0] = 1  # one of the two granted pairs is actually radiating
     state.alpha[0, 0] = 0.5
     snap = compute_snapshot(topo, state, tx_pos, rng=None)
-    got = compute_step_metrics(topo, state, snap, tx_pos, norms)
+    got = compute_step_metrics(topo, state, snap, tx_pos)
     assert got.spectrum_utilization == pytest.approx(0.5)

@@ -107,16 +107,14 @@ def _check_step(env, obs, bundle, rng):
     assert _same_bits(snap.association, associate_users_loop(topo, snap.gains, state.alloc.regional))
     assert _same_bits(associate_users(topo, snap.gains, state.alloc.regional), snap.association)
     want = interference_loop(
-        topo, snap.gains, state.alloc, snap.tx_power_w, snap.association, cfg.interference_scope
+        topo, snap.gains, state.alloc, topo.tx_power_w, snap.association, cfg.interference_scope
     )
     assert _same_bits(snap.interference, want)
-    got = co_channel_interference(
-        topo, snap.gains, state.alloc, snap.tx_power_w, snap.association, cfg.interference_scope
-    )
+    got = co_channel_interference(topo, snap.gains, state.alloc, snap.association)
     assert _same_bits(got, want)
 
     # metrics
-    want_m = step_metrics_loop(topo, state.alloc, snap, state.tx_positions, env.norms)
+    want_m = step_metrics_loop(topo, state.alloc, snap, state.tx_positions)
     for f in dataclasses.fields(want_m):
         assert _same_bits(getattr(state.metrics, f.name), getattr(want_m, f.name)), f.name
 
