@@ -31,8 +31,11 @@ separate PPO per region every step; the flat baseline runs one network
 over the concatenated observation every step.  Every agent hands the env
 its regional action as one ``(num_regions, nodes, N)`` array.
 
-The exhaustive search scores candidates through the env's own channel and
-rate code, reading the scenario from the topology it searches.
+The exhaustive search scores each distinct joint allocation once (a
+subband granted to a beam but used by none of its nodes is the idle
+subband) through the env's own channel and rate code, reading the scenario
+from the topology it searches, and returns the optimum of the whole joint
+space.
 """
 
 from __future__ import annotations
@@ -205,28 +208,32 @@ class RandomAgent:
         pass
 
 
-# joint candidates scored per batched pass of exhaustive_solve; bounds its
-# working memory whatever the search space
+# distinct joint allocations scored per batched pass of exhaustive_solve;
+# bounds its working memory whatever the search space
 EXHAUSTIVE_CHUNK = 256
 
 
 def _subband_states(cfg: ScenarioConfig) -> tuple[int, int]:
-    """A subband's states in the joint search (idle, or a beam with a node
-    digit, 0 = unused, per region of the beam), and how many are per beam."""
+    """How many node digit combinations (a digit per region of the beam,
+    0 = unused) a beam has, and how many distinct states a subband has in the
+    joint search: idle, or a beam with a combination that uses a node.  A
+    beam granted to no node leaves the subband's regional column idle."""
     per_beam = (cfg.nodes_per_region + 1) ** (cfg.haps_per_beam * cfg.regions_per_hap)
-    return 1 + cfg.beams * per_beam, per_beam
+    return per_beam, 1 + cfg.beams * (per_beam - 1)
 
 
 def count_joint_candidates(cfg: ScenarioConfig) -> int:
-    """Exact size of the joint global x regional discrete search space."""
-    return _subband_states(cfg)[0] ** cfg.num_subbands
+    """Exact size of the joint global x regional discrete search space: per
+    subband, idle or a beam with any node digits."""
+    return (1 + cfg.beams * _subband_states(cfg)[0]) ** cfg.num_subbands
 
 
 class JointSearch:
     """What every exhaustive solve of one scenario shares: the topology,
     which alone records the scenario, the frozen gains at the transmitters'
-    home positions, and each subband state's regional column.  Raises what
-    ``exhaustive_solve`` raises for a scenario it cannot solve."""
+    home positions, and each distinct subband state's regional column and
+    grant.  Raises what ``exhaustive_solve`` raises for a scenario it cannot
+    solve."""
 
     def __init__(self, topo: Topology):
         cfg = topo.cfg
@@ -241,21 +248,24 @@ class JointSearch:
         home = np.stack([nd.position for nd in topo.transmitters()])
         self.gains = link_gains(topo, home, rng=None)
         m = cfg.nodes_per_region
-        self.states, self.per_beam = _subband_states(cfg)
+        per_beam, self.states = _subband_states(cfg)
         regions_per_beam = cfg.haps_per_beam * cfg.regions_per_hap
-        # (states, T) regional column of each subband state: idle, then each
-        # beam's states, one node digit per region of the beam (the first
-        # region least significant), picking rows of the beam's contiguous block
+        # (states, T) regional column of each distinct subband state: idle,
+        # then each beam's node digit combinations but the all-unused one (the
+        # first region's digit least significant), picking rows of the beam's
+        # contiguous block; grant is the state's beam + 1, 0 = idle
         region_place = (m + 1) ** np.arange(regions_per_beam)
-        node_digits = np.arange(self.per_beam)[:, None] // region_place % (m + 1)  # (per_beam, regions)
-        beam_block = slots_to_region(node_digits, m).transpose(0, 2, 1).reshape(self.per_beam, -1)
+        node_digits = np.arange(1, per_beam)[:, None] // region_place % (m + 1)  # (per_beam - 1, regions)
+        beam_block = slots_to_region(node_digits, m).transpose(0, 2, 1).reshape(per_beam - 1, -1)
         idle = np.zeros((1, cfg.num_transmitters), dtype=np.int8)
         self.columns = np.concatenate([idle, np.kron(np.eye(cfg.beams, dtype=np.int8), beam_block)])
+        self.grant = np.repeat(np.arange(cfg.beams + 1), [1] + [per_beam - 1] * cfg.beams)
         self.place = self.states ** np.arange(cfg.num_subbands)
+        self.scored = self.states**cfg.num_subbands
 
     def decode(self, idx):
         """Subband states (C, N), and the regional and alpha (C, T, N) of
-        candidates ``idx``."""
+        distinct candidates ``idx``."""
         digits = idx[:, None] // self.place % self.states
         regional = np.ascontiguousarray(self.columns[digits].transpose(0, 2, 1))
         counts = regional.sum(axis=-1, keepdims=True)
@@ -264,7 +274,7 @@ class JointSearch:
 
 
 def exhaustive_solve(cfg: ScenarioConfig | None = None, *, search: JointSearch | None = None) -> dict:
-    """Enumerate every joint (global, regional) allocation under frozen fading.
+    """Find the best joint (global, regional) allocation under frozen fading.
 
     Local actions are fixed to a heuristic: full access on granted subbands,
     equal power split, no movement; the best candidate's local action is
@@ -273,24 +283,28 @@ def exhaustive_solve(cfg: ScenarioConfig | None = None, *, search: JointSearch |
     (global digit per subband, then node digits region-major, subband
     ascending).  Requires fading_frozen.
 
-    Candidate ``c`` is a mixed-radix number with one digit per subband (the
-    first subband least significant), the subband's state
-    (``_subband_states``); chunks of ``EXHAUSTIVE_CHUNK`` candidates go
-    through association, interference and rates at once.  ``search`` is a
-    scenario prepared once (``JointSearch``), and the solve reads the
-    scenario from its topology; without it the topology is built from
-    ``cfg`` and ``cfg.seed``.
+    Every distinct joint allocation is scored once.  A subband granted to a
+    beam but used by none of its nodes scores as the idle subband, whose key
+    is lower, so such candidates can never win and are not enumerated: the
+    optimum is that of the whole joint space, whose size is returned under
+    "candidates".  Scored candidate ``c`` is a mixed-radix number with one
+    digit per subband (the first subband least significant), the subband's
+    distinct state (``_subband_states``); chunks of ``EXHAUSTIVE_CHUNK``
+    candidates go through association, interference and rates at once.
+    ``search`` is a scenario prepared once (``JointSearch``), and the solve
+    reads the scenario from its topology; without it the topology is built
+    from ``cfg`` and ``cfg.seed``.
     """
     if search is None:
         search = JointSearch(build_topology(cfg, np.random.default_rng(cfg.seed)))
-    topo, gains, total = search.topo, search.gains, search.total
+    topo, gains, scored = search.topo, search.gains, search.scored
     cfg = topo.cfg
     n, m = cfg.num_subbands, cfg.nodes_per_region
 
-    eta = np.empty(total)
-    fairness = np.empty(total)
-    for start in range(0, total, EXHAUSTIVE_CHUNK):
-        idx = np.arange(start, min(start + EXHAUSTIVE_CHUNK, total))
+    eta = np.empty(scored)
+    fairness = np.empty(scored)
+    for start in range(0, scored, EXHAUSTIVE_CHUNK):
+        idx = np.arange(start, min(start + EXHAUSTIVE_CHUNK, scored))
         _, regional, alpha = search.decode(idx)
         # the channel and rate code read only the link fields; beta is the grant
         alloc = AllocationState(
@@ -305,7 +319,7 @@ def exhaustive_solve(cfg: ScenarioConfig | None = None, *, search: JointSearch |
     tied = np.flatnonzero(eta == eta.max())
     tied = tied[fairness[tied] == fairness[tied].max()]
     digits, regional, alpha = search.decode(tied)
-    grant = np.where(digits == 0, 0, 1 + (digits - 1) // search.per_beam)  # beam + 1, 0 = idle
+    grant = search.grant[digits]  # beam + 1, 0 = idle
     # node digit (0 = unused) of each (region, subband), region-major
     picks = regional.reshape(len(tied), cfg.num_regions, m, n) * np.arange(1, m + 1)[:, None]
     keys = np.concatenate([grant, picks.sum(axis=2).reshape(len(tied), -1)], axis=1)
@@ -317,7 +331,7 @@ def exhaustive_solve(cfg: ScenarioConfig | None = None, *, search: JointSearch |
         "global": slots_to_region(grant[win], cfg.beams),
         "regional": regional.reshape(cfg.num_regions, m, n),
         "local": {"beta": regional, "alpha": alpha, "dp": np.zeros((cfg.num_transmitters, 2))},
-        "candidates": total,
+        "candidates": search.total,
     }
 
 

@@ -391,6 +391,30 @@ def _unreadable(ln: dict) -> str | None:
     return None
 
 
+def _misshapen(ln: dict, cfg: ScenarioConfig) -> str | None:
+    """Which array of step line ``ln`` does not read with the dtype and shape
+    ``cfg`` implies, or None."""
+    t, n = cfg.num_transmitters, cfg.num_subbands
+    arrays = {
+        "allocation.global": (np.int8, (cfg.beams, n)),
+        "allocation.regional": (np.int8, (t, n)),
+        "allocation.beta": (np.int8, (t, n)),
+        "allocation.alpha": (float, (t, n)),
+        "allocation.dp": (float, (t, 2)),
+        "tx_positions": (float, (t, 3)),
+        "gains": (float, (t, cfg.num_users)),
+    }
+    for field, (dtype, shape) in arrays.items():
+        table, _, key = field.rpartition(".")
+        try:
+            got = np.asarray(ln[table][key] if table else ln[key], dtype=dtype).shape
+        except (TypeError, ValueError, OverflowError) as exc:
+            return f"has an unreadable {field!r}: {exc}"
+        if got != shape:
+            return f"has {field!r} of shape {got}, expected {shape}"
+    return None
+
+
 def cmd_replay(args) -> int:
     path = Path(args.trace)
     try:
@@ -434,6 +458,10 @@ def cmd_replay(args) -> int:
     worst_line = None
     worst_field = None
     for line_no, entry in steps:
+        problem = _misshapen(entry, cfg)
+        if problem:
+            log.error("malformed trace: line %d %s", line_no, problem)
+            return 1
         alloc = AllocationState.from_dict(entry["allocation"])
         tx_positions = np.asarray(entry["tx_positions"], dtype=float)
         gains = np.asarray(entry["gains"], dtype=float)
@@ -444,9 +472,21 @@ def cmd_replay(args) -> int:
             if field not in recomputed:
                 log.error("malformed trace: line %d has an unknown metric %r", line_no, field)
                 return 1
-            a = np.asarray(value, dtype=float)
             b = np.asarray(recomputed[field], dtype=float)
+            try:
+                a = np.asarray(value, dtype=float)
+            except (TypeError, ValueError) as exc:
+                log.error("malformed trace: line %d has an unreadable metric %r: %s", line_no, field, exc)
+                return 1
+            if a.shape != b.shape:
+                log.error(
+                    "malformed trace: line %d has metric %r of shape %s, expected %s",
+                    line_no, field, a.shape, b.shape,
+                )
+                return 1
             dev = float(np.max(np.abs(a - b))) if a.size else 0.0
+            if np.isnan(dev):
+                dev = np.inf  # a NaN on either side counts as the largest deviation
             if dev > worst:
                 worst, worst_line, worst_field = dev, line_no, field
     print(f"replayed {len(steps)} steps; max absolute deviation {worst}")

@@ -275,12 +275,52 @@ def _drop(table: str, key: str):
         ],
         (lambda step: step.update(metrics=3.0), "has a non-object 'metrics' field"),
         (lambda step: step["metrics"].update(bogus=1.0), "has an unknown metric 'bogus'"),
+        # the tiny config has 6 transmitters, 8 users and 4 subbands
+        (
+            lambda step: step["allocation"].update(alpha=[[1.0]]),
+            "has 'allocation.alpha' of shape (1, 1), expected (6, 4)",
+        ),
+        (
+            lambda step: step["allocation"].__setitem__("global", [[0, 1, 0, 1]]),
+            "has 'allocation.global' of shape (1, 4), expected (2, 4)",
+        ),
+        (
+            lambda step: step["allocation"]["regional"][2].pop(),
+            "has an unreadable 'allocation.regional'",
+        ),
+        (
+            lambda step: step["allocation"]["beta"][0].__setitem__(0, float("nan")),
+            "has an unreadable 'allocation.beta'",
+        ),
+        (
+            lambda step: step.update(tx_positions=step["tx_positions"][:1]),
+            "has 'tx_positions' of shape (1, 3), expected (6, 3)",
+        ),
+        (
+            lambda step: step.update(gains=np.transpose(step["gains"]).tolist()),
+            "has 'gains' of shape (8, 6), expected (6, 8)",
+        ),
+        (
+            lambda step: step["metrics"]["region_eta"].append(0.0),
+            "has metric 'region_eta' of shape (3,), expected (2,)",
+        ),
+        (lambda step: step["metrics"].update(eta=[1.0, 2.0]), "has metric 'eta' of shape (2,), expected ()"),
+        (lambda step: step["metrics"].update(eta="high"), "has an unreadable metric 'eta'"),
     ],
     ids=[
         "allocation-not-an-object",
         *[f"allocation-without-{key}" for key in ("global", "regional", "beta", "alpha", "dp")],
         "metrics-not-an-object",
         "unknown-metric",
+        "alpha-wrong-shape",
+        "global-wrong-shape",
+        "regional-ragged",
+        "beta-nan",
+        "tx-positions-one-row",
+        "gains-transposed",
+        "region-metric-too-long",
+        "scalar-metric-as-a-list",
+        "metric-not-a-number",
     ],
 )
 def test_replay_names_a_malformed_allocation_or_metrics_and_its_line(tmp_path, caplog, edit, message):
@@ -289,6 +329,26 @@ def test_replay_names_a_malformed_allocation_or_metrics_and_its_line(tmp_path, c
     _write_trace(trace, lines)
     assert main(["replay", "--trace", str(trace)]) == 1
     assert f"malformed trace: line 8 {message}" in caplog.text
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda step: step["metrics"].update(eta=float("nan")), "eta"),
+        (lambda step: step.update(gains=np.full(np.shape(step["gains"]), np.nan).tolist()), None),
+    ],
+    ids=["nan-eta", "nan-gains"],
+)
+def test_replay_counts_a_nan_as_a_deviation(tmp_path, capsys, edit, field):
+    trace, lines = _tiny_trace(tmp_path)
+    edit(lines[7])  # 1-based trace line 8
+    _write_trace(trace, lines)
+    assert main(["replay", "--trace", str(trace)]) == 1
+    printed = capsys.readouterr().out
+    assert "max absolute deviation inf" in printed
+    assert "largest deviation at trace line 8, field " in printed
+    if field:
+        assert f"field {field!r}" in printed
 
 
 @pytest.mark.parametrize("episode", [0, 1])

@@ -1,8 +1,8 @@
 """The batched exhaustive search must pick the loop oracle's optimum bit for bit.
 
-``exhaustive_solve`` scores every joint candidate in chunks of array work;
-``reference_loops.exhaustive_solve_loop`` walks the same candidates one at
-a time.  Both must return the same eta and fairness (the same floats), the
+``exhaustive_solve`` scores every distinct joint candidate in chunks of
+array work; ``reference_loops.exhaustive_solve_loop`` walks the whole joint
+space one candidate at a time.  Both must return the same eta and fairness (the same floats), the
 same global, regional and local arrays (dtype, shape and bytes) and the
 same candidate count.  Exact ties in eta and fairness are common (the
 subbands are interchangeable under frozen fading), so these cases also pin
@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 import specshare.agents
 from reference_loops import exhaustive_solve_loop
-from specshare.agents import count_joint_candidates, exhaustive_solve, make_agent
+from specshare.agents import JointSearch, count_joint_candidates, exhaustive_solve, make_agent
 from specshare.config import ScenarioConfig, config_from_dict, load_config
 from specshare.env import SpectrumSharingEnv
+from specshare.topology import build_topology
 from test_acceptance import DESK_CFG, _fuzz_configs
 
 # the loop oracle costs about 0.1 ms per candidate
@@ -130,6 +131,70 @@ def test_batched_solve_equals_loop_on_tiny_scenarios(
     )
     assume(count_joint_candidates(cfg) <= ORACLE_CANDIDATES)
     _assert_same_solution(exhaustive_solve(cfg), exhaustive_solve_loop(cfg))
+
+
+def _full_subband_states(topo) -> list[tuple[int, tuple, bytes]]:
+    """Every subband state of the joint space in enumeration order: idle,
+    then per beam every node digit combination over the beam's regions (the
+    first region least significant), as (grant, node digits, regional column)."""
+    cfg = topo.cfg
+    m = cfg.nodes_per_region
+    idle = np.zeros(cfg.num_transmitters, dtype=np.int8)
+    states = [(0, (), idle.tobytes())]
+    for beam in range(cfg.beams):
+        regions = [r for r in range(cfg.num_regions) if topo.region_beam[r] == beam]
+        for combo in range((m + 1) ** len(regions)):
+            digits = tuple(combo // (m + 1) ** i % (m + 1) for i in range(len(regions)))
+            column = idle.copy()
+            for region, digit in zip(regions, digits):
+                if digit:
+                    column[region * m + digit - 1] = 1
+            states.append((beam + 1, digits, column.tobytes()))
+    return states
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    beams=st.integers(1, 2),
+    haps_per_beam=st.integers(1, 2),
+    regions_per_hap=st.integers(1, 2),
+    uavs_per_region=st.integers(1, 2),
+    num_subbands=st.integers(1, 3),
+    seed=st.integers(0, 999),
+)
+def test_search_scores_each_distinct_subband_state_once(
+    beams, haps_per_beam, regions_per_hap, uavs_per_region, num_subbands, seed
+):
+    # a subband granted to a beam whose nodes all leave it unused has the
+    # idle column, so it scores as idle; every other state is scored once
+    cfg = _with(
+        ScenarioConfig(),
+        beams=beams,
+        haps_per_beam=haps_per_beam,
+        regions_per_hap=regions_per_hap,
+        uavs_per_region=uavs_per_region,
+        users_per_region=1,
+        num_subbands=num_subbands,
+        fading_frozen=True,
+        seed=seed,
+    )
+    full_count = count_joint_candidates(cfg)
+    cfg = _with(cfg, exhaustive_cap=full_count)
+    topo = build_topology(cfg, np.random.default_rng(cfg.seed))
+    search = JointSearch(topo)
+    full = _full_subband_states(topo)
+    idle = full[0][2]
+    dropped = [s for s in full if s[0] and not any(s[1])]
+    kept = [s for s in full if not (s[0] and not any(s[1]))]
+    assert len(dropped) == beams
+    assert all(column == idle for _, _, column in dropped)
+    assert [column for _, _, column in kept] == [c.tobytes() for c in search.columns]
+    assert len({column for _, _, column in kept}) == len(kept)
+    assert search.grant.tolist() == [grant for grant, _, _ in kept]
+    per_beam = (cfg.nodes_per_region + 1) ** (haps_per_beam * regions_per_hap)
+    assert search.states == len(kept) == 1 + beams * (per_beam - 1)
+    assert search.scored == (1 + beams * (per_beam - 1)) ** num_subbands
+    assert full_count == search.total == len(full) ** num_subbands == (1 + beams * per_beam) ** num_subbands
 
 
 def test_agent_solves_at_every_regional_epoch(monkeypatch):
