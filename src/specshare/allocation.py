@@ -51,59 +51,62 @@ class LocalAction:
     dp: np.ndarray  # (2,) meters
 
 
+# Each allocation array in trace order: its trace key, its AllocationState
+# attribute, its dtype, and its shape as a function of the config.
+# ``global`` is a Python keyword, hence the attribute ``global_alloc``.
+ALLOCATION_ARRAYS = (
+    ("global", "global_alloc", np.int8, lambda cfg: (cfg.beams, cfg.num_subbands)),
+    ("regional", "regional", np.int8, lambda cfg: (cfg.num_transmitters, cfg.num_subbands)),
+    ("beta", "beta", np.int8, lambda cfg: (cfg.num_transmitters, cfg.num_subbands)),
+    ("alpha", "alpha", np.float64, lambda cfg: (cfg.num_transmitters, cfg.num_subbands)),
+    ("dp", "dp", np.float64, lambda cfg: (cfg.num_transmitters, 2)),
+)
+
+
 @dataclass
 class AllocationState:
     """Joint allocation across all three levels, transmitter-major layout.
 
     ``regional`` stacks every region's matrix into one
     (num_transmitters, N) array so that row ``i`` of ``regional``,
-    ``beta`` and ``alpha`` all describe the same node.
+    ``beta`` and ``alpha`` all describe the same node.  Each array's dtype,
+    shape and trace key are those ``ALLOCATION_ARRAYS`` gives it.
     """
 
-    global_alloc: np.ndarray  # (B, N) in {0, 1}
-    regional: np.ndarray  # (num_transmitters, N) in {0, 1}
-    beta: np.ndarray  # (num_transmitters, N) in {0, 1}
-    alpha: np.ndarray  # (num_transmitters, N) in [0, 1]
-    dp: np.ndarray  # (num_transmitters, 2) meters
+    global_alloc: np.ndarray  # in {0, 1}
+    regional: np.ndarray  # in {0, 1}
+    beta: np.ndarray  # in {0, 1}
+    alpha: np.ndarray  # in [0, 1]
+    dp: np.ndarray  # meters
 
     @classmethod
     def zeros(cls, cfg: ScenarioConfig) -> "AllocationState":
-        n, t = cfg.num_subbands, cfg.num_transmitters
-        return cls(
-            global_alloc=np.zeros((cfg.beams, n), dtype=np.int8),
-            regional=np.zeros((t, n), dtype=np.int8),
-            beta=np.zeros((t, n), dtype=np.int8),
-            alpha=np.zeros((t, n)),
-            dp=np.zeros((t, 2)),
-        )
+        arrays = {}
+        for _, attr, dtype, shape in ALLOCATION_ARRAYS:
+            arrays[attr] = np.zeros(shape(cfg), dtype=dtype)
+        return cls(**arrays)
 
     def copy(self) -> "AllocationState":
-        return AllocationState(
-            self.global_alloc.copy(),
-            self.regional.copy(),
-            self.beta.copy(),
-            self.alpha.copy(),
-            self.dp.copy(),
-        )
+        arrays = {}
+        for _, attr, _, _ in ALLOCATION_ARRAYS:
+            arrays[attr] = getattr(self, attr).copy()
+        return AllocationState(**arrays)
 
     def to_dict(self) -> dict:
-        return {
-            "global": self.global_alloc.tolist(),
-            "regional": self.regional.tolist(),
-            "beta": self.beta.tolist(),
-            "alpha": self.alpha.tolist(),
-            "dp": self.dp.tolist(),
-        }
+        """The arrays as nested lists under their trace keys."""
+        data = {}
+        for key, attr, _, _ in ALLOCATION_ARRAYS:
+            data[key] = getattr(self, attr).tolist()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "AllocationState":
-        return cls(
-            global_alloc=np.asarray(data["global"], dtype=np.int8),
-            regional=np.asarray(data["regional"], dtype=np.int8),
-            beta=np.asarray(data["beta"], dtype=np.int8),
-            alpha=np.asarray(data["alpha"], dtype=float),
-            dp=np.asarray(data["dp"], dtype=float),
-        )
+        """Read ``to_dict``'s form, each array with its table dtype; the
+        shapes are not checked here (``validate`` checks them)."""
+        arrays = {}
+        for key, attr, dtype, _ in ALLOCATION_ARRAYS:
+            arrays[attr] = np.asarray(data[key], dtype=dtype)
+        return cls(**arrays)
 
 
 def _first_non_binary(x: np.ndarray):
@@ -117,31 +120,26 @@ def _first_non_binary(x: np.ndarray):
         bad = ~((x == 0) | (x == 1))
     if not bad.any():
         return None
-    return tuple(np.argwhere(bad)[0])
+    return tuple(np.argwhere(bad)[0].tolist())
 
 
 def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
     """Return the first violated constraint, or None when feasible.
 
-    Checks run in a fixed order (shapes, global, regional region by region,
-    beta, alpha, movement); within the regional stage the lowest region
-    with a fault wins, and inside it a region conflict precedes a
-    grant-nesting fault.  Each stage first asks one whole-array question
-    and only locates the fault when the answer is no.
+    Checks run in a fixed order (the shapes ``ALLOCATION_ARRAYS`` gives,
+    global, regional region by region, beta, alpha, movement); within the
+    regional stage the lowest region with a fault wins, and inside it a
+    region conflict precedes a grant-nesting fault.  Each stage first asks
+    one whole-array question and only locates the fault when the answer is
+    no.  The env runs it after every step, and ``replay`` on every traced
+    step.
     """
+    for key, attr, _, shape in ALLOCATION_ARRAYS:
+        arr = getattr(state, attr)
+        if arr.shape != shape(cfg):
+            return Violation("shape", arr.shape, f"{key} has wrong shape")
     g = state.global_alloc
     n_sub = cfg.num_subbands
-    if g.shape != (cfg.beams, n_sub):
-        return Violation("shape", g.shape, "global allocation has wrong shape")
-    n_rows = cfg.num_transmitters
-    for name, arr, width in (
-        ("regional", state.regional, n_sub),
-        ("beta", state.beta, n_sub),
-        ("alpha", state.alpha, n_sub),
-        ("dp", state.dp, 2),
-    ):
-        if arr.shape != (n_rows, width):
-            return Violation("shape", arr.shape, f"{name} has wrong shape")
     bad = _first_non_binary(g)
     if bad is not None:
         return Violation("binary", bad, "global allocation entries must be 0/1")

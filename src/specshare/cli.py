@@ -30,7 +30,7 @@ from .agents import (
     make_agent,
     train,
 )
-from .allocation import AllocationState, EnumerationCapError
+from .allocation import ALLOCATION_ARRAYS, AllocationState, EnumerationCapError, validate
 from .channel import compute_snapshot
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .env import SpectrumSharingEnv
@@ -48,7 +48,6 @@ BENCHMARK_COLUMNS = (
     "decision_time_s_per_episode",
     "eta_bps_per_hz",
     "throughput_bps",
-    "sum_rate_bps_per_hz",
     "cumulative_reward",
     "spectrum_utilization_frac",
 )
@@ -114,6 +113,8 @@ def _parse_seeds(args, cfg: ScenarioConfig) -> list[int]:
         for seed in seeds:
             if seed < 0:
                 raise ConfigError(f"seed must be >= 0, got {seed}")
+            if seeds.count(seed) > 1:
+                raise ConfigError(f"seed {seed} is listed more than once")
         return seeds
     if getattr(args, "seed", None) is not None:
         return [args.seed]
@@ -311,7 +312,7 @@ def cmd_benchmark(args) -> int:
                 result = evaluate(agent, env, episodes=episodes)
             except (EnumerationCapError, ValueError) as exc:
                 log.info("skipping %s at seed %d: %s", algo, seed, exc)
-                rows.append([algo, seed, "skipped", "", "", "", "", "", ""])
+                rows.append([algo, seed, "skipped"] + [""] * (len(BENCHMARK_COLUMNS) - 3))
                 env.close()
                 continue
             env.close()
@@ -323,7 +324,6 @@ def cmd_benchmark(args) -> int:
                 mean_time,
                 result["eta_mean"],
                 result["throughput_mean"],
-                result["eta_mean"],
                 result["cumulative_reward_mean"],
                 result["spectrum_utilization_mean"],
             ]
@@ -369,9 +369,8 @@ def cmd_benchmark(args) -> int:
 
 # -- replay -----------------------------------------------------------------------
 
-# the fields replay reads from each kind of trace line, and from a step's allocation
+# the fields replay reads from each kind of trace line
 _TRACE_FIELDS = {"header": ("config",), "step": ("allocation", "tx_positions", "gains", "metrics")}
-_ALLOCATION_FIELDS = ("global", "regional", "beta", "alpha", "dp")
 
 
 def _unreadable(ln: dict) -> str | None:
@@ -385,7 +384,7 @@ def _unreadable(ln: dict) -> str | None:
     for table in ("allocation", "metrics"):
         if not isinstance(ln[table], dict):
             return f"has a non-object {table!r} field"
-    missing = [key for key in _ALLOCATION_FIELDS if key not in ln["allocation"]]
+    missing = [key for key, _, _, _ in ALLOCATION_ARRAYS if key not in ln["allocation"]]
     if missing:
         return f"has no {missing[0]!r} in its 'allocation'"
     return None
@@ -393,21 +392,17 @@ def _unreadable(ln: dict) -> str | None:
 
 def _misshapen(ln: dict, cfg: ScenarioConfig) -> str | None:
     """Which array of step line ``ln`` does not read with the dtype and shape
-    ``cfg`` implies, or None."""
-    t, n = cfg.num_transmitters, cfg.num_subbands
-    arrays = {
-        "allocation.global": (np.int8, (cfg.beams, n)),
-        "allocation.regional": (np.int8, (t, n)),
-        "allocation.beta": (np.int8, (t, n)),
-        "allocation.alpha": (float, (t, n)),
-        "allocation.dp": (float, (t, 2)),
-        "tx_positions": (float, (t, 3)),
-        "gains": (float, (t, cfg.num_users)),
-    }
-    for field, (dtype, shape) in arrays.items():
-        table, _, key = field.rpartition(".")
+    ``cfg`` implies, or None: the allocation arrays as ``ALLOCATION_ARRAYS``
+    gives them, then the transmitter positions and the gains."""
+    t = cfg.num_transmitters
+    arrays = []
+    for key, _, dtype, shape in ALLOCATION_ARRAYS:
+        arrays.append((f"allocation.{key}", ln["allocation"][key], dtype, shape(cfg)))
+    arrays.append(("tx_positions", ln["tx_positions"], float, (t, 3)))
+    arrays.append(("gains", ln["gains"], float, (t, cfg.num_users)))
+    for field, value, dtype, shape in arrays:
         try:
-            got = np.asarray(ln[table][key] if table else ln[key], dtype=dtype).shape
+            got = np.asarray(value, dtype=dtype).shape
         except (TypeError, ValueError, OverflowError) as exc:
             return f"has an unreadable {field!r}: {exc}"
         if got != shape:
@@ -463,6 +458,10 @@ def cmd_replay(args) -> int:
             log.error("malformed trace: line %d %s", line_no, problem)
             return 1
         alloc = AllocationState.from_dict(entry["allocation"])
+        violation = validate(alloc, cfg)
+        if violation is not None:
+            log.error("malformed trace: line %d has an infeasible allocation: %s", line_no, violation)
+            return 1
         tx_positions = np.asarray(entry["tx_positions"], dtype=float)
         gains = np.asarray(entry["gains"], dtype=float)
         snap = compute_snapshot(topo, alloc, tx_positions, gains=gains)
@@ -552,10 +551,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        log.error("%s", exc)
-        return 1
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # a ConfigError is a ValueError
         log.error("%s", exc)
         return 1
 

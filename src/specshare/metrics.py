@@ -14,7 +14,7 @@ computed from the config where they are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -144,21 +144,14 @@ class StepMetrics:
     spectrum_utilization: float  # active / granted subband-node pairs
 
     def to_dict(self) -> dict:
-        return {
-            "user_rates": self.user_rates.tolist(),
-            "region_eta": self.region_eta.tolist(),
-            "region_fairness": self.region_fairness.tolist(),
-            "region_qos": self.region_qos.tolist(),
-            "region_uav_penalty": self.region_uav_penalty.tolist(),
-            "region_rate_mean": self.region_rate_mean.tolist(),
-            "r_avg": self.r_avg,
-            "eta": self.eta,
-            "fairness": self.fairness,
-            "r_l": self.r_l.tolist(),
-            "r_h": self.r_h.tolist(),
-            "r_s": self.r_s,
-            "spectrum_utilization": self.spectrum_utilization,
-        }
+        """Every field but ``sinr``, in field order, arrays as lists: what
+        a trace step records and ``replay`` recomputes."""
+        data = {}
+        for f in fields(self):
+            if f.name != "sinr":
+                value = getattr(self, f.name)
+                data[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return data
 
 
 def served_user_rates(

@@ -1,15 +1,17 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specshare.agents import evaluate, make_agent
+from specshare.allocation import ALLOCATION_ARRAYS, AllocationState, validate
 from specshare.cli import BENCHMARK_COLUMNS, STEPS_COLUMNS, SWEEP_COLUMNS, TRAIN_LOG_COLUMNS, main
-from specshare.config import ScenarioConfig, load_config
+from specshare.config import ScenarioConfig, config_from_dict, load_config
 from specshare.env import SpectrumSharingEnv
 from specshare.ppo import load_checkpoint
 
@@ -265,6 +267,14 @@ def _drop(table: str, key: str):
     return lambda step: step[table].pop(key)
 
 
+def _fill(key: str, value):
+    """Set the step's allocation array ``key`` to ``value`` broadcast over
+    its shape (a ``(2,)`` row, for ``dp``)."""
+    def edit(step):
+        step["allocation"][key] = np.full(np.shape(step["allocation"][key]), value).tolist()
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -306,6 +316,11 @@ def _drop(table: str, key: str):
         ),
         (lambda step: step["metrics"].update(eta=[1.0, 2.0]), "has metric 'eta' of shape (2,), expected ()"),
         (lambda step: step["metrics"].update(eta="high"), "has an unreadable metric 'eta'"),
+        # nothing replay recomputes reads global, dp, or beta off the granted
+        # subbands: only the feasibility check sees these
+        (_fill("beta", 1), "has an infeasible allocation: access-mask at"),
+        (_fill("global", 1), "has an infeasible allocation: beam-conflict at"),
+        (_fill("dp", [1e9, -1e9]), "has an infeasible allocation: movement-limit at"),
     ],
     ids=[
         "allocation-not-an-object",
@@ -321,6 +336,9 @@ def _drop(table: str, key: str):
         "region-metric-too-long",
         "scalar-metric-as-a-list",
         "metric-not-a-number",
+        "beta-all-ones",
+        "global-all-ones",
+        "dp-a-million-km",
     ],
 )
 def test_replay_names_a_malformed_allocation_or_metrics_and_its_line(tmp_path, caplog, edit, message):
@@ -388,48 +406,90 @@ def test_replay_reads_an_integral_float_in_the_header_as_the_file_reader_does(tm
     assert "max absolute deviation 0.0" in capsys.readouterr().out
 
 
+# small drawn scenarios, as keyword strategies for ``given``
+_SMALL_SCENARIOS = {
+    "topology": st.fixed_dictionaries({
+        "beams": st.integers(1, 2),
+        "haps_per_beam": st.integers(1, 2),
+        "regions_per_hap": st.integers(1, 2),
+        "uavs_per_region": st.integers(1, 2),
+        "users_per_region": st.integers(1, 5),
+    }),
+    "radio": st.fixed_dictionaries({
+        "num_subbands": st.integers(2, 4),
+        "interference_scope": st.sampled_from(["global", "region"]),
+        "fading_frozen": st.booleans(),
+    }),
+    "run": st.fixed_dictionaries({
+        "steps_per_episode": st.integers(3, 6),
+        "decision_intervals": st.sampled_from(["1, 1, 1", "2, 1, 1", "2, 2, 1"]),
+        "seed": st.integers(0, 999),
+    }),
+    "episodes": st.integers(1, 2),
+}
+
+
+def _random_trace(out: Path, topology, radio, run, episodes) -> Path:
+    """A random agent's trace on a drawn scenario, written under ``out``."""
+    sections = {"topology": topology, "radio": radio, "run": run}
+    cfg_path = out / "c.cfg"
+    cfg_path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in table.items())
+        for name, table in sections.items()
+    ))
+    trace = out / "trace.jsonl"
+    assert main([
+        "evaluate", "--config", str(cfg_path), "--algo", "random", "--episodes", str(episodes),
+        "--out", str(out / "e"), "--trace", str(trace),
+    ]) == 0
+    return trace
+
+
 def test_random_small_scenarios_replay_with_zero_deviation(tmp_path_factory, capsys):
     # a random agent's trace on a drawn scenario recomputes with no deviation
     # at all: replay runs the env's channel, metrics and reward code again
     @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(
-        topology=st.fixed_dictionaries({
-            "beams": st.integers(1, 2),
-            "haps_per_beam": st.integers(1, 2),
-            "regions_per_hap": st.integers(1, 2),
-            "uavs_per_region": st.integers(1, 2),
-            "users_per_region": st.integers(1, 5),
-        }),
-        radio=st.fixed_dictionaries({
-            "num_subbands": st.integers(2, 4),
-            "interference_scope": st.sampled_from(["global", "region"]),
-            "fading_frozen": st.booleans(),
-        }),
-        run=st.fixed_dictionaries({
-            "steps_per_episode": st.integers(3, 6),
-            "decision_intervals": st.sampled_from(["1, 1, 1", "2, 1, 1", "2, 2, 1"]),
-            "seed": st.integers(0, 999),
-        }),
-        episodes=st.integers(1, 2),
-    )
+    @given(**_SMALL_SCENARIOS)
     def replays(topology, radio, run, episodes):
-        out = tmp_path_factory.mktemp("replay")
-        sections = {"topology": topology, "radio": radio, "run": run}
-        cfg_path = out / "c.cfg"
-        cfg_path.write_text("".join(
-            f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in table.items())
-            for name, table in sections.items()
-        ))
-        trace = out / "trace.jsonl"
-        assert main([
-            "evaluate", "--config", str(cfg_path), "--algo", "random", "--episodes", str(episodes),
-            "--out", str(out / "e"), "--trace", str(trace),
-        ]) == 0
+        trace = _random_trace(tmp_path_factory.mktemp("replay"), topology, radio, run, episodes)
         capsys.readouterr()
         assert main(["replay", "--trace", str(trace)]) == 0
         assert "max absolute deviation 0.0" in capsys.readouterr().out
 
     replays()
+
+
+def test_random_small_scenarios_refuse_an_infeasible_allocation(tmp_path_factory, caplog):
+    # one drawn allocation entry of one drawn step set to a value that makes
+    # the step infeasible: replay exits 1 and names the violation validate
+    # reports for that same state
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(**_SMALL_SCENARIOS, data=st.data())
+    def refuses(topology, radio, run, episodes, data):
+        trace = _random_trace(tmp_path_factory.mktemp("tamper"), topology, radio, run, episodes)
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        cfg = config_from_dict(lines[0]["config"])
+        index = data.draw(st.sampled_from([i for i, line in enumerate(lines) if line["type"] == "step"]))
+        key = data.draw(st.sampled_from([key for key, _, _, _ in ALLOCATION_ARRAYS]))
+        allocation = lines[index]["allocation"]
+        arr = np.array(allocation[key])
+        entry = tuple(data.draw(st.integers(0, size - 1)) for size in arr.shape)
+        if key == "alpha":
+            values = [-0.5, 1.5, 1.0]
+        elif key == "dp":
+            values = [cfg.uav_step + 1.0, -cfg.uav_step - 1.0]
+        else:
+            values = [1 - int(arr[entry])]  # a flip
+        arr[entry] = data.draw(st.sampled_from(values))
+        allocation[key] = arr.tolist()
+        violation = validate(AllocationState.from_dict(allocation), cfg)
+        assume(violation is not None)
+        _write_trace(trace, lines)
+        caplog.clear()
+        assert main(["replay", "--trace", str(trace)]) == 1
+        assert f"malformed trace: line {index + 1} has an infeasible allocation: {violation}" in caplog.text
+
+    refuses()
 
 
 def test_replay_rejects_empty_and_malformed_traces(tmp_path, caplog):
@@ -461,6 +521,7 @@ def test_benchmark_rows_aggregates_and_speedups(tmp_path):
     assert rc == 0
     rows = _read_csv(out / "benchmark.csv")
     assert tuple(rows[0]) == BENCHMARK_COLUMNS
+    assert {len(r) for r in rows} == {len(BENCHMARK_COLUMNS)}
     by_algo_seed = {(r[0], r[1]): r for r in rows[1:]}
     assert ("random", "0") in by_algo_seed
     assert ("exhaustive", "0") in by_algo_seed
@@ -492,6 +553,7 @@ def test_benchmark_skips_exhaustive_over_the_cap(tmp_path):
         assert rc == 0
         rows = _read_csv(out / "benchmark.csv")
         status = BENCHMARK_COLUMNS.index("status")
+        assert {len(r) for r in rows} == {len(BENCHMARK_COLUMNS)}
         assert rows[1][:3] == ["exhaustive", "0", "skipped"]
         eta = BENCHMARK_COLUMNS.index("eta_bps_per_hz")
         assert rows[1][eta] == ""  # skipped rows carry no measurements
@@ -513,15 +575,18 @@ def test_negative_seed_fails_before_any_output(tmp_path, caplog):
 
 @pytest.mark.parametrize("command", ["evaluate", "benchmark"])
 def test_negative_listed_seed_fails_before_any_output(tmp_path, caplog, command):
-    # the first seed is valid: it must not be run, nor a manifest written, before -1 is refused
-    out = tmp_path / command
+    # the first seeds are valid: they must not be run, nor a manifest
+    # written, before -1 or the repeated 0 is refused
     algo = ["--algo", "random"] if command == "evaluate" else ["--algos", "random"]
-    rc = main([
-        command, "--config", _write_tiny_cfg(tmp_path), *algo, "--seeds", "0,-1", "--out", str(out),
-    ])
-    assert rc == 1
-    assert "seed must be >= 0, got -1" in caplog.text
-    assert not out.exists()
+    cases = [("0,-1", "seed must be >= 0, got -1"), ("0,1,0", "seed 0 is listed more than once")]
+    for i, (seeds, message) in enumerate(cases):
+        out = tmp_path / f"{command}{i}"
+        rc = main([
+            command, "--config", _write_tiny_cfg(tmp_path), *algo, "--seeds", seeds, "--out", str(out),
+        ])
+        assert rc == 1
+        assert message in caplog.text
+        assert not out.exists()
 
 
 def test_benchmark_rejects_unknown_algo(tmp_path, caplog):
@@ -608,7 +673,7 @@ class _NullAgent:
     def act(self, obs, t, explore=True):
         return self._by_t[t]
 
-    def record(self, rewards, done) -> None:
+    def record(self, rewards) -> None:
         pass
 
     def end_episode(self) -> None:
@@ -616,13 +681,21 @@ class _NullAgent:
 
 
 def test_decision_timing_excludes_environment_physics():
-    # a do-nothing agent must cost (almost) nothing: if environment physics
-    # leaked into the measured decision time, its share would be far larger
-    from specshare.config import load_config
-
+    # a do-nothing agent's decision time is bounded by the physics it would
+    # take in if env.step leaked into the timed window: that step time,
+    # measured over the same episodes, dwarfs the clock reads around act
     cfg = load_config(CONFIG)
-    null_time = np.mean(evaluate(_NullAgent(cfg), SpectrumSharingEnv(cfg), episodes=3)["decision_time_s"])
-    ppo_time = np.mean(
-        evaluate(make_agent("hdrl", cfg), SpectrumSharingEnv(cfg), episodes=3)["decision_time_s"]
-    )
-    assert null_time < 0.01 * ppo_time
+    env = SpectrumSharingEnv(cfg)
+    step = env.step
+    step_time = 0.0
+
+    def timed_step(bundle):
+        nonlocal step_time
+        t0 = time.perf_counter()
+        out = step(bundle)
+        step_time += time.perf_counter() - t0
+        return out
+
+    env.step = timed_step  # evaluate steps through the instance attribute
+    null_time = sum(evaluate(_NullAgent(cfg), env, episodes=3)["decision_time_s"])
+    assert null_time < 0.01 * step_time
