@@ -36,14 +36,13 @@ def main():
     # a TBS at 16 dBm through 121.4 dB of path loss, alone on its subband
     p_tx = 10 ** ((cfg.tx_power_tbs - 30) / 10)
     gain = 10 ** (-path_loss_db(1e3, F_HZ) / 10)
-    g = sinr(gain, 1.0, p_tx, 0.0, n0)
-    r = user_rate(g, cfg.total_bandwidth, cfg.num_subbands)
+    # and the same station with a co-channel interferer at half the power:
+    # two users' SINRs on one subband each, a (users, subbands) stack
+    sinrs = sinr(gain, 1.0, p_tx, np.array([[0.0], [gain * p_tx / 2]]), n0)
+    r, r_i = user_rate(sinrs, cfg.total_bandwidth, cfg.num_subbands)
+    g, g_i = sinrs[:, 0]
     print(f"TBS at {cfg.tx_power_tbs:.0f} dBm, 1 km: received {gain * p_tx:.3e} W, "
           f"SINR {10 * np.log10(g):.1f} dB, rate {r / 1e6:.1f} Mbit/s")
-
-    # the same station with a co-channel interferer at half the power
-    g_i = sinr(gain, 1.0, p_tx, gain * p_tx / 2, n0)
-    r_i = user_rate(g_i, cfg.total_bandwidth, cfg.num_subbands)
     print(f"  with a co-channel interferer at half power: "
           f"SINR {10 * np.log10(g_i):.1f} dB, rate {r_i / 1e6:.1f} Mbit/s")
 

@@ -86,12 +86,6 @@ class AllocationState:
             arrays[attr] = np.zeros(shape(cfg), dtype=dtype)
         return cls(**arrays)
 
-    def copy(self) -> "AllocationState":
-        arrays = {}
-        for _, attr, _, _ in ALLOCATION_ARRAYS:
-            arrays[attr] = getattr(self, attr).copy()
-        return AllocationState(**arrays)
-
     def to_dict(self) -> dict:
         """The arrays as nested lists under their trace keys."""
         data = {}
@@ -182,10 +176,11 @@ def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
         row, n = np.argwhere(over)[0]
         return Violation("access-mask", (int(row), int(n)), "beta set on an ungranted subband")
 
-    # fmin/fmax skip NaN like the elementwise comparisons do
+    # min/max carry a NaN through, and every comparison with it is false, so
+    # the checks ask "is it in range?" and a NaN is out of range
     alpha = state.alpha
-    if np.fmin.reduce(alpha, axis=None) < 0 or np.fmax.reduce(alpha, axis=None) > 1:
-        row, n = np.argwhere((alpha < 0) | (alpha > 1))[0]
+    if not (np.minimum.reduce(alpha, axis=None) >= 0 and np.maximum.reduce(alpha, axis=None) <= 1):
+        row, n = np.argwhere(~((alpha >= 0) & (alpha <= 1)))[0]
         return Violation("power-range", (int(row), int(n)), "alpha outside [0, 1]")
     used = (state.beta * alpha).sum(axis=1)
     if np.fmax.reduce(used) > 1.0 + BUDGET_TOL:
@@ -193,10 +188,10 @@ def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
         return Violation("power-budget", (row,), f"active power fractions sum to {used[row]:.6f}")
 
     reach = np.abs(state.dp)
-    uav_step = cfg.uav_step
-    if np.fmax.reduce(reach, axis=None) > uav_step + BUDGET_TOL:
-        row, axis = np.argwhere(reach > uav_step + BUDGET_TOL)[0]
-        return Violation("movement-limit", (int(row), int(axis)), f"|dp| exceeds {uav_step} m")
+    limit = cfg.uav_step + BUDGET_TOL
+    if not np.maximum.reduce(reach, axis=None) <= limit:
+        row, axis = np.argwhere(~(reach <= limit))[0]
+        return Violation("movement-limit", (int(row), int(axis)), f"|dp| exceeds {cfg.uav_step} m")
     return None
 
 

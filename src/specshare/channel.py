@@ -55,23 +55,21 @@ _BLAS_SERIAL_MNK = 65_536 * 4
 _BLAS_ONE_PASS_K = 384
 
 
-def path_loss_db(distance_m, carrier_hz, out=None) -> np.ndarray:
-    """Free-space path loss in dB; distance and frequency must be positive,
-    and the frequency must broadcast to the distance's shape.  Written into
-    ``out`` if given (which may be the distance array itself), else into a
-    fresh array."""
+def path_loss_db(distance_m, carrier_hz: float, out=None) -> np.ndarray:
+    """Free-space path loss in dB at one carrier frequency; distance and
+    frequency must be positive.  Written into ``out`` if given (which may be
+    the distance array itself), else into a fresh array."""
     d = np.asarray(distance_m, dtype=float)
-    f = np.asarray(carrier_hz, dtype=float)
     # min(d) <= 0 reads like (d <= 0).any() (NaN passes both) without a
     # boolean array the size of d
     if d.min(initial=np.inf) <= 0:
         raise ValueError("distance must be > 0")
-    if (f <= 0).any() if f.ndim else f <= 0:
+    if carrier_hz <= 0:
         raise ValueError("carrier frequency must be > 0")
     # 20 log10(d) + 20 log10(f) - 147.55, in place on one array
     pl = np.log10(d, out=out)
     pl *= 20.0
-    pl += 20.0 * np.log10(f)
+    pl += 20.0 * np.log10(carrier_hz)
     pl -= 147.55
     return pl
 

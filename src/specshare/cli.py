@@ -393,7 +393,8 @@ def _unreadable(ln: dict) -> str | None:
 def _misshapen(ln: dict, cfg: ScenarioConfig) -> str | None:
     """Which array of step line ``ln`` does not read with the dtype and shape
     ``cfg`` implies, or None: the allocation arrays as ``ALLOCATION_ARRAYS``
-    gives them, then the transmitter positions and the gains."""
+    gives them, then the transmitter positions and the gains.  An integer
+    array's entries must be integral: its cast would truncate 1.9 to 1."""
     t = cfg.num_transmitters
     arrays = []
     for key, _, dtype, shape in ALLOCATION_ARRAYS:
@@ -402,11 +403,17 @@ def _misshapen(ln: dict, cfg: ScenarioConfig) -> str | None:
     arrays.append(("gains", ln["gains"], float, (t, cfg.num_users)))
     for field, value, dtype, shape in arrays:
         try:
-            got = np.asarray(value, dtype=dtype).shape
+            got = np.asarray(value, dtype=dtype)
         except (TypeError, ValueError, OverflowError) as exc:
             return f"has an unreadable {field!r}: {exc}"
-        if got != shape:
-            return f"has {field!r} of shape {got}, expected {shape}"
+        if got.shape != shape:
+            return f"has {field!r} of shape {got.shape}, expected {shape}"
+        if got.dtype.kind == "i":
+            exact = np.asarray(value, dtype=float)
+            off = np.argwhere(got != exact)
+            if off.size:
+                at = tuple(off[0].tolist())
+                return f"has a non-integral {field!r} entry {exact[at]} at {at}"
     return None
 
 

@@ -153,8 +153,8 @@ class SpectrumSharingEnv:
         decision steps), "regional" ((num_regions, nodes, N) binary array,
         region r's node-by-subband matrix at index r, only at regional
         decision steps), and "local" ({"beta": (T, N), "alpha": (T, N),
-        "dp": (T, 2)}) every step.  An array of the wrong shape raises
-        ValueError.
+        "dp": (T, 2)}) every step.  An array of the wrong shape, or a
+        non-finite ``alpha`` or ``dp``, raises ValueError.
         """
         if self.state is None:
             raise RuntimeError("call reset() before step()")
@@ -252,6 +252,10 @@ class SpectrumSharingEnv:
         shape = (cfg.num_transmitters, cfg.num_subbands)
         if beta.shape != shape or alpha.shape != shape or dp.shape != (cfg.num_transmitters, 2):
             raise ValueError("local action arrays have wrong shape")
+        # the clamp carries a NaN through into the state: refuse it before any write
+        for name, arr in (("alpha", alpha), ("dp", dp)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"local action {name!r} holds a non-finite value")
         act = clamp_local(beta, alpha, dp, alloc.regional, cfg.uav_step, self.topology.is_uav)
         alloc.beta[...] = act.beta
         alloc.alpha[...] = act.alpha
@@ -260,8 +264,6 @@ class SpectrumSharingEnv:
     def _move_uavs(self) -> None:
         state = self.state
         rows = self._uav_rows
-        if rows.size == 0:
-            return
         moved = state.tx_positions[rows, :2] + state.alloc.dp[rows]
         # np.clip with the same bits, minus the wrapper overhead
         state.tx_positions[rows, :2] = np.minimum(

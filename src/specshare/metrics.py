@@ -3,9 +3,12 @@
 Rates follow the Shannon form per subband, spectral efficiency is total
 rate over total bandwidth, fairness is Jain's index, QoS violation is the
 shortfall of the worst user against the minimum rate, and the UAV penalty
-is the fraction of UAVs that left their home region.  Rewards compose the
-per-region metrics bottom-up: regions feed HAP means, HAP means feed the
-satellite-level scalar.
+is the fraction of UAVs that left their home region.  Each of these
+helpers takes a stack (the step's users or regions, or the exhaustive
+search's candidates) and returns one value per row; the step's
+network-wide figures are floats.  Rewards compose the per-region metrics
+bottom-up: regions feed HAP means, HAP means feed the satellite-level
+scalar.
 
 The step's metrics read the scenario only from the ``Topology`` (``topo.cfg``
 and ``topo.tx_power_w``); the reward scales, like the noise power, are
@@ -27,73 +30,53 @@ from .topology import Topology
 # "full rate" for normalization purposes.
 REFERENCE_SINR = 100.0
 
-def _scalar_or_array(x):
-    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
-
 
 def sinr(gain, alpha, power_w, interference_w, noise_w):
     """SINR = gain * alpha * P / (I + N0); all linear units, broadcast together."""
-    return np.asarray(gain) * alpha * power_w / (np.asarray(interference_w) + noise_w)
+    return gain * alpha * power_w / (interference_w + noise_w)
 
 
-# The rate and region helpers below reduce over the last axis: user_rate
-# takes a user's (N,) subband SINRs or a (U, N) stack of users, and the
-# region helpers a (K,) rate vector or an (R, K) stack of regions.  One
-# user or one region gives a float.
+# The rate and region helpers below take stacks and reduce over the last
+# axis: user_rate a (..., U, N) stack of users' subband SINRs, the region
+# helpers an (R, K) stack of regions' user rates (or the exhaustive search's
+# (C, U) stack of candidates' rates).
 
 
-def user_rate(sinr_values, total_bandwidth: float, num_subbands: int):
-    """Shannon rate in bps summed over a user's subbands."""
+def user_rate(sinr_values: np.ndarray, total_bandwidth: float, num_subbands: int) -> np.ndarray:
+    """Shannon rate in bps of each user, summed over its subbands."""
     per = total_bandwidth / num_subbands
-    shannon = np.log2(1.0 + np.atleast_1d(np.asarray(sinr_values, dtype=float)))
-    return _scalar_or_array(per * shannon.sum(axis=-1))
+    return per * np.log2(1.0 + sinr_values).sum(axis=-1)
 
 
-def spectral_efficiency(rates, total_bandwidth: float):
+def spectral_efficiency(rates: np.ndarray, total_bandwidth: float) -> np.ndarray:
     """Sum rate normalized by the shared bandwidth, bps/Hz."""
-    return _scalar_or_array(np.add.reduce(rates, axis=-1) / total_bandwidth)
+    return np.add.reduce(rates, axis=-1) / total_bandwidth
 
 
 def _jain_from_sums(total, sum_sq, k: int) -> np.ndarray:
     """Jain's index from a rate vector's sum and sum of squares; 1 where the sum is 0."""
-    total = np.asarray(total)
     return np.divide(total * total, k * sum_sq, out=np.ones_like(total), where=total != 0.0)
 
 
-def jain_fairness(rates):
+def jain_fairness(rates: np.ndarray) -> np.ndarray:
     """Jain's index in [1/K, 1]; defined as 1 for an all-zero rate vector."""
-    r = np.asarray(rates, dtype=float)
-    if r.ndim == 0 or r.shape[-1] == 0:
-        raise ValueError("jain_fairness needs at least one rate")
-    return _scalar_or_array(_jain_from_sums(r.sum(axis=-1), (r * r).sum(axis=-1), r.shape[-1]))
+    return _jain_from_sums(rates.sum(axis=-1), (rates * rates).sum(axis=-1), rates.shape[-1])
 
 
-def qos_violation(rates, r_min: float):
+def qos_violation(rates: np.ndarray, r_min: float) -> np.ndarray:
     """Worst-user shortfall against the minimum rate, in bps."""
-    r = np.asarray(rates, dtype=float)
-    if r.ndim == 0 or r.shape[-1] == 0:
-        raise ValueError("qos_violation needs at least one rate")
     # ties return the second operand, the +0.0 floor, as max(0.0, x) does
-    return _scalar_or_array(np.maximum(r_min - np.minimum.reduce(r, axis=-1), 0.0))
+    return np.maximum(r_min - np.minimum.reduce(rates, axis=-1), 0.0)
 
 
-def uav_penalty(positions: np.ndarray, bounds):
-    """Fraction of UAVs strictly outside the region rectangle (boundary is inside).
-
-    One region: ``positions`` (n, 2+) with ``bounds`` (4,) = xmin, ymin,
-    xmax, ymax.  A stack of regions: (R, n, 2+) with (R, 4).  No UAVs
-    scores 0.
-    """
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim == 1:
-        pos = pos[None]
-    n = pos.shape[-2]
-    if n == 0:
-        return _scalar_or_array(np.zeros(pos.shape[:-2]))
-    b = np.asarray(bounds, dtype=float)[..., None, :]
-    xy = pos[..., :2]
+def uav_penalty(positions: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Fraction of each region's UAVs strictly outside its rectangle (the
+    boundary is inside): ``positions`` (R, n, 2+), ``bounds`` (R, 4) =
+    xmin, ymin, xmax, ymax."""
+    b = bounds[:, None, :]
+    xy = positions[..., :2]
     outside = ((xy < b[..., :2]) | (xy > b[..., 2:])).any(axis=-1)
-    return _scalar_or_array(outside.sum(axis=-1) / n)
+    return outside.sum(axis=-1) / positions.shape[1]
 
 
 def compose_rewards(
@@ -222,7 +205,7 @@ def compute_step_metrics(
         region_uav_penalty=region_uav,
         region_rate_mean=region_rate_mean,
         r_avg=float(total / n_users),
-        eta=spectral_efficiency(user_rates, cfg.total_bandwidth),
+        eta=float(total / cfg.total_bandwidth),
         fairness=float(_jain_from_sums(total, (user_rates * user_rates).sum(), n_users)),
         r_l=r_l,
         r_h=r_h,

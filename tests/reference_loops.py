@@ -32,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from specshare import metrics, ppo
+from specshare import ppo
 from specshare.agents import count_joint_candidates, slots_to_region
 from specshare.allocation import BUDGET_TOL, AllocationState, EnumerationCapError, LocalAction, Violation
 from specshare.channel import associate_users, co_channel_interference, link_gains
@@ -113,16 +113,19 @@ def validate_loop(state: AllocationState, cfg, uav_step: float | None = None) ->
         row, n = np.argwhere(over)[0]
         return Violation("access-mask", (int(row), int(n)), "beta set on an ungranted subband")
 
-    if (state.alpha < 0).any() or (state.alpha > 1).any():
-        row, n = np.argwhere((state.alpha < 0) | (state.alpha > 1))[0]
+    # a NaN is out of range: it compares false with both bounds
+    out = ~((state.alpha >= 0) & (state.alpha <= 1))
+    if out.any():
+        row, n = np.argwhere(out)[0]
         return Violation("power-range", (int(row), int(n)), "alpha outside [0, 1]")
     used = (state.beta * state.alpha).sum(axis=1)
     if (used > 1.0 + BUDGET_TOL).any():
         row = int(np.argmax(used))
         return Violation("power-budget", (row,), f"active power fractions sum to {used[row]:.6f}")
 
-    if (np.abs(state.dp) > uav_step + BUDGET_TOL).any():
-        row, axis = np.argwhere(np.abs(state.dp) > uav_step + BUDGET_TOL)[0]
+    far = ~(np.abs(state.dp) <= uav_step + BUDGET_TOL)
+    if far.any():
+        row, axis = np.argwhere(far)[0]
         return Violation("movement-limit", (int(row), int(axis)), f"|dp| exceeds {uav_step} m")
     return None
 
@@ -501,8 +504,8 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
                     noise,
                 )
                 rates[served] = user_rate(snr, cfg.total_bandwidth, n)
-            eta = metrics.spectral_efficiency(rates, cfg.total_bandwidth)
-            fair = metrics.jain_fairness(rates)
+            eta = spectral_efficiency(rates, cfg.total_bandwidth)
+            fair = jain_fairness(rates)
             if best is None or eta > best["eta"] or (eta == best["eta"] and fair > best["fairness"]):
                 best = {
                     "eta": eta,

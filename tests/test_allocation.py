@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshare.allocation import (
     AllocationState,
+    Violation,
     clamp_local,
     validate,
 )
 from specshare.config import ScenarioConfig
+from specshare.topology import build_topology
+from topo_helpers import random_feasible_state, small_scenarios
 
 
 def _cfg():
@@ -140,6 +145,17 @@ def test_movement_limit_detected():
     assert v is not None and v.constraint == "movement-limit"
 
 
+def test_nan_is_out_of_range():
+    # every comparison with NaN is false, so "above the limit?" alone misses it
+    cfg = _cfg()
+    state = AllocationState.zeros(cfg)
+    state.alpha[1, 3] = np.nan
+    assert validate(state, cfg) == Violation("power-range", (1, 3), "alpha outside [0, 1]")
+    state = AllocationState.zeros(cfg)
+    state.dp[2, 1] = np.nan
+    assert validate(state, cfg) == Violation("movement-limit", (2, 1), f"|dp| exceeds {cfg.uav_step} m")
+
+
 def test_clamp_masks_binarizes_and_rescales():
     rng = np.random.default_rng(0)
     n = 6
@@ -173,6 +189,33 @@ def test_clamp_is_idempotent_bitwise():
         assert np.array_equal(act.beta, again.beta)
         assert np.array_equal(act.alpha, again.alpha)  # bit-exact, not approx
         assert np.array_equal(act.dp, again.dp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(cfg=small_scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_clamp_on_random_stacks_is_feasible_and_idempotent(cfg, seed):
+    # every node's raw action at once, under a random feasible grant
+    rng = np.random.default_rng(seed)
+    topo = build_topology(cfg, rng)
+    state = random_feasible_state(cfg, rng)
+    shape = state.alpha.shape
+    alpha = rng.uniform(-1.0, 3.0, size=shape)
+    alpha[rng.random(shape) < 0.2] = rng.choice([0.0, 1.0, 1e6])
+    act = clamp_local(
+        rng.uniform(-0.5, 1.5, size=shape),
+        alpha,
+        rng.normal(0, 3 * cfg.uav_step + 1, size=state.dp.shape),
+        state.regional,
+        cfg.uav_step,
+        topo.is_uav,
+    )
+    state.beta, state.alpha, state.dp = act.beta, act.alpha, act.dp
+    assert validate(state, cfg) is None
+    assert not act.dp[~topo.is_uav].any()
+    again = clamp_local(act.beta, act.alpha, act.dp, state.regional, cfg.uav_step, topo.is_uav)
+    for name in ("beta", "alpha", "dp"):
+        a, b = getattr(act, name), getattr(again, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_clamp_zeroes_motion_for_ground_nodes():

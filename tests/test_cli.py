@@ -321,6 +321,19 @@ def _fill(key: str, value):
         (_fill("beta", 1), "has an infeasible allocation: access-mask at"),
         (_fill("global", 1), "has an infeasible allocation: beam-conflict at"),
         (_fill("dp", [1e9, -1e9]), "has an infeasible allocation: movement-limit at"),
+        (
+            lambda step: step["allocation"]["alpha"][1].__setitem__(2, float("nan")),
+            "has an infeasible allocation: power-range at (1, 2): alpha outside [0, 1]",
+        ),
+        # an int8 read truncates 1.9 to 1 and 0.7 to 0
+        (
+            lambda step: step["allocation"]["beta"][0].__setitem__(1, 1.9),
+            "has a non-integral 'allocation.beta' entry 1.9 at (0, 1)",
+        ),
+        (
+            lambda step: step["allocation"]["global"][0].__setitem__(0, 0.7),
+            "has a non-integral 'allocation.global' entry 0.7 at (0, 0)",
+        ),
     ],
     ids=[
         "allocation-not-an-object",
@@ -339,6 +352,9 @@ def _fill(key: str, value):
         "beta-all-ones",
         "global-all-ones",
         "dp-a-million-km",
+        "alpha-nan",
+        "beta-1.9",
+        "global-0.7",
     ],
 )
 def test_replay_names_a_malformed_allocation_or_metrics_and_its_line(tmp_path, caplog, edit, message):

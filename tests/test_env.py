@@ -124,6 +124,21 @@ def test_local_shape_error():
         env.step(actions)
 
 
+@pytest.mark.parametrize("name", ["alpha", "dp"])
+def test_local_non_finite_error(name):
+    # the clamp carries a NaN through, so the env refuses it before any write
+    cfg = _cfg()
+    env = SpectrumSharingEnv(cfg)
+    env.reset(seed=0)
+    positions = env.state.tx_positions.copy()
+    actions = _bundle(env, np.random.default_rng(2), 0)
+    actions["local"][name][0, 0] = np.nan
+    with pytest.raises(ValueError, match=f"local action '{name}' holds a non-finite value"):
+        env.step(actions)
+    assert np.array_equal(env.state.tx_positions, positions)
+    assert np.isfinite(env.state.alloc.alpha).all() and np.isfinite(env.state.alloc.dp).all()
+
+
 def test_global_revocation_cascades_downward():
     cfg = _cfg()
     env = SpectrumSharingEnv(cfg)

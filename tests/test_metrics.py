@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshare.allocation import AllocationState
 from specshare.channel import compute_snapshot
@@ -15,7 +19,7 @@ from specshare.metrics import (
     user_rate,
 )
 from specshare.topology import TIER_UAV, build_topology, dbm_to_watts
-from topo_helpers import region_transmitter_rows
+from topo_helpers import random_feasible_state, region_transmitter_rows, small_scenarios
 
 LOG2_101 = 6.658211482751795
 
@@ -28,56 +32,50 @@ def test_sinr_linear_arithmetic():
 
 def test_user_rate_reference_points():
     # one subband of 200 MHz / 10 at SINR 1 carries exactly 20 Mbps
-    assert user_rate(np.array([1.0]), 200e6, 10) == pytest.approx(20e6, rel=1e-12)
-    assert user_rate(np.array([3.0]), 200e6, 10) == pytest.approx(40e6, rel=1e-12)
-    assert user_rate(np.array([1.0, 3.0]), 200e6, 10) == pytest.approx(60e6, rel=1e-12)
-    assert user_rate(np.zeros(10), 200e6, 10) == 0.0
+    sinrs = np.array([[1.0, 0.0], [3.0, 0.0], [1.0, 3.0], [0.0, 0.0]])
+    assert user_rate(sinrs, 200e6, 10) == pytest.approx([20e6, 40e6, 60e6, 0.0], rel=1e-12)
 
 
 def test_spectral_efficiency_normalization():
-    assert spectral_efficiency([1e8, 1e8], 200e6) == pytest.approx(1.0, rel=1e-12)
-    assert spectral_efficiency([], 200e6) == 0.0
+    assert spectral_efficiency(np.array([[1e8, 1e8]]), 200e6) == pytest.approx([1.0], rel=1e-12)
+    assert spectral_efficiency(np.zeros((1, 0)), 200e6) == [0.0]
 
 
 def test_jain_reference_points():
-    assert jain_fairness([1.0, 1.0, 1.0, 1.0]) == 1.0
-    assert jain_fairness([1.0, 0.0, 0.0, 0.0]) == pytest.approx(0.25, rel=1e-12)
-    assert jain_fairness([2.0, 1.0]) == pytest.approx(0.9, rel=1e-12)
+    rates = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+    assert jain_fairness(rates) == pytest.approx([1.0, 0.25], rel=1e-12)
+    assert jain_fairness(np.array([[2.0, 1.0]])) == pytest.approx([0.9], rel=1e-12)
     # all-zero rate vector is defined as perfectly fair
-    assert jain_fairness(np.zeros(7)) == 1.0
-    with pytest.raises(ValueError):
-        jain_fairness([])
+    assert jain_fairness(np.zeros((1, 7))) == [1.0]
 
 
 def test_jain_properties_under_random_vectors():
     rng = np.random.default_rng(0)
     for _ in range(2000):
         k = int(rng.integers(1, 12))
-        r = rng.random(k) * 10 ** rng.integers(0, 9)
-        f = jain_fairness(r)
+        r = rng.random((1, k)) * 10 ** rng.integers(0, 9)
+        f = jain_fairness(r)[0]
         assert 1.0 / k - 1e-12 <= f <= 1.0 + 1e-12
         # scale invariance
-        assert jain_fairness(r * 3.7) == pytest.approx(f, rel=1e-9)
+        assert jain_fairness(r * 3.7)[0] == pytest.approx(f, rel=1e-9)
 
 
 def test_qos_violation_is_worst_user_shortfall():
-    assert qos_violation([5.0, 2.0, 9.0], 4.0) == pytest.approx(2.0)
-    assert qos_violation([5.0, 2.0, 9.0], 1.0) == 0.0
-    with pytest.raises(ValueError):
-        qos_violation([], 1.0)
+    rates = np.array([[5.0, 2.0, 9.0]])
+    assert qos_violation(rates, 4.0) == pytest.approx([2.0])
+    assert qos_violation(rates, 1.0) == [0.0]
 
 
 def test_uav_penalty_boundary_is_inside():
-    bounds = (0.0, 0.0, 100.0, 50.0)
-    inside = np.array([[10.0, 10.0, 30.0]])
-    on_edge = np.array([[0.0, 50.0, 30.0]])
-    outside = np.array([[-1.0, 10.0, 30.0]])
-    assert uav_penalty(inside, bounds) == 0.0
-    assert uav_penalty(on_edge, bounds) == 0.0
-    assert uav_penalty(outside, bounds) == 1.0
-    both = np.vstack([inside, outside])
-    assert uav_penalty(both, bounds) == pytest.approx(0.5)
-    assert uav_penalty(np.zeros((0, 3)), bounds) == 0.0
+    # three one-UAV regions (inside, on the edge, outside), then one region
+    # with a UAV inside and one outside
+    bounds = np.array([[0.0, 0.0, 100.0, 50.0]])
+    inside = [10.0, 10.0, 30.0]
+    on_edge = [0.0, 50.0, 30.0]
+    outside = [-1.0, 10.0, 30.0]
+    one_each = np.array([[inside], [on_edge], [outside]])
+    assert np.array_equal(uav_penalty(one_each, np.repeat(bounds, 3, axis=0)), [0.0, 0.0, 1.0])
+    assert uav_penalty(np.array([[inside, outside]]), bounds) == pytest.approx([0.5])
 
 
 def _reward_scales(cfg):
@@ -152,25 +150,6 @@ def _desk_cfg():
     return cfg
 
 
-def _random_feasible_state(cfg, rng):
-    state = AllocationState.zeros(cfg)
-    m = cfg.nodes_per_region
-    for n in range(cfg.num_subbands):
-        b = rng.integers(0, cfg.beams + 1)
-        if b > 0:
-            state.global_alloc[b - 1, n] = 1
-    for region in range(cfg.num_regions):
-        beam = (region // cfg.regions_per_hap) // cfg.haps_per_beam
-        for n in range(cfg.num_subbands):
-            if state.global_alloc[beam, n] and rng.random() < 0.8:
-                state.regional[region * m + rng.integers(0, m), n] = 1
-    state.beta = (state.regional * (rng.random(state.regional.shape) < 0.9)).astype(np.int8)
-    alpha = rng.random(state.alpha.shape)
-    used = (state.beta * alpha).sum(axis=1, keepdims=True)
-    state.alpha = alpha / np.maximum(used, 1.0)
-    return state
-
-
 def test_step_metrics_match_straight_line_reference():
     # independent re-derivation of every aggregate with plain loops;
     # the implementation must agree to near machine precision
@@ -183,7 +162,7 @@ def test_step_metrics_match_straight_line_reference():
     rng = np.random.default_rng(11)
 
     for trial in range(100):
-        state = _random_feasible_state(cfg, rng)
+        state = random_feasible_state(cfg, rng)
         pos = tx_pos.copy()
         pos[:, :2] += rng.normal(0, 300, size=(cfg.num_transmitters, 2))
         snap = compute_snapshot(topo, state, pos, rng=None)
@@ -254,3 +233,27 @@ def test_spectrum_utilization_counts_active_over_granted():
     snap = compute_snapshot(topo, state, tx_pos, rng=None)
     got = compute_step_metrics(topo, state, snap, tx_pos)
     assert got.spectrum_utilization == pytest.approx(0.5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(cfg=small_scenarios(), seed=st.integers(0, 2**32 - 1))
+def test_step_metrics_on_random_scenarios_are_finite_and_bounded(cfg, seed):
+    rng = np.random.default_rng(seed)
+    topo = build_topology(cfg, rng)
+    state = random_feasible_state(cfg, rng)
+    pos = np.stack([n.position for n in topo.transmitters()])
+    pos[topo.uav_rows, :2] += rng.normal(0, cfg.region_size[0] / 2, size=(topo.uav_rows.size, 2))
+    snap = compute_snapshot(topo, state, pos, rng=rng)
+    got = compute_step_metrics(topo, state, snap, pos)
+
+    for f in dataclasses.fields(got):
+        assert np.isfinite(getattr(got, f.name)).all(), f.name
+    assert (got.user_rates >= 0).all()
+    k = cfg.users_per_region
+    # Jain's index lies in [1/K, 1] up to rounding
+    assert (got.region_fairness >= 1 / k - 1e-12).all() and (got.region_fairness <= 1 + 1e-12).all()
+    assert 1 / cfg.num_users - 1e-12 <= got.fairness <= 1 + 1e-12
+    assert ((got.region_uav_penalty >= 0) & (got.region_uav_penalty <= 1)).all()
+    assert (got.region_qos >= 0).all()
+    assert type(got.eta) is float
+    assert got.eta == got.user_rates.sum() / cfg.total_bandwidth

@@ -76,7 +76,7 @@ def _variants(kind, cfg):
 
 def _corrupt(state, cfg, rng):
     """A copy of ``state`` with one to three random entries set to odd values."""
-    bad = state.copy()
+    bad = copy.deepcopy(state)
     for _ in range(int(rng.integers(1, 4))):
         name = ("global_alloc", "regional", "beta", "alpha", "dp")[int(rng.integers(0, 5))]
         arr = getattr(bad, name)
@@ -86,7 +86,7 @@ def _corrupt(state, cfg, rng):
         idx = tuple(int(rng.integers(0, d)) for d in arr.shape)
         choices = [0, 1, 2, -1]
         if arr.dtype.kind == "f":
-            choices += [0.5, 1.5, cfg.uav_step + 1.0, -cfg.uav_step - 1.0]
+            choices += [0.5, 1.5, cfg.uav_step + 1.0, -cfg.uav_step - 1.0, np.nan]
         arr[idx] = choices[int(rng.integers(0, len(choices)))]
     return bad
 
@@ -98,7 +98,7 @@ def _check_step(env, obs, bundle, rng):
     # local apply: the env's clamp over all rows at once vs one row at a
     # time; the clamp reads only the regional grant, which nothing after it
     # in the step changes, and overwrites beta, alpha and dp
-    ref = state.alloc.copy()
+    ref = copy.deepcopy(state.alloc)
     apply_local_loop(ref, bundle["local"], cfg, topo)
     for name in ("beta", "alpha", "dp"):
         assert _same_bits(getattr(state.alloc, name), getattr(ref, name)), name
