@@ -14,7 +14,6 @@ from .config import ConfigError, PpoConfig, RewardWeights, ScenarioConfig, load_
 from .topology import Node, Topology, build_topology
 from .allocation import (
     AllocationState,
-    LocalAction,
     Violation,
     clamp_local,
     validate,

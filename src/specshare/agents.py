@@ -29,7 +29,10 @@ policy over all HAPs (one row each) at that tier's decision steps; its
 global policy is one ``(1, 1, D)`` stack.  The per-region baseline runs one
 separate PPO per region every step; the flat baseline runs one network
 over the concatenated observation every step.  Every agent hands the env
-its regional action as one ``(num_regions, nodes, N)`` array.
+its regional action as one ``(num_regions, nodes, N)`` array.  Stacks
+only: every forward gets a float ``(B, D)`` batch or ``(S, B, D)`` stack
+(the flat baseline's greedy step a ``(1, D)`` batch), and every local
+action is the ``(T, ·)`` arrays the env clamps in one call.
 
 The exhaustive search scores each distinct joint allocation once (a
 subband granted to a beam but used by none of its nodes is the idle
@@ -45,7 +48,7 @@ import time
 import numpy as np
 
 from . import ppo
-from .allocation import AllocationState, EnumerationCapError
+from .allocation import AllocationState
 from .channel import ChannelSnapshot, associate_users, co_channel_interference, link_gains
 from .config import PpoConfig, ScenarioConfig
 from .env import SpectrumSharingEnv, episode_summary
@@ -208,6 +211,11 @@ class RandomAgent:
         pass
 
 
+class SearchRefusedError(ValueError):
+    """The exhaustive search cannot run on this scenario: its fading is not
+    frozen, or its joint space exceeds the enumeration cap."""
+
+
 # distinct joint allocations scored per batched pass of exhaustive_solve;
 # bounds its working memory whatever the search space
 EXHAUSTIVE_CHUNK = 256
@@ -232,16 +240,15 @@ class JointSearch:
     """What every exhaustive solve of one scenario shares: the topology,
     which alone records the scenario, the frozen gains at the transmitters'
     home positions, and each distinct subband state's regional column and
-    grant.  Raises what ``exhaustive_solve`` raises for a scenario it cannot
-    solve."""
+    grant.  Raises ``SearchRefusedError`` for a scenario it cannot solve."""
 
     def __init__(self, topo: Topology):
         cfg = topo.cfg
         if not cfg.fading_frozen:
-            raise ValueError("exhaustive_solve requires fading_frozen=true")
+            raise SearchRefusedError("exhaustive_solve requires fading_frozen=true")
         total = count_joint_candidates(cfg)
         if total > cfg.exhaustive_cap:
-            raise EnumerationCapError(
+            raise SearchRefusedError(
                 f"search space too large: {total} joint allocations exceed cap {cfg.exhaustive_cap}"
             )
         self.topo, self.total = topo, total
@@ -716,14 +723,12 @@ def evaluate(
     clock = time.perf_counter
     per_episode = []
     step_rows = []
-    throughput = []
     for episode in range(episodes):
         obs = env.reset(seed=eval_seed_base + episode)
         t0 = clock()
         agent.begin_episode(env)
         decision_time = clock() - t0
         step_metrics = []
-        series = []
         act = agent.act
         for t in range(cfg.steps_per_episode):
             # keep the timed window to the call itself: the clock and the bound
@@ -733,7 +738,6 @@ def evaluate(
             decision_time += clock() - t0
             obs, _, _, _, metrics = env.step(bundle)
             step_metrics.append(metrics)
-            series.append(metrics.r_avg)
             step_rows.append(
                 {
                     "step": t,
@@ -749,7 +753,6 @@ def evaluate(
             np.mean([m.spectrum_utilization for m in step_metrics])
         )
         per_episode.append(summary)
-        throughput.append(series)
     out = {
         "episodes": per_episode,
         "eta_mean": float(np.mean([e["eta"] for e in per_episode])),
@@ -760,7 +763,6 @@ def evaluate(
         "spectrum_utilization_mean": float(
             np.mean([e["spectrum_utilization"] for e in per_episode])
         ),
-        "per_step_throughput": throughput,
         "steps": step_rows,
     }
     return out

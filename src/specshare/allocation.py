@@ -28,10 +28,6 @@ BUDGET_TOL = 1e-9
 _RESCALE_TOL = 1e-12
 
 
-class EnumerationCapError(RuntimeError):
-    """Search space exceeds the configured enumeration cap."""
-
-
 @dataclass
 class Violation:
     constraint: str
@@ -40,15 +36,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.constraint} at {self.where}: {self.message}"
-
-
-@dataclass
-class LocalAction:
-    """Per-node spectrum access: subband mask, power split, movement."""
-
-    beta: np.ndarray  # (N,) in {0, 1}
-    alpha: np.ndarray  # (N,) in [0, 1]
-    dp: np.ndarray  # (2,) meters
 
 
 # Each allocation array in trace order: its trace key, its AllocationState
@@ -201,24 +188,22 @@ def clamp_local(
     dp: np.ndarray,
     granted: np.ndarray,
     uav_step: float,
-    is_uav,
-) -> LocalAction:
-    """Project raw local actions onto the feasible set.
+    is_uav: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Project raw local actions onto the feasible set; stacks only.
 
-    Works on one node (beta/alpha/granted (N,), dp (2,), is_uav a bool) or
-    on a stack of nodes (leading axes shared by every argument, is_uav one
-    flag per node).  beta is masked by the regional grant, alpha clipped to
-    [0, 1] and rescaled when the active budget exceeds one, dp clipped per
-    axis and zeroed for non-UAV nodes.  Idempotent: clamping a clamped
-    action is a bit-exact no-op.
+    Takes every node at once: beta, float alpha and the int8 grant (T, N),
+    float dp (T, 2) and one ``is_uav`` flag per node, and returns the
+    clamped (beta, alpha, dp).  beta is masked by the regional grant, alpha
+    clipped to [0, 1] and rescaled when the active budget exceeds one, dp
+    clipped per axis and zeroed for non-UAV nodes.  Idempotent: clamping a
+    clamped action is a bit-exact no-op.
     """
-    b = (np.asarray(beta) > 0.5) & np.asarray(granted, dtype=np.int8)  # int8 0/1
+    b = (beta > 0.5) & granted  # int8 0/1
     # np.minimum(hi, np.maximum(lo, x)) is np.clip(x, lo, hi) bit for bit,
     # signed zeros included, without the wrapper overhead
-    a = np.minimum(1.0, np.maximum(0.0, np.asarray(alpha, dtype=float)))
+    a = np.minimum(1.0, np.maximum(0.0, alpha))
     used = (b * a).sum(axis=-1, keepdims=True)
     np.divide(a, used, out=a, where=used > 1.0 + _RESCALE_TOL)
-    d = np.minimum(uav_step, np.maximum(-uav_step, np.asarray(dp, dtype=float)))
-    d = np.where(np.asarray(is_uav)[..., None], d, 0.0)
-    return LocalAction(beta=b, alpha=a, dp=d)
-
+    d = np.minimum(uav_step, np.maximum(-uav_step, dp))
+    return b, a, np.where(is_uav[:, None], d, 0.0)

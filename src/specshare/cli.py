@@ -26,11 +26,12 @@ import numpy as np
 from . import __version__
 from .agents import (
     AGENT_KINDS,
+    SearchRefusedError,
     evaluate,
     make_agent,
     train,
 )
-from .allocation import ALLOCATION_ARRAYS, AllocationState, EnumerationCapError, validate
+from .allocation import ALLOCATION_ARRAYS, AllocationState, validate
 from .channel import compute_snapshot
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .env import SpectrumSharingEnv
@@ -250,12 +251,27 @@ def cmd_evaluate(args) -> int:
 # -- benchmark --------------------------------------------------------------------
 
 
-def _sweep_local_power(cfg: ScenarioConfig, algo: str, scales) -> list[list]:
+def _trained_agent(algo: str, cfg: ScenarioConfig, episodes: int):
+    """A new agent, trained for ``episodes`` on its own env when it learns."""
+    agent = make_agent(algo, cfg)
+    if episodes > 0 and agent.trainable:
+        env = SpectrumSharingEnv(cfg)
+        train(agent, env, episodes=episodes)
+        env.close()
+    return agent
+
+
+def _sweep_local_power(cfg: ScenarioConfig, algo: str, scales, train_episodes: int) -> list[list]:
     """One greedy episode per power scale, every local power fraction the
-    agent picks scaled by it; returns sweep table rows."""
+    agent picks scaled by it; returns sweep table rows.  A learned agent is
+    trained once, as the benchmark rows' agents are, and every scale rates
+    its weights; the others are built afresh per scale, so each scale sees
+    the same draws."""
     rows = []
+    agent = None
     for scale in scales:
-        agent = make_agent(algo, cfg)
+        if agent is None or not agent.trainable:
+            agent = _trained_agent(algo, cfg, train_episodes)
         env = SpectrumSharingEnv(cfg)
         obs = env.reset(seed=100_000)
         agent.begin_episode(env)
@@ -301,16 +317,12 @@ def cmd_benchmark(args) -> int:
         ok_rows = []
         for seed in seeds:
             cfg_s = _reseeded(cfg, seed)
-            agent = make_agent(algo, cfg_s)
-            if args.train_episodes > 0 and agent.trainable:
-                env = SpectrumSharingEnv(cfg_s)
-                train(agent, env, episodes=args.train_episodes)
-                env.close()
+            agent = _trained_agent(algo, cfg_s, args.train_episodes)
             env = SpectrumSharingEnv(cfg_s)
             # an exhaustive search the scenario cannot run raises from begin_episode
             try:
                 result = evaluate(agent, env, episodes=episodes)
-            except (EnumerationCapError, ValueError) as exc:
+            except SearchRefusedError as exc:
                 log.info("skipping %s at seed %d: %s", algo, seed, exc)
                 rows.append([algo, seed, "skipped"] + [""] * (len(BENCHMARK_COLUMNS) - 3))
                 env.close()
@@ -358,8 +370,8 @@ def cmd_benchmark(args) -> int:
         sweep_rows = []
         for algo in algos:
             try:
-                sweep_rows.extend(_sweep_local_power(cfg, algo, scales))
-            except (EnumerationCapError, ValueError) as exc:
+                sweep_rows.extend(_sweep_local_power(cfg, algo, scales, args.train_episodes))
+            except SearchRefusedError as exc:
                 log.info("skipping %s in the sweep: %s", algo, exc)
         _write_csv(out / "sweep.csv", SWEEP_COLUMNS, sweep_rows)
 
@@ -394,7 +406,9 @@ def _misshapen(ln: dict, cfg: ScenarioConfig) -> str | None:
     """Which array of step line ``ln`` does not read with the dtype and shape
     ``cfg`` implies, or None: the allocation arrays as ``ALLOCATION_ARRAYS``
     gives them, then the transmitter positions and the gains.  An integer
-    array's entries must be integral: its cast would truncate 1.9 to 1."""
+    array's entries must be integral: its cast would truncate 1.9 to 1.  The
+    positions and gains must be finite: a NaN UAV compares as inside its
+    region, so the recomputed metrics would not show it."""
     t = cfg.num_transmitters
     arrays = []
     for key, _, dtype, shape in ALLOCATION_ARRAYS:
@@ -410,10 +424,16 @@ def _misshapen(ln: dict, cfg: ScenarioConfig) -> str | None:
             return f"has {field!r} of shape {got.shape}, expected {shape}"
         if got.dtype.kind == "i":
             exact = np.asarray(value, dtype=float)
-            off = np.argwhere(got != exact)
-            if off.size:
-                at = tuple(off[0].tolist())
-                return f"has a non-integral {field!r} entry {exact[at]} at {at}"
+            bad, what = got != exact, "non-integral"
+        elif field in ("tx_positions", "gains"):  # a NaN alpha or dp is validate's to name
+            exact = got
+            bad, what = ~np.isfinite(got), "non-finite"
+        else:
+            continue
+        off = np.argwhere(bad)
+        if off.size:
+            at = tuple(off[0].tolist())
+            return f"has a {what} {field!r} entry {exact[at]} at {at}"
     return None
 
 

@@ -164,27 +164,18 @@ class SpectrumSharingEnv:
         if t >= cfg.steps_per_episode:
             raise RuntimeError("episode already truncated; call reset()")
 
-        g_action = actions.get("global")
-        r_action = actions.get("regional")
-        l_action = actions.get("local")
-
-        if cfg.global_due(t):
-            if g_action is None:
-                raise ScheduleError(f"missing required action: global at t={t}")
-            self._apply_global(g_action)
-        elif g_action is not None:
-            raise ScheduleError(f"off-schedule action: global at t={t}")
-
-        if cfg.regional_due(t):
-            if r_action is None:
-                raise ScheduleError(f"missing required action: regional at t={t}")
-            self._apply_regional(r_action)
-        elif r_action is not None:
-            raise ScheduleError(f"off-schedule action: regional at t={t}")
-
-        if l_action is None:
-            raise ScheduleError(f"missing required action: local at t={t}")
-        self._apply_local(l_action)
+        global_due, regional_due = cfg.global_due(t), cfg.regional_due(t)
+        for tier, due, apply in (
+            ("global", global_due, self._apply_global),
+            ("regional", regional_due, self._apply_regional),
+            ("local", True, self._apply_local),
+        ):
+            action = actions.get(tier)
+            if due != (action is not None):
+                problem = "missing required" if due else "off-schedule"
+                raise ScheduleError(f"{problem} action: {tier} at t={t}")
+            if due:
+                apply(action)
 
         self._move_uavs()
 
@@ -201,8 +192,8 @@ class SpectrumSharingEnv:
 
         if self._trace_fh is not None:
             decisions = {
-                "global": cfg.global_due(t),
-                "regional": list(range(cfg.num_haps)) if cfg.regional_due(t) else [],
+                "global": global_due,
+                "regional": list(range(cfg.num_haps)) if regional_due else [],
                 "local": cfg.num_transmitters,
             }
             self._write_trace(t, decisions, state)
@@ -247,8 +238,8 @@ class SpectrumSharingEnv:
         cfg = self.cfg
         alloc = self.state.alloc
         beta = np.asarray(local["beta"])
-        alpha = np.asarray(local["alpha"])
-        dp = np.asarray(local["dp"])
+        alpha = np.asarray(local["alpha"], dtype=float)
+        dp = np.asarray(local["dp"], dtype=float)
         shape = (cfg.num_transmitters, cfg.num_subbands)
         if beta.shape != shape or alpha.shape != shape or dp.shape != (cfg.num_transmitters, 2):
             raise ValueError("local action arrays have wrong shape")
@@ -256,10 +247,9 @@ class SpectrumSharingEnv:
         for name, arr in (("alpha", alpha), ("dp", dp)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"local action {name!r} holds a non-finite value")
-        act = clamp_local(beta, alpha, dp, alloc.regional, cfg.uav_step, self.topology.is_uav)
-        alloc.beta[...] = act.beta
-        alloc.alpha[...] = act.alpha
-        alloc.dp[...] = act.dp
+        alloc.beta[...], alloc.alpha[...], alloc.dp[...] = clamp_local(
+            beta, alpha, dp, alloc.regional, cfg.uav_step, self.topology.is_uav
+        )
 
     def _move_uavs(self) -> None:
         state = self.state

@@ -208,7 +208,8 @@ class PolicyNet:
 
 
 def forward(net: PolicyNet, obs: np.ndarray) -> DistParams:
-    """Distribution parameters and value for a batch (or single row) of observations.
+    """Distribution parameters and value for a float (B, D) batch of
+    observations, or an (S, B, D) stack of them; stacks only, no single row.
 
     Observations of shape (S, B, D) stack S independent batches: numpy runs
     each one through its own matrix products, so every batch gets exactly
@@ -218,10 +219,7 @@ def forward(net: PolicyNet, obs: np.ndarray) -> DistParams:
     and ``test_stacked_forward_matches_separate_forwards_bitwise`` fails on
     a numpy or BLAS build where it does not.
     """
-    X = np.asarray(obs, dtype=float)
-    if X.ndim < 2:
-        X = X.reshape(1, -1)
-    return _forward(net, X)[0]
+    return _forward(net, obs)[0]
 
 
 def _tanh_layer(
@@ -256,8 +254,6 @@ def _forward(
 
 def _unsquash(schema: ActionSchema, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map box actions back to pre-squash gaussian space; returns (z, u)."""
-    if schema.num_cont == 0:
-        return np.zeros_like(cont), np.zeros_like(cont)
     box = schema._box
     # zero-width bounds pin the slot to a constant; keep u finite there
     u = np.where(box.live, 2.0 * (cont - box.lo) / box.safe_width - 1.0, 0.0)
@@ -308,13 +304,9 @@ def _cont_entropy(params: DistParams) -> float:
     return ((params.log_std + 0.5 * (1.0 + _LOG_2PI) + box.log_half_width) * box.live).sum()
 
 
-def _batch_size(params: DistParams) -> int:
-    return params.logits.shape[0] if params.schema.num_cat else params.mean.shape[0]
-
-
 def log_prob(params: DistParams, action: ActionBatch) -> np.ndarray:
     """Joint log-probability of a (batch of) factorized action(s)."""
-    lp = np.zeros(_batch_size(params))
+    lp = np.zeros(params.logits.shape[0])
     for slot_start, n, _, logp in _log_softmax_runs(params):
         lp += _picked(logp, action.cat[:, slot_start : slot_start + n])
     if params.schema.num_cont:
@@ -324,7 +316,7 @@ def log_prob(params: DistParams, action: ActionBatch) -> np.ndarray:
 
 def entropy(params: DistParams) -> np.ndarray:
     """Policy entropy per batch row (gaussian part uses the pre-squash entropy)."""
-    ent = np.zeros(_batch_size(params))
+    ent = np.zeros(params.logits.shape[0])
     for *_, logp in _log_softmax_runs(params):
         ent += _probs_and_entropy(logp)[1][..., 0].sum(axis=-1)
     if params.schema.num_cont:
@@ -337,21 +329,19 @@ def sample_action(
 ) -> tuple[ActionBatch, np.ndarray]:
     """Draw actions for every batch row; the returned log-prob matches log_prob()."""
     schema = params.schema
-    B = _batch_size(params)
+    B = params.logits.shape[0]
     cat = np.zeros((B, schema.num_cat), dtype=np.int64)
-    if schema.num_cat:
-        # One uniform draw for every run yields the same numbers, and leaves
-        # the generator in the same state, as one draw per run.  The Gumbel
-        # noise is -log(-log(u)); lg + noise is written as the exactly equal
-        # lg - log(-log(u)).
-        neg_gumbel = np.log(-np.log(rng.uniform(1e-12, 1.0, size=B * schema.num_logits)))
-        start = 0
-        for slot_start, n, arity, logit_start in schema._runs:
-            size = B * n * arity
-            lg = params.logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
-            noise = neg_gumbel[start : start + size].reshape(B, n, arity)
-            cat[:, slot_start : slot_start + n] = (lg - noise).argmax(axis=-1)
-            start += size
+    # One uniform draw for every run yields the same numbers, and leaves the
+    # generator in the same state, as one draw per run.  The Gumbel noise is
+    # -log(-log(u)); lg + noise is written as the exactly equal lg - log(-log(u)).
+    neg_gumbel = np.log(-np.log(rng.uniform(1e-12, 1.0, size=B * schema.num_logits)))
+    start = 0
+    for slot_start, n, arity, logit_start in schema._runs:
+        size = B * n * arity
+        lg = params.logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
+        noise = neg_gumbel[start : start + size].reshape(B, n, arity)
+        cat[:, slot_start : slot_start + n] = (lg - noise).argmax(axis=-1)
+        start += size
     if schema.num_cont:
         box = schema._box
         z = params.mean + np.exp(params.log_std) * rng.standard_normal(params.mean.shape)

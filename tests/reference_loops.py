@@ -33,8 +33,8 @@ import itertools
 import numpy as np
 
 from specshare import ppo
-from specshare.agents import count_joint_candidates, slots_to_region
-from specshare.allocation import BUDGET_TOL, AllocationState, EnumerationCapError, LocalAction, Violation
+from specshare.agents import SearchRefusedError, count_joint_candidates, slots_to_region
+from specshare.allocation import BUDGET_TOL, AllocationState, Violation
 from specshare.channel import associate_users, co_channel_interference, link_gains
 from specshare.config import ScenarioConfig
 from specshare.metrics import REFERENCE_SINR, StepMetrics, sinr, user_rate
@@ -130,8 +130,8 @@ def validate_loop(state: AllocationState, cfg, uav_step: float | None = None) ->
     return None
 
 
-def clamp_local_row(beta, alpha, dp, granted, uav_step: float, is_uav: bool) -> LocalAction:
-    """Project one node's raw local action onto the feasible set."""
+def clamp_local_row(beta, alpha, dp, granted, uav_step: float, is_uav: bool) -> tuple:
+    """Project one node's raw local action onto the feasible set: (beta, alpha, dp)."""
     b = (np.asarray(beta) > 0.5).astype(np.int8) * np.asarray(granted, dtype=np.int8)
     a = np.clip(np.asarray(alpha, dtype=float), 0.0, 1.0)
     used = float((b * a).sum())
@@ -141,7 +141,7 @@ def clamp_local_row(beta, alpha, dp, granted, uav_step: float, is_uav: bool) -> 
         d = np.clip(np.asarray(dp, dtype=float), -uav_step, uav_step)
     else:
         d = np.zeros(2)
-    return LocalAction(beta=b, alpha=a, dp=d)
+    return b, a, d
 
 
 def apply_local_loop(alloc: AllocationState, local: dict, cfg, topo) -> None:
@@ -151,12 +151,9 @@ def apply_local_loop(alloc: AllocationState, local: dict, cfg, topo) -> None:
     dp = np.asarray(local["dp"])
     is_uav = np.array([n.tier == TIER_UAV for n in topo.transmitters()])
     for row in range(cfg.num_transmitters):
-        act = clamp_local_row(
+        alloc.beta[row], alloc.alpha[row], alloc.dp[row] = clamp_local_row(
             beta[row], alpha[row], dp[row], alloc.regional[row], cfg.uav_step, is_uav[row]
         )
-        alloc.beta[row] = act.beta
-        alloc.alpha[row] = act.alpha
-        alloc.dp[row] = act.dp
 
 
 # -- channel ---------------------------------------------------------------------
@@ -442,11 +439,11 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
     efficiency, with network fairness breaking ties.  Requires fading_frozen.
     """
     if not cfg.fading_frozen:
-        raise ValueError("exhaustive_solve requires fading_frozen=true")
+        raise SearchRefusedError("exhaustive_solve requires fading_frozen=true")
     cap = cfg.exhaustive_cap if cap is None else cap
     total = count_joint_candidates(cfg)
     if total > cap:
-        raise EnumerationCapError(
+        raise SearchRefusedError(
             f"search space too large: {total} joint allocations exceed cap {cap}"
         )
 

@@ -479,8 +479,8 @@ def test_criterion_10_determinism_and_replay(tmp_path, capsys):
 def test_criterion_11_throughput_stability(desk_results):
     hdrl_stds, random_stds = [], []
     for seed in desk_results:
-        h = np.concatenate(desk_results[seed]["hdrl"]["per_step_throughput"])
-        r = np.concatenate(desk_results[seed]["random"]["per_step_throughput"])
+        h = np.array([s["throughput_bps"] for s in desk_results[seed]["hdrl"]["steps"]])
+        r = np.array([s["throughput_bps"] for s in desk_results[seed]["random"]["steps"]])
         hdrl_stds.append(float(np.std(h)))
         random_stds.append(float(np.std(r)))
     h_std, r_std = float(np.mean(hdrl_stds)), float(np.mean(random_stds))

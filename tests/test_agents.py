@@ -7,6 +7,7 @@ import pytest
 import specshare.ppo
 from specshare.agents import (
     AGENT_KINDS,
+    SearchRefusedError,
     count_joint_candidates,
     evaluate,
     exhaustive_solve,
@@ -15,7 +16,7 @@ from specshare.agents import (
     slots_to_region,
     train,
 )
-from specshare.allocation import AllocationState, EnumerationCapError, validate
+from specshare.allocation import AllocationState, validate
 from specshare.config import ScenarioConfig, config_from_dict
 from specshare.env import SpectrumSharingEnv
 
@@ -110,14 +111,14 @@ def test_candidate_counting():
 
 def test_exhaustive_requires_frozen_fading():
     cfg = _cfg(fading_frozen=False)
-    with pytest.raises(ValueError, match="fading_frozen"):
+    with pytest.raises(SearchRefusedError, match="fading_frozen"):
         exhaustive_solve(cfg)
 
 
 def test_exhaustive_cap_guard():
     cfg = ScenarioConfig()
     cfg.fading_frozen = True
-    with pytest.raises(EnumerationCapError, match="search space too large"):
+    with pytest.raises(SearchRefusedError, match="search space too large"):
         exhaustive_solve(cfg)
 
 
@@ -393,8 +394,9 @@ def test_evaluate_output_structure():
     assert len(res["decision_time_s"]) == 2
     assert all(dt > 0 for dt in res["decision_time_s"])
     assert len(res["steps"]) == 2 * cfg.steps_per_episode
-    assert len(res["per_step_throughput"]) == 2
-    assert len(res["per_step_throughput"][0]) == cfg.steps_per_episode
+    n = cfg.steps_per_episode
+    assert [s["episode"] for s in res["steps"]] == [0] * n + [1] * n
+    assert [s["step"] for s in res["steps"]] == list(range(n)) * 2
     assert res["eta_mean"] == pytest.approx(np.mean([e["eta"] for e in res["episodes"]]))
     assert 0.0 <= res["spectrum_utilization_mean"] <= 1.0
 

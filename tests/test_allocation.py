@@ -158,37 +158,37 @@ def test_nan_is_out_of_range():
 
 def test_clamp_masks_binarizes_and_rescales():
     rng = np.random.default_rng(0)
-    n = 6
-    for _ in range(200):
-        granted = (rng.random(n) < 0.5).astype(np.int8)
-        raw_beta = rng.random(n) * 2 - 0.5
-        raw_alpha = rng.random(n) * 3 - 1
-        raw_dp = rng.normal(0, 30, size=2)
-        act = clamp_local(raw_beta, raw_alpha, raw_dp, granted, uav_step=10.0, is_uav=True)
-        assert set(np.unique(act.beta)) <= {0, 1}
-        assert (act.beta <= granted).all()
-        assert (act.alpha >= 0).all() and (act.alpha <= 1).all()
-        assert float((act.beta * act.alpha).sum()) <= 1.0 + 1e-9
-        assert (np.abs(act.dp) <= 10.0).all()
+    rows, n = 200, 6
+    granted = (rng.random((rows, n)) < 0.5).astype(np.int8)
+    raw_beta = rng.random((rows, n)) * 2 - 0.5
+    raw_alpha = rng.random((rows, n)) * 3 - 1
+    raw_dp = rng.normal(0, 30, size=(rows, 2))
+    beta, alpha, dp = clamp_local(
+        raw_beta, raw_alpha, raw_dp, granted, uav_step=10.0, is_uav=np.ones(rows, dtype=bool)
+    )
+    assert set(np.unique(beta)) <= {0, 1}
+    assert (beta <= granted).all()
+    assert (alpha >= 0).all() and (alpha <= 1).all()
+    assert ((beta * alpha).sum(axis=1) <= 1.0 + 1e-9).all()
+    assert (np.abs(dp) <= 10.0).all()
 
 
 def test_clamp_is_idempotent_bitwise():
     rng = np.random.default_rng(1)
-    n = 5
-    for _ in range(200):
-        granted = (rng.random(n) < 0.7).astype(np.int8)
-        act = clamp_local(
-            rng.random(n) * 2 - 0.5,
-            rng.random(n) * 3,
-            rng.normal(0, 30, size=2),
-            granted,
-            uav_step=10.0,
-            is_uav=True,
-        )
-        again = clamp_local(act.beta, act.alpha, act.dp, granted, uav_step=10.0, is_uav=True)
-        assert np.array_equal(act.beta, again.beta)
-        assert np.array_equal(act.alpha, again.alpha)  # bit-exact, not approx
-        assert np.array_equal(act.dp, again.dp)
+    rows, n = 200, 5
+    granted = (rng.random((rows, n)) < 0.7).astype(np.int8)
+    is_uav = np.ones(rows, dtype=bool)
+    once = clamp_local(
+        rng.random((rows, n)) * 2 - 0.5,
+        rng.random((rows, n)) * 3,
+        rng.normal(0, 30, size=(rows, 2)),
+        granted,
+        uav_step=10.0,
+        is_uav=is_uav,
+    )
+    again = clamp_local(*once, granted, uav_step=10.0, is_uav=is_uav)
+    for a, b in zip(once, again):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()  # bit-exact, not approx
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -201,7 +201,7 @@ def test_clamp_on_random_stacks_is_feasible_and_idempotent(cfg, seed):
     shape = state.alpha.shape
     alpha = rng.uniform(-1.0, 3.0, size=shape)
     alpha[rng.random(shape) < 0.2] = rng.choice([0.0, 1.0, 1e6])
-    act = clamp_local(
+    once = clamp_local(
         rng.uniform(-0.5, 1.5, size=shape),
         alpha,
         rng.normal(0, 3 * cfg.uav_step + 1, size=state.dp.shape),
@@ -209,21 +209,20 @@ def test_clamp_on_random_stacks_is_feasible_and_idempotent(cfg, seed):
         cfg.uav_step,
         topo.is_uav,
     )
-    state.beta, state.alpha, state.dp = act.beta, act.alpha, act.dp
+    state.beta, state.alpha, state.dp = once
     assert validate(state, cfg) is None
-    assert not act.dp[~topo.is_uav].any()
-    again = clamp_local(act.beta, act.alpha, act.dp, state.regional, cfg.uav_step, topo.is_uav)
-    for name in ("beta", "alpha", "dp"):
-        a, b = getattr(act, name), getattr(again, name)
+    assert not state.dp[~topo.is_uav].any()
+    again = clamp_local(*once, state.regional, cfg.uav_step, topo.is_uav)
+    for name, a, b in zip(("beta", "alpha", "dp"), once, again):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_clamp_zeroes_motion_for_ground_nodes():
-    act = clamp_local(
-        np.ones(3), np.full(3, 0.2), np.array([4.0, -3.0]), np.ones(3, dtype=np.int8),
-        uav_step=10.0, is_uav=False,
+    _, _, dp = clamp_local(
+        np.ones((2, 3)), np.full((2, 3), 0.2), np.array([[4.0, -3.0], [4.0, -3.0]]),
+        np.ones((2, 3), dtype=np.int8), uav_step=10.0, is_uav=np.array([False, True]),
     )
-    assert np.array_equal(act.dp, np.zeros(2))
+    assert np.array_equal(dp, [[0.0, 0.0], [4.0, -3.0]])
 
 
 def test_allocation_dict_round_trip():

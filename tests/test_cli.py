@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specshare.agents import evaluate, make_agent
+from specshare.agents import HdrlAgent, evaluate, make_agent, train
 from specshare.allocation import ALLOCATION_ARRAYS, AllocationState, validate
 from specshare.cli import BENCHMARK_COLUMNS, STEPS_COLUMNS, SWEEP_COLUMNS, TRAIN_LOG_COLUMNS, main
 from specshare.config import ScenarioConfig, config_from_dict, load_config
@@ -334,6 +334,16 @@ def _fill(key: str, value):
             lambda step: step["allocation"]["global"][0].__setitem__(0, 0.7),
             "has a non-integral 'allocation.global' entry 0.7 at (0, 0)",
         ),
+        # a NaN UAV compares as inside its region: the recomputed metrics
+        # would not show it; row 2 is region 0's UAV
+        (
+            lambda step: step["tx_positions"][2].__setitem__(slice(0, 2), [float("nan")] * 2),
+            "has a non-finite 'tx_positions' entry nan at (2, 0)",
+        ),
+        (
+            lambda step: step.update(gains=np.full(np.shape(step["gains"]), np.nan).tolist()),
+            "has a non-finite 'gains' entry nan at (0, 0)",
+        ),
     ],
     ids=[
         "allocation-not-an-object",
@@ -355,6 +365,8 @@ def _fill(key: str, value):
         "alpha-nan",
         "beta-1.9",
         "global-0.7",
+        "tx-positions-nan",
+        "gains-nan",
     ],
 )
 def test_replay_names_a_malformed_allocation_or_metrics_and_its_line(tmp_path, caplog, edit, message):
@@ -365,13 +377,11 @@ def test_replay_names_a_malformed_allocation_or_metrics_and_its_line(tmp_path, c
     assert f"malformed trace: line 8 {message}" in caplog.text
 
 
+# a NaN gain is refused as malformed (gains-nan above) before any metric is recomputed
 @pytest.mark.parametrize(
     "edit, field",
-    [
-        (lambda step: step["metrics"].update(eta=float("nan")), "eta"),
-        (lambda step: step.update(gains=np.full(np.shape(step["gains"]), np.nan).tolist()), None),
-    ],
-    ids=["nan-eta", "nan-gains"],
+    [(lambda step: step["metrics"].update(eta=float("nan")), "eta")],
+    ids=["nan-eta"],
 )
 def test_replay_counts_a_nan_as_a_deviation(tmp_path, capsys, edit, field):
     trace, lines = _tiny_trace(tmp_path)
@@ -380,9 +390,7 @@ def test_replay_counts_a_nan_as_a_deviation(tmp_path, capsys, edit, field):
     assert main(["replay", "--trace", str(trace)]) == 1
     printed = capsys.readouterr().out
     assert "max absolute deviation inf" in printed
-    assert "largest deviation at trace line 8, field " in printed
-    if field:
-        assert f"field {field!r}" in printed
+    assert f"largest deviation at trace line 8, field {field!r}" in printed
 
 
 @pytest.mark.parametrize("episode", [0, 1])
@@ -603,6 +611,51 @@ def test_negative_listed_seed_fails_before_any_output(tmp_path, caplog, command)
         assert rc == 1
         assert message in caplog.text
         assert not out.exists()
+
+
+def test_benchmark_fails_on_a_diverged_agent(tmp_path, caplog, monkeypatch):
+    # only the exhaustive search's refusal makes a skipped row: an action
+    # the env refuses stops the run and names the field
+    act = HdrlAgent.act
+
+    def diverged(self, obs, t, explore=True):
+        bundle = act(self, obs, t, explore)
+        bundle["local"]["alpha"] = np.full_like(bundle["local"]["alpha"], np.nan)
+        return bundle
+
+    monkeypatch.setattr(HdrlAgent, "act", diverged)
+    rc = main([
+        "benchmark", "--config", _write_tiny_cfg(tmp_path), "--algos", "random,hdrl",
+        "--episodes", "1", "--seeds", "0", "--out", str(tmp_path / "bench"),
+    ])
+    assert rc == 1
+    assert "local action 'alpha' holds a non-finite value" in caplog.text
+
+
+def test_sweep_rates_the_trained_weights(tmp_path, monkeypatch):
+    # the sweep trains each learned agent once, as the benchmark rows do,
+    # and rates those weights at every scale; random rows do not change
+    trained = []
+
+    def counting_train(agent, env, episodes=None, on_episode=None):
+        trained.append(agent.kind)
+        return train(agent, env, episodes=episodes, on_episode=on_episode)
+
+    monkeypatch.setattr("specshare.cli.train", counting_train)
+    cfg_path = _write_tiny_cfg(tmp_path)
+    sweeps = {}
+    for episodes in (0, 2):
+        out = tmp_path / f"bench{episodes}"
+        assert main([
+            "benchmark", "--config", cfg_path, "--algos", "random,hdrl", "--episodes", "1",
+            "--train-episodes", str(episodes), "--sweep", "local_power", "--out", str(out),
+        ]) == 0
+        sweeps[episodes] = _read_csv(out / "sweep.csv")[1:]
+    assert trained == ["hdrl", "hdrl"]  # the benchmark row's agent and the sweep's
+    before, after = sweeps[0], sweeps[2]
+    assert [r[0] for r in before] == ["random"] * 5 + ["hdrl"] * 5
+    assert before[:5] == after[:5]
+    assert all(a != b for a, b in zip(before[5:], after[5:]))
 
 
 def test_benchmark_rejects_unknown_algo(tmp_path, caplog):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshare.allocation import AllocationState, validate
 from specshare.config import ScenarioConfig, config_from_dict
@@ -9,7 +11,7 @@ from specshare.env import ScheduleError, SpectrumSharingEnv, episode_summary
 from specshare.metrics import compute_step_metrics
 from specshare.channel import compute_snapshot
 from specshare.topology import build_topology
-from topo_helpers import beam_of_region
+from topo_helpers import beam_of_region, small_scenarios
 
 
 def _cfg(**overrides):
@@ -199,6 +201,50 @@ def test_every_step_leaves_a_feasible_allocation():
     rng = np.random.default_rng(4)
     for t in range(cfg.steps_per_episode):
         env.step(_bundle(env, rng, t))
+        assert validate(env.state.alloc, cfg) is None
+
+
+# entries a raw bundle may hold: below 0, between 0 and 1, at and past the
+# 0.5 threshold, above 1, and far outside every box
+_RAW = np.array([-1e6, -3.0, -1.0, -1e-12, 0.0, 0.25, 0.5, 0.5000001, 0.75, 1.0, 1.0 + 1e-12, 2.0, 7.5, 1e6])
+
+
+def _raw(rng, shape, scale=1.0):
+    """Arbitrary finite entries: half from ``_RAW``, half uniform on
+    [-3, 3], each times ``scale``."""
+    picked = _RAW[rng.integers(0, _RAW.size, shape)]
+    return np.where(rng.random(shape) < 0.5, picked, rng.uniform(-3.0, 3.0, shape)) * scale
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    cfg=small_scenarios(),
+    intervals=st.sampled_from([(1, 1, 1), (2, 1, 1), (4, 2, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_raw_bundles_on_schedule_leave_a_feasible_state(cfg, intervals, seed):
+    # every tier's raw action is projected, never refused: non-binary
+    # grants and masks, several beams or nodes on one subband, alpha outside
+    # [0, 1] and dp beyond the step limit all step to a feasible state
+    cfg.decision_intervals = intervals
+    cfg.steps_per_episode = 8
+    env = SpectrumSharingEnv(cfg)
+    env.reset(seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    t_count, n = cfg.num_transmitters, cfg.num_subbands
+    for t in range(cfg.steps_per_episode):
+        actions = {
+            "local": {
+                "beta": _raw(rng, (t_count, n)),
+                "alpha": _raw(rng, (t_count, n)),
+                "dp": _raw(rng, (t_count, 2), scale=max(cfg.uav_step, 1.0)),
+            }
+        }
+        if cfg.global_due(t):
+            actions["global"] = _raw(rng, (cfg.beams, n))
+        if cfg.regional_due(t):
+            actions["regional"] = _raw(rng, (cfg.num_regions, cfg.nodes_per_region, n))
+        env.step(actions)
         assert validate(env.state.alloc, cfg) is None
 
 

@@ -4,6 +4,7 @@ Usage (from the repository root):
 
     python3 tools/output_hashes.py                # this tree
     python3 tools/output_hashes.py ../other-checkout
+    python3 tools/output_hashes.py --against ../other-checkout
 
 Runs the fixed-seed command set against ``TREE/src`` and ``TREE/configs``,
 in a temporary directory, with ``OPENBLAS_NUM_THREADS=1`` (a multi-threaded
@@ -23,8 +24,11 @@ last bits):
 Prints one JSON object of sha256 prefixes (12 hex digits), one per output,
 and for each trace a second one, ``<name>:steps``, with its header lines
 left out: the header records the config, the step lines do not.  Comparing
-two trees' objects shows which outputs a change altered.  This is a check to
-run by hand, not a test.
+two trees' objects shows which outputs a change altered; ``--against
+OTHER`` does that comparison: it hashes OTHER first, then TREE, prints each
+output whose prefix differs (``name: OTHER's -> TREE's``, a missing output
+as ``-``), and exits 1 on any difference.  This is a check to run by hand,
+not a test.
 """
 
 from __future__ import annotations
@@ -109,11 +113,22 @@ def output_hashes(tree: Path, work: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", nargs="?", default=str(ROOT), help="source tree (default: this one)")
+    parser.add_argument("--against", metavar="OTHER", help="print only the outputs that differ from OTHER's")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="output-hashes-") as work:
-        hashes = output_hashes(Path(args.tree).resolve(), Path(work))
-    print(json.dumps(hashes, indent=1))
-    return 0
+    trees = [args.tree] if args.against is None else [args.against, args.tree]
+    runs = []
+    for tree in trees:
+        with tempfile.TemporaryDirectory(prefix="output-hashes-") as work:
+            runs.append(output_hashes(Path(tree).resolve(), Path(work)))
+    if args.against is None:
+        print(json.dumps(runs[0], indent=1))
+        return 0
+    other, mine = runs
+    differ = [name for name in {**other, **mine} if other.get(name) != mine.get(name)]
+    for name in differ:
+        print(f"{name}: {other.get(name, '-')} -> {mine.get(name, '-')}")
+    print(f"{len(differ)} of {len(mine)} outputs differ from {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
