@@ -112,8 +112,8 @@ def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
     regional stage the lowest region with a fault wins, and inside it a
     region conflict precedes a grant-nesting fault.  Each stage first asks
     one whole-array question and only locates the fault when the answer is
-    no.  The env runs it after every step, and ``replay`` on every traced
-    step.
+    no.  The env runs it on each step's new allocation before committing
+    it, and ``replay`` on every traced step.
     """
     for key, attr, _, shape in ALLOCATION_ARRAYS:
         arr = getattr(state, attr)

@@ -240,13 +240,14 @@ def co_channel_interference(
     """Interference per (user, subband) from other active co-channel nodes,
     at the topology's transmit powers and its scenario's interference scope.
 
-    Reads only ``alloc``'s regional, beta and alpha.  (T, N) arrays and a
-    (U,) association give (U, N); leading candidate axes on all four carry
-    through, so (C, T, N) and (C, U) give (C, U, N).
+    Reads only ``alloc``'s beta and alpha: a feasible ``beta`` lies inside
+    the regional grant.  (T, N) arrays and a (U,) association give (U, N);
+    leading candidate axes on all four carry through, so (C, T, N) and
+    (C, U) give (C, U, N).
     """
     cfg = topo.cfg
-    active = alloc.regional * alloc.beta  # 0/1; exact under the cast to float below
-    tx_psd = active * alloc.alpha * topo.tx_power_w[:, None]  # (..., T, N) radiated power
+    # beta is 0/1, exact under the cast to float
+    tx_psd = alloc.beta * alloc.alpha * topo.tx_power_w[:, None]  # (..., T, N) radiated power
     lead = tx_psd.shape[:-2]
     if cfg.interference_scope == "region":
         blocks = topo.own_region_gains(gains)  # (R, m, k)

@@ -261,14 +261,14 @@ def _trained_agent(algo: str, cfg: ScenarioConfig, episodes: int):
     return agent
 
 
-def _sweep_local_power(cfg: ScenarioConfig, algo: str, scales, train_episodes: int) -> list[list]:
+def _sweep_local_power(cfg: ScenarioConfig, algo: str, scales, train_episodes: int, agent) -> list[list]:
     """One greedy episode per power scale, every local power fraction the
-    agent picks scaled by it; returns sweep table rows.  A learned agent is
-    trained once, as the benchmark rows' agents are, and every scale rates
-    its weights; the others are built afresh per scale, so each scale sees
-    the same draws."""
+    agent picks scaled by it; returns sweep table rows.  Every scale rates
+    one learned agent's weights: ``agent``, the benchmark row's at
+    ``cfg.seed`` (greedy evaluation left them as trained), or when that is
+    None one trained here as the rows' are.  The others are built afresh
+    per scale, so each scale sees the same draws."""
     rows = []
-    agent = None
     for scale in scales:
         if agent is None or not agent.trainable:
             agent = _trained_agent(algo, cfg, train_episodes)
@@ -313,11 +313,14 @@ def cmd_benchmark(args) -> int:
 
     rows = []
     times: dict[str, list[float]] = {}
+    own_seed_agents = {}  # the sweep runs at cfg.seed and reuses these
     for algo in algos:
         ok_rows = []
         for seed in seeds:
             cfg_s = _reseeded(cfg, seed)
             agent = _trained_agent(algo, cfg_s, args.train_episodes)
+            if seed == cfg.seed:
+                own_seed_agents[algo] = agent
             env = SpectrumSharingEnv(cfg_s)
             # an exhaustive search the scenario cannot run raises from begin_episode
             try:
@@ -370,7 +373,9 @@ def cmd_benchmark(args) -> int:
         sweep_rows = []
         for algo in algos:
             try:
-                sweep_rows.extend(_sweep_local_power(cfg, algo, scales, args.train_episodes))
+                sweep_rows.extend(
+                    _sweep_local_power(cfg, algo, scales, args.train_episodes, own_seed_agents.get(algo))
+                )
             except SearchRefusedError as exc:
                 log.info("skipping %s in the sweep: %s", algo, exc)
         _write_csv(out / "sweep.csv", SWEEP_COLUMNS, sweep_rows)

@@ -3,15 +3,18 @@
 One step equals one local decision interval.  Global (satellite) actions
 are accepted only every ``ds`` steps and regional (HAP) actions every
 ``dh`` steps; between decision points the last allocation holds.  Local
-actions arrive every step.  Actions are applied top-down: the global grant
-masks regional matrices, regional grants mask local access, and local
-actions are clamped onto the feasible set rather than rejected.  UAVs move
-by their (clamped) ``dp`` each step and are penalized, not blocked, for
-leaving their region; only a hard wall at three region sizes clips them.
+actions arrive every step.  A step reads the next allocation top-down into
+a new state: the global grant masks regional matrices, regional grants
+mask local access, and local actions are clamped onto the feasible set
+rather than rejected.  ``validate`` checks that state before it replaces
+the held one, and before any physics runs.  UAVs move by their (clamped)
+``dp`` each step and are penalized, not blocked, for leaving their region;
+only a hard wall at three region sizes clips them.
 
 Episodes never terminate early; they truncate after ``steps_per_episode``
 steps.  Supplying a tier's action off schedule, or omitting it when due,
-raises ScheduleError.
+raises ScheduleError.  A refused step, whatever the reason, leaves the env
+as it was.
 """
 
 from __future__ import annotations
@@ -154,7 +157,10 @@ class SpectrumSharingEnv:
         region r's node-by-subband matrix at index r, only at regional
         decision steps), and "local" ({"beta": (T, N), "alpha": (T, N),
         "dp": (T, 2)}) every step.  An array of the wrong shape, or a
-        non-finite ``alpha`` or ``dp``, raises ValueError.
+        non-finite ``alpha`` or ``dp``, raises ValueError.  The tiers are
+        checked against the schedule first, then read into a new allocation
+        (a tier not due keeps the held matrix), which replaces the held one
+        only once ``validate`` accepts it: a step that raises changes nothing.
         """
         if self.state is None:
             raise RuntimeError("call reset() before step()")
@@ -165,30 +171,25 @@ class SpectrumSharingEnv:
             raise RuntimeError("episode already truncated; call reset()")
 
         global_due, regional_due = cfg.global_due(t), cfg.regional_due(t)
-        for tier, due, apply in (
-            ("global", global_due, self._apply_global),
-            ("regional", regional_due, self._apply_regional),
-            ("local", True, self._apply_local),
-        ):
-            action = actions.get(tier)
-            if due != (action is not None):
+        for tier, due in (("global", global_due), ("regional", regional_due), ("local", True)):
+            if due != (actions.get(tier) is not None):
                 problem = "missing required" if due else "off-schedule"
                 raise ScheduleError(f"{problem} action: {tier} at t={t}")
-            if due:
-                apply(action)
+        # every global epoch is a regional epoch, so a held regional matrix
+        # already sits inside the held grant
+        held = state.alloc
+        grant = self._read_global(actions["global"]) if global_due else held.global_alloc
+        regional = self._read_regional(actions["regional"], grant) if regional_due else held.regional
+        alloc = AllocationState(grant, regional, *self._read_local(actions["local"], regional))
+        violation = validate(alloc, cfg)
+        if violation is not None:
+            raise RuntimeError(f"internal allocation violation in step: {violation}")
+        state.alloc = alloc
 
         self._move_uavs()
 
-        state.snapshot = compute_snapshot(
-            self.topology, state.alloc, state.tx_positions, rng=self._chan_rng
-        )
-        state.metrics = compute_step_metrics(
-            self.topology, state.alloc, state.snapshot, state.tx_positions
-        )
-
-        violation = validate(state.alloc, cfg)
-        if violation is not None:
-            raise RuntimeError(f"internal allocation violation after step: {violation}")
+        state.snapshot = compute_snapshot(self.topology, alloc, state.tx_positions, rng=self._chan_rng)
+        state.metrics = compute_step_metrics(self.topology, alloc, state.snapshot, state.tx_positions)
 
         if self._trace_fh is not None:
             decisions = {
@@ -207,49 +208,42 @@ class SpectrumSharingEnv:
         }
         return self._observe_all(), rewards, False, truncated, state.metrics
 
-    def _apply_global(self, matrix) -> None:
+    def _read_global(self, matrix) -> np.ndarray:
+        """The (beams, N) grant: binarized, the lowest-index beam per subband."""
         cfg = self.cfg
         g = (np.asarray(matrix) > 0.5).astype(np.int8)
         if g.shape != (cfg.beams, cfg.num_subbands):
             raise ValueError(f"global action must be {(cfg.beams, cfg.num_subbands)}, got {g.shape}")
-        alloc = self.state.alloc
-        # at most one beam per subband: keep the lowest-index claimant
-        alloc.global_alloc = _first_claimant(g, axis=0)
-        # cascade: regional grants and local masks shrink to the new grant
-        alloc.regional &= alloc.global_alloc[self.topology.row_beam]
-        alloc.beta &= alloc.regional
+        return _first_claimant(g, axis=0)
 
-    def _apply_regional(self, regional) -> None:
+    def _read_regional(self, regional, grant: np.ndarray) -> np.ndarray:
+        """The (T, N) regional matrix: binarized, one node per subband inside
+        each region (the lowest-index claimant), and only on ``grant``."""
         cfg = self.cfg
-        alloc = self.state.alloc
         n = cfg.num_subbands
         regional = np.asarray(regional)
         shape = (cfg.num_regions, cfg.nodes_per_region, n)
         if regional.shape != shape:
             raise ValueError(f"regional action must be {shape}, got {regional.shape}")
-        blocks = (regional > 0.5).astype(np.int8)
-        # one node per subband inside the region, and only on the beam's grant
-        cleaned = _first_claimant(blocks, axis=1)
-        cleaned &= alloc.global_alloc[self.topology.region_beam][:, None, :]
-        alloc.regional[...] = cleaned.reshape(cfg.num_transmitters, n)
-        alloc.beta &= alloc.regional
+        cleaned = _first_claimant((regional > 0.5).astype(np.int8), axis=1)
+        cleaned &= grant[self.topology.region_beam][:, None, :]
+        return cleaned.reshape(cfg.num_transmitters, n)
 
-    def _apply_local(self, local: dict) -> None:
+    def _read_local(self, local: dict, granted: np.ndarray) -> tuple:
+        """(beta, alpha, dp) clamped onto ``granted``; a wrong shape or a
+        non-finite ``alpha`` or ``dp`` raises ValueError."""
         cfg = self.cfg
-        alloc = self.state.alloc
         beta = np.asarray(local["beta"])
         alpha = np.asarray(local["alpha"], dtype=float)
         dp = np.asarray(local["dp"], dtype=float)
         shape = (cfg.num_transmitters, cfg.num_subbands)
         if beta.shape != shape or alpha.shape != shape or dp.shape != (cfg.num_transmitters, 2):
             raise ValueError("local action arrays have wrong shape")
-        # the clamp carries a NaN through into the state: refuse it before any write
+        # the clamp carries a NaN through: refuse it by name
         for name, arr in (("alpha", alpha), ("dp", dp)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"local action {name!r} holds a non-finite value")
-        alloc.beta[...], alloc.alpha[...], alloc.dp[...] = clamp_local(
-            beta, alpha, dp, alloc.regional, cfg.uav_step, self.topology.is_uav
-        )
+        return clamp_local(beta, alpha, dp, granted, cfg.uav_step, self.topology.is_uav)
 
     def _move_uavs(self) -> None:
         state = self.state

@@ -143,20 +143,19 @@ def served_user_rates(
     """SINR (..., U, N) of each user on each subband from its serving node,
     zero where unserved, and the users' Shannon rates (..., U).
 
-    Reads only ``alloc``'s regional, beta and alpha.  As in
-    ``co_channel_interference``, leading candidate axes on those, the
-    association and the interference carry through.
+    Reads only ``alloc``'s beta and alpha, as ``co_channel_interference``
+    does; leading candidate axes on those, the association and the
+    interference carry through.
     """
     cfg = topo.cfg
     # served[-1] holds the served users, served[:-1] their candidates
     served = np.nonzero(snap.association >= 0)
     rows = snap.association[served]
     at = served[:-1] + (rows,)
-    active = alloc.regional[at] * alloc.beta[at]  # 0/1, exact as a float factor
     sinr_matrix = np.zeros(snap.interference.shape)
     sinr_matrix[served] = sinr(
         snap.gains[rows, served[-1]][:, None],
-        alloc.alpha[at] * active,
+        alloc.alpha[at] * alloc.beta[at],  # beta is 0/1, exact as a float factor
         topo.tx_power_w[rows, None],
         snap.interference[served],
         cfg.noise_power_w,
@@ -177,7 +176,7 @@ def compute_step_metrics(
     n_regions, k = cfg.num_regions, cfg.users_per_region
     rates = user_rates.reshape(n_regions, k)
     region_total = rates.sum(axis=1)
-    region_eta = spectral_efficiency(rates, cfg.total_bandwidth)
+    region_eta = region_total / cfg.total_bandwidth
     region_fair = _jain_from_sums(region_total, (rates * rates).sum(axis=1), k)
     region_qos = qos_violation(rates, cfg.r_min)
     region_rate_mean = region_total / k
@@ -193,8 +192,7 @@ def compute_step_metrics(
 
     total = user_rates.sum()
     granted = int(alloc.regional.sum())
-    active_cnt = int((alloc.regional * alloc.beta).sum())
-    utilization = active_cnt / granted if granted else 0.0
+    utilization = int(alloc.beta.sum()) / granted if granted else 0.0
 
     return StepMetrics(
         sinr=sinr_matrix,

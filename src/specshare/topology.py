@@ -77,12 +77,6 @@ class Topology:
         return _frozen(np.array([n.region for n in self.transmitters()], dtype=int))
 
     @cached_property
-    def row_beam(self) -> np.ndarray:
-        """(num_transmitters,) beam whose grant covers each row."""
-        cfg = self.cfg
-        return _frozen(self.row_region // cfg.regions_per_hap // cfg.haps_per_beam)
-
-    @cached_property
     def region_beam(self) -> np.ndarray:
         """(num_regions,) beam of each region."""
         cfg = self.cfg

@@ -633,8 +633,9 @@ def test_benchmark_fails_on_a_diverged_agent(tmp_path, caplog, monkeypatch):
 
 
 def test_sweep_rates_the_trained_weights(tmp_path, monkeypatch):
-    # the sweep trains each learned agent once, as the benchmark rows do,
-    # and rates those weights at every scale; random rows do not change
+    # the sweep rates one learned agent's weights at every scale: at the
+    # config's own seed, the benchmark row's agent, not a second training;
+    # random rows do not change
     trained = []
 
     def counting_train(agent, env, episodes=None, on_episode=None):
@@ -651,11 +652,37 @@ def test_sweep_rates_the_trained_weights(tmp_path, monkeypatch):
             "--train-episodes", str(episodes), "--sweep", "local_power", "--out", str(out),
         ]) == 0
         sweeps[episodes] = _read_csv(out / "sweep.csv")[1:]
-    assert trained == ["hdrl", "hdrl"]  # the benchmark row's agent and the sweep's
+    assert trained == ["hdrl"]  # the benchmark row's agent, reused by the sweep
     before, after = sweeps[0], sweeps[2]
     assert [r[0] for r in before] == ["random"] * 5 + ["hdrl"] * 5
     assert before[:5] == after[:5]
     assert all(a != b for a, b in zip(before[5:], after[5:]))
+
+
+def test_sweep_trains_its_own_agent_only_when_no_row_ran_the_configs_seed(tmp_path, monkeypatch):
+    # the config's seed among --seeds: the sweep rates that row's agent;
+    # left out: the sweep trains the same agent itself, to the same bytes
+    trained = []
+
+    def counting_train(agent, env, episodes=None, on_episode=None):
+        trained.append(agent.kind)
+        return train(agent, env, episodes=episodes, on_episode=on_episode)
+
+    monkeypatch.setattr("specshare.cli.train", counting_train)
+    cfg_path = _write_tiny_cfg(tmp_path)
+    own = load_config(cfg_path).seed
+    runs = {}
+    for seeds in (str(own), str(own + 1)):
+        trained.clear()
+        out = tmp_path / f"bench{seeds}"
+        assert main([
+            "benchmark", "--config", cfg_path, "--algos", "hdrl", "--episodes", "1", "--seeds", seeds,
+            "--train-episodes", "2", "--sweep", "local_power", "--out", str(out),
+        ]) == 0
+        runs[seeds] = (list(trained), (out / "sweep.csv").read_bytes())
+    assert runs[str(own)][0] == ["hdrl"]
+    assert runs[str(own + 1)][0] == ["hdrl", "hdrl"]
+    assert runs[str(own)][1] == runs[str(own + 1)][1]
 
 
 def test_benchmark_rejects_unknown_algo(tmp_path, caplog):

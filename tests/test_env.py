@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specshare.allocation import AllocationState, validate
+from specshare.allocation import ALLOCATION_ARRAYS, AllocationState, validate
+from specshare import env as env_module
 from specshare.config import ScenarioConfig, config_from_dict
 from specshare.env import ScheduleError, SpectrumSharingEnv, episode_summary
 from specshare.metrics import compute_step_metrics
@@ -216,6 +218,23 @@ def _raw(rng, shape, scale=1.0):
     return np.where(rng.random(shape) < 0.5, picked, rng.uniform(-3.0, 3.0, shape)) * scale
 
 
+def _raw_bundle(cfg, rng, t):
+    """A raw bundle on schedule at step ``t``, entries from ``_raw``."""
+    t_count, n = cfg.num_transmitters, cfg.num_subbands
+    actions = {
+        "local": {
+            "beta": _raw(rng, (t_count, n)),
+            "alpha": _raw(rng, (t_count, n)),
+            "dp": _raw(rng, (t_count, 2), scale=max(cfg.uav_step, 1.0)),
+        }
+    }
+    if cfg.global_due(t):
+        actions["global"] = _raw(rng, (cfg.beams, n))
+    if cfg.regional_due(t):
+        actions["regional"] = _raw(rng, (cfg.num_regions, cfg.nodes_per_region, n))
+    return actions
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     cfg=small_scenarios(),
@@ -231,21 +250,111 @@ def test_raw_bundles_on_schedule_leave_a_feasible_state(cfg, intervals, seed):
     env = SpectrumSharingEnv(cfg)
     env.reset(seed=seed % 1000)
     rng = np.random.default_rng(seed)
-    t_count, n = cfg.num_transmitters, cfg.num_subbands
     for t in range(cfg.steps_per_episode):
-        actions = {
-            "local": {
-                "beta": _raw(rng, (t_count, n)),
-                "alpha": _raw(rng, (t_count, n)),
-                "dp": _raw(rng, (t_count, 2), scale=max(cfg.uav_step, 1.0)),
-            }
-        }
-        if cfg.global_due(t):
-            actions["global"] = _raw(rng, (cfg.beams, n))
-        if cfg.regional_due(t):
-            actions["regional"] = _raw(rng, (cfg.num_regions, cfg.nodes_per_region, n))
-        env.step(actions)
+        env.step(_raw_bundle(cfg, rng, t))
         assert validate(env.state.alloc, cfg) is None
+
+
+def _state_bits(env) -> dict:
+    """Dtype, shape and bytes of everything a step writes: the five
+    allocation arrays, the positions, the snapshot, the metrics, and t."""
+    state = env.state
+    arrays = {attr: getattr(state.alloc, attr) for _, attr, _, _ in ALLOCATION_ARRAYS}
+    arrays["tx_positions"] = state.tx_positions
+    for name in ("gains", "association", "interference"):
+        arrays[name] = getattr(state.snapshot, name)
+    if state.metrics is not None:
+        for f in dataclasses.fields(state.metrics):
+            arrays[f.name] = np.asarray(getattr(state.metrics, f.name))
+    bits = {name: (a.dtype.str, a.shape, a.tobytes()) for name, a in arrays.items()}
+    bits["t"] = state.t
+    return bits
+
+
+def _refusals(cfg, t) -> list:
+    """Every way to spoil step ``t``'s bundle: drop a due tier, add one that
+    is not due, cut a due array's last column, or put a NaN in alpha or dp."""
+    due = ["local"] + [tier for tier in ("global", "regional") if getattr(cfg, f"{tier}_due")(t)]
+    spoiled = [("drop", tier) for tier in due]
+    spoiled += [("add", tier) for tier in ("global", "regional") if tier not in due]
+    spoiled += [("shape", tier) for tier in due if tier != "local"]
+    spoiled += [("shape", f"local.{name}") for name in ("beta", "alpha", "dp")]
+    return spoiled + [("nan", "alpha"), ("nan", "dp")]
+
+
+def _spoil(cfg, bundle, how, rng) -> dict:
+    kind, tier = how
+    bundle = {key: dict(value) if key == "local" else value for key, value in bundle.items()}
+    if kind == "drop":
+        del bundle[tier]
+    elif kind == "add":
+        extra = _raw_bundle(cfg, rng, 0)  # step 0 is due on every tier
+        bundle[tier] = extra[tier]
+    elif kind == "shape":
+        table, name = (bundle["local"], tier.split(".")[1]) if "." in tier else (bundle, tier)
+        table[name] = table[name][..., :-1]
+    else:
+        arr = bundle["local"][tier].copy()
+        arr[tuple(int(rng.integers(0, size)) for size in arr.shape)] = np.nan
+        bundle["local"][tier] = arr
+    return bundle
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    cfg=small_scenarios(),
+    intervals=st.sampled_from([(1, 1, 1), (2, 1, 1), (4, 2, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+    valid_steps=st.integers(0, 3),
+    data=st.data(),
+)
+def test_a_refused_step_changes_nothing(cfg, intervals, seed, valid_steps, data):
+    # a bundle refused for any reason leaves every array the step writes as
+    # it was, and the next valid step gives the bits of an env that never
+    # saw it: nothing was half written and no channel draw was taken
+    cfg.decision_intervals = intervals
+    cfg.steps_per_episode = 8
+    rng = np.random.default_rng(seed)
+    bundles = [_raw_bundle(cfg, rng, t) for t in range(valid_steps + 1)]
+    how = data.draw(st.sampled_from(_refusals(cfg, valid_steps)))
+    refused = _spoil(cfg, bundles[valid_steps], how, rng)
+    env, twin = SpectrumSharingEnv(cfg), SpectrumSharingEnv(cfg)
+    for e in (env, twin):
+        e.reset(seed=seed % 1000)
+        for bundle in bundles[:valid_steps]:
+            e.step(bundle)
+    before = _state_bits(env)
+    with pytest.raises(ValueError):
+        env.step(refused)
+    assert _state_bits(env) == before
+    obs, _, _, _, _ = env.step(bundles[valid_steps])
+    twin_obs, _, _, _, _ = twin.step(bundles[valid_steps])
+    assert _state_bits(env) == _state_bits(twin)
+    for key in obs:
+        assert obs[key].tobytes() == twin_obs[key].tobytes(), key
+
+
+def test_step_refuses_an_infeasible_read_and_keeps_the_held_state(monkeypatch):
+    # the env's own guard: a local read over the power budget (here a clamp
+    # that returns every grant at full power) raises before it is committed
+    cfg = _cfg()
+    env = SpectrumSharingEnv(cfg)
+    env.reset(seed=0)
+    bundle = _bundle(env, np.random.default_rng(9), 0)
+    bundle["global"][:] = 0.0
+    bundle["global"][0] = 1.0  # beam 0 holds every subband
+    bundle["regional"][:] = 0.0
+    bundle["regional"][:, 0] = 1.0  # and node 0 of its region takes them all
+    env.step(bundle)
+    before = _state_bits(env)
+
+    def over_budget(beta, alpha, dp, granted, uav_step, is_uav):
+        return granted.copy(), np.ones(granted.shape), np.zeros(dp.shape)
+
+    monkeypatch.setattr(env_module, "clamp_local", over_budget)
+    with pytest.raises(RuntimeError, match="power-budget"):
+        env.step(_bundle(env, np.random.default_rng(10), 1))
+    assert _state_bits(env) == before
 
 
 def test_episode_truncates_at_horizon():

@@ -12,7 +12,13 @@ once per seed 1..runs and every workload in ``BENCHMARK.json``, for its
 and quartiles of every metric, under the names ``BENCHMARK.json`` gives
 them, with every run's value beside them.  It also
 records the BLAS (name, version, thread count), CPU count, Python and numpy
-versions that ``perfbench/run.py`` reports, and the line count of ``src/``.
+versions that ``perfbench/run.py`` reports, the line count of ``src/``, and
+``calls_per_step``: for each agent kind, cProfile's count of function
+calls over one seeded desk episode of ``act`` and ``env.step`` (learned
+kinds exploring, after one unprofiled warm-up episode), divided by its
+steps.  The count does not depend on the host's speed; it is measured twice
+in subprocesses on the tree's ``src/``, before the timed runs, and the two
+must agree.
 
 With ``--against TREE FILE`` the same runs are made on a second checkout and
 written to FILE; the two trees alternate run by run, and which goes first
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,11 +39,62 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 1
+SCHEMA = 2
+AGENT_KINDS = ("random", "exhaustive", "sadrl", "madrl", "hdrl")
 
 
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
+
+
+def print_calls_per_step(config: str) -> None:
+    """Print ``{kind: calls per step}`` as JSON for the ``specshare`` first
+    on ``sys.path``: each kind runs one warm-up episode of criterion 1's
+    loop, then one profiled episode of ``act`` (exploring) and ``env.step``."""
+    import cProfile
+
+    from specshare.agents import make_agent
+    from specshare.config import load_config
+    from specshare.env import SpectrumSharingEnv
+
+    cfg = load_config(config)
+    counts = {}
+    for kind in AGENT_KINDS:
+        env, agent = SpectrumSharingEnv(cfg), make_agent(kind, cfg)
+        obs = env.reset(seed=1)
+        agent.begin_episode(env)
+        for t in range(cfg.steps_per_episode):
+            obs, rewards, _, _, _ = env.step(agent.act(obs, t, explore=True))
+            agent.record(rewards)
+        agent.end_episode()
+        obs = env.reset(seed=2)
+        agent.begin_episode(env)
+        act, step = agent.act, env.step
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for t in range(cfg.steps_per_episode):
+            obs = step(act(obs, t, True))[0]
+        profiler.disable()
+        # one entry per code object: pstats keys by (file, line, name) and so
+        # drops all but one of the dataclass __init__s, every one <string>:2
+        counts[kind] = sum(e.callcount for e in profiler.getstats()) / cfg.steps_per_episode
+    print(json.dumps(counts))
+
+
+def calls_per_step(tree: Path) -> dict:
+    """``print_calls_per_step`` on desk, in a subprocess on ``tree/src``,
+    twice; exits naming the kind if the two counts differ."""
+    code = (f"import sys; sys.path[:0] = [{str(tree / 'src')!r}, {str(ROOT / 'tools')!r}]; "
+            f"import bench_point; bench_point.print_calls_per_step({str(tree / 'configs/desk.cfg')!r})")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    cmd = [sys.executable, "-c", code]
+    runs = [json.loads(subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
+            for _ in range(2)]
+    for kind in AGENT_KINDS:
+        if runs[0][kind] != runs[1][kind]:
+            sys.exit(f"{tree}: calls per step of {kind} differ between two runs: "
+                     f"{runs[0][kind]} and {runs[1][kind]}")
+    return runs[0]
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -48,8 +106,9 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
     return line, detail
 
 
-def summarize(tree: Path, seconds: float, seeds: list[int], runs: dict) -> dict:
-    """The BENCH document for one tree from ``runs[workload] = [(line, detail), ...]``."""
+def summarize(tree: Path, seconds: float, seeds: list[int], runs: dict, calls: dict) -> dict:
+    """The BENCH document for one tree from ``runs[workload] = [(line,
+    detail), ...]`` and its ``calls_per_step``."""
     first = next(iter(runs.values()))[0][1]
     workloads = {}
     for name, pairs in runs.items():
@@ -71,11 +130,14 @@ def summarize(tree: Path, seconds: float, seeds: list[int], runs: dict) -> dict:
         "seeds": seeds,
         "machine": {k: first[k] for k in ("blas", "cpus", "python", "numpy")},
         "src_lines": src_lines(tree),
+        "calls_per_step": calls,
         "workloads": workloads,
     }
 
 
 def compare(mine: dict, other: dict, better: dict) -> None:
+    for kind, calls in mine["calls_per_step"].items():
+        print(f"{'calls_per_step':16s} {kind:17s} {other['calls_per_step'][kind]:10.4g} -> {calls:10.4g}")
     for name, w in mine["workloads"].items():
         for key, m in w["metrics"].items():
             o = other["workloads"][name]["metrics"][key]
@@ -97,6 +159,7 @@ def main(argv=None) -> int:
     trees = [(ROOT, Path(args.out))]
     if args.against:
         trees.append((Path(args.against[0]).resolve(), Path(args.against[1])))
+    calls = [calls_per_step(tree) for tree, _ in trees]
     seeds = list(range(1, args.runs + 1))
     runs = [{w: [] for w in workloads} for _ in trees]
     for seed in seeds:
@@ -107,7 +170,7 @@ def main(argv=None) -> int:
                 line = runs[i][w][-1][0]
                 print(f"seed {seed} {w} {trees[i][0]}: correct={line['correct']} "
                       f"steps_per_s={line['metrics']['steps_per_s']['value']:.4g}", file=sys.stderr)
-    docs = [summarize(tree, seconds, seeds, r) for (tree, _), r in zip(trees, runs)]
+    docs = [summarize(tree, seconds, seeds, r, c) for (tree, _), r, c in zip(trees, runs, calls)]
     for (_, out), doc in zip(trees, docs):
         out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.against:
