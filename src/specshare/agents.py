@@ -16,9 +16,10 @@ Action factorization (shared by all learned agents):
   movement slot bounded by the per-step UAV displacement limit.
 
 Every learned policy decides through ``_PolicySlot.decide``: one stacked
-``(S, B, D)`` forward, then one ``mode_action`` when greedy, or per-batch
-sampling when exploring, whose decisions for all ``S * B`` entities go into
-the slot's ``Trajectory`` as one epoch.  ``record`` hands each slot one step's
+``(S, B, D)`` forward, then one ``mode_action`` when greedy, or one
+``sample_action`` on the stack when exploring (each batch makes the draws of
+a call on it alone), whose decisions for all ``S * B`` entities go into the
+slot's ``Trajectory`` as one epoch.  ``record`` hands each slot one step's
 rewards as one vector, one per entity, and at the episode's end the slot
 turns its trajectory into training rows with GAE over all entities at once.
 The one exception is the flat baseline's greedy step, which decodes only the
@@ -128,10 +129,10 @@ class _PolicySlot:
         """Actions for a stacked (S, B, D) observation whose entity ``s * B + i``
         is row ``i`` of batch ``s``, as (S * B, ·) arrays in entity order.
 
-        Greedy, one ``mode_action`` decides every entity.  Exploring samples
-        batch by batch, in the order a forward per batch would, and adds the
-        decisions to the trajectory as one epoch; one draw over the whole
-        stack would change the generator stream.
+        Greedy, one ``mode_action`` decides every entity.  Exploring, one
+        ``sample_action`` on the stack draws batch by batch, in the order a
+        call per batch would, and the decisions go into the trajectory as
+        one epoch.
         """
         S, B = obs.shape[:2]
         stacked = forward(self.net, obs)
@@ -141,15 +142,8 @@ class _PolicySlot:
                 cat=action.cat.reshape(S * B, action.cat.shape[-1]),
                 cont=action.cont.reshape(S * B, action.cont.shape[-1]),
             )
-        cats, conts, logps = [], [], []
-        for s in range(S):
-            action, logp = sample_action(stacked[s], rng)
-            cats.append(action.cat)
-            conts.append(action.cont)
-            logps.append(logp)
-        action = ActionBatch(cat=np.concatenate(cats), cont=np.concatenate(conts))
-        logp, value = np.concatenate(logps), stacked.value.reshape(S * B)
-        self.traj.add(obs.reshape(S * B, -1), action.cat, action.cont, logp, value)
+        action, logp = sample_action(stacked, rng)
+        self.traj.add(obs.reshape(S * B, -1), action.cat, action.cont, logp, stacked.value.reshape(S * B))
         return action
 
     def reward(self, r) -> None:

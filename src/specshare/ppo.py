@@ -141,11 +141,6 @@ class DistParams:
     value: np.ndarray  # (B,) or (S, B)
     schema: ActionSchema
 
-    def __getitem__(self, index) -> "DistParams":
-        """One batch of a stacked forward, in the (B, ...) layout the samplers
-        take (log_std is shared)."""
-        return DistParams(self.logits[index], self.mean[index], self.log_std, self.value[index], self.schema)
-
 
 @dataclass
 class ActionBatch:
@@ -261,6 +256,33 @@ def _unsquash(schema: ActionSchema, cont: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.arctanh(u), u
 
 
+# numpy reduces a short last axis slowly (~45 µs for the max over a (200, 4,
+# 2) array, ~3 µs as a fold of np.maximum), so a run's arity axis is folded by
+# hand.  Below 8 entries numpy reduces left to right (a sum from +0.0), as the
+# folds do; from 8 on it works in SIMD lanes, so a longer axis is left to it.
+_FOLD_BELOW = 8
+
+
+def _max_last(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)`` bit for bit."""
+    if x.shape[-1] >= _FOLD_BELOW:
+        return x.max(axis=-1)
+    acc = x[..., 0]
+    for i in range(1, x.shape[-1]):
+        acc = np.maximum(acc, x[..., i])
+    return acc
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` bit for bit."""
+    if x.shape[-1] >= _FOLD_BELOW:
+        return x.sum(axis=-1)
+    acc = x[..., 0] + 0.0
+    for i in range(1, x.shape[-1]):
+        acc += x[..., i]
+    return acc
+
+
 def _log_softmax_runs(params: DistParams) -> list[tuple[int, int, int, np.ndarray]]:
     """(slot_start, n_slots, logit_start, logp) per categorical run, logp the
     run's (B, n_slots, arity) log-softmax."""
@@ -269,8 +291,8 @@ def _log_softmax_runs(params: DistParams) -> list[tuple[int, int, int, np.ndarra
     out = []
     for slot_start, n, arity, logit_start in params.schema._runs:
         lg = logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
-        m = lg.max(axis=-1, keepdims=True)
-        lse = m + np.log(np.exp(lg - m).sum(axis=-1, keepdims=True))
+        m = _max_last(lg)[..., None]
+        lse = m + np.log(_sum_last(np.exp(lg - m)))[..., None]
         out.append((slot_start, n, logit_start, lg - lse))
     return out
 
@@ -278,7 +300,7 @@ def _log_softmax_runs(params: DistParams) -> list[tuple[int, int, int, np.ndarra
 def _probs_and_entropy(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A run's probabilities and per-slot entropy (B, n, 1), from its log-softmax."""
     prob = np.exp(logp)
-    return prob, -(prob * logp).sum(axis=-1, keepdims=True)
+    return prob, -_sum_last(prob * logp)[..., None]
 
 
 def _picked(logp: np.ndarray, acts: np.ndarray) -> np.ndarray:
@@ -327,29 +349,44 @@ def entropy(params: DistParams) -> np.ndarray:
 def sample_action(
     params: DistParams, rng: np.random.Generator
 ) -> tuple[ActionBatch, np.ndarray]:
-    """Draw actions for every batch row; the returned log-prob matches log_prob()."""
+    """Draw actions for every row of a (B, ·) batch or an (S, B, ·) stack of
+    batches, as (S·B, ·) arrays in entity order (row ``i`` of batch ``s`` is
+    entity ``s * B + i``); the returned log-prob matches log_prob().
+
+    Each batch makes the draws a call on that batch alone would, in the same
+    order: one uniform draw for all its logits, then, with continuous slots,
+    one standard-normal draw for its means.  Everything after the draws is
+    row-wise, so it runs once over all S·B rows and gives each row the bits
+    of the per-batch call, and the generator ends in the same state.
+    """
     schema = params.schema
-    B = params.logits.shape[0]
-    cat = np.zeros((B, schema.num_cat), dtype=np.int64)
-    # One uniform draw for every run yields the same numbers, and leaves the
-    # generator in the same state, as one draw per run.  The Gumbel noise is
-    # -log(-log(u)); lg + noise is written as the exactly equal lg - log(-log(u)).
-    neg_gumbel = np.log(-np.log(rng.uniform(1e-12, 1.0, size=B * schema.num_logits)))
+    lead = params.logits.shape[:-1]
+    S, B = lead if len(lead) == 2 else (1, lead[0])
+    L, C = schema.num_logits, schema.num_cont
+    rows = S * B
+    u = np.empty((S, B * L))
+    eps = np.empty((S, B, C))
+    for s in range(S):
+        u[s] = rng.uniform(1e-12, 1.0, size=B * L)
+        if C:
+            rng.standard_normal(out=eps[s])
+    logits, mean = params.logits.reshape(rows, L), params.mean.reshape(rows, C)
+    # A batch's uniforms hold each run's (B, n, arity) block in turn.  The Gumbel
+    # noise is -log(-log(u)); lg + noise is written as the exactly equal lg - log(-log(u)).
+    neg_gumbel = np.log(-np.log(u))
+    cat = np.empty((rows, schema.num_cat), dtype=np.int64)
     start = 0
     for slot_start, n, arity, logit_start in schema._runs:
         size = B * n * arity
-        lg = params.logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
-        noise = neg_gumbel[start : start + size].reshape(B, n, arity)
+        lg = logits[:, logit_start : logit_start + n * arity].reshape(rows, n, arity)
+        noise = neg_gumbel[:, start : start + size].reshape(rows, n, arity)
         cat[:, slot_start : slot_start + n] = (lg - noise).argmax(axis=-1)
         start += size
-    if schema.num_cont:
-        box = schema._box
-        z = params.mean + np.exp(params.log_std) * rng.standard_normal(params.mean.shape)
-        cont = box.lo + box.width * (np.tanh(z) + 1.0) / 2.0
-    else:
-        cont = np.zeros((B, 0))
-    action = ActionBatch(cat=cat, cont=cont)
-    return action, log_prob(params, action)
+    box = schema._box  # with no continuous slots, cont is (rows, 0)
+    z = mean + np.exp(params.log_std) * eps.reshape(rows, C)
+    action = ActionBatch(cat=cat, cont=box.lo + box.width * (np.tanh(z) + 1.0) / 2.0)
+    flat = DistParams(logits, mean, params.log_std, params.value.reshape(rows), schema)
+    return action, log_prob(flat, action)
 
 
 def mode_slots(params: DistParams, start: int = 0) -> np.ndarray:

@@ -10,13 +10,18 @@ block versions to reproduce them bit for bit.  ``exhaustive_solve_loop``
 walks the exhaustive search one candidate at a time; ``test_exhaustive.py``
 requires the batched ``exhaustive_solve`` to pick the same optimum.
 ``hdrl_greedy_act_loop`` decides greedy hdrl one region and one HAP at a
-time, and ``ACT_LOOPS`` holds each learned agent's ``act`` with its own
-forward, sampling and pending-decision calls; ``test_vectorized_oracle.py``
-requires the agents, which decide through ``_PolicySlot.decide``, to give
-the same bundles, generator states and decisions.  ``SlotBook`` keeps a
-slot's transitions one entity at a time (a pending decision per entity,
-flushed into the entity's own ``EntityTrajectory``), with ``RECORD_LOOPS``
-and ``end_episode_loop`` as the agents' ``record`` and ``end_episode``;
+time (``batch_of`` cuts one batch out of a stacked forward's params), and
+``ACT_LOOPS`` holds each learned agent's ``act`` with its own forward,
+sampling and pending-decision calls; ``test_vectorized_oracle.py`` requires
+the agents, which decide through ``_PolicySlot.decide``, to give the same
+bundles, generator states and decisions.  ``sample_action_loop``, through
+which the ``ACT_LOOPS`` sample, is ``sample_action`` on one batch as it ran
+before it took stacks; ``test_ppo.py`` requires the stacked call to give
+every batch its bits and to leave the generator in its state.
+``SlotBook`` keeps a slot's transitions one entity at a time (a pending
+decision per entity, flushed into the entity's own ``EntityTrajectory``),
+with ``RECORD_LOOPS`` and ``end_episode_loop`` as the agents' ``record``
+and ``end_episode``;
 ``test_vectorized_oracle.py`` requires every batch the agents hand to
 ``ppo_update`` to be the books' batch, and ``test_ppo.py`` requires
 ``Trajectory.finalize`` to give the rows of its entities' ``EntityTrajectory``.
@@ -42,6 +47,7 @@ from specshare.ppo import (
     LOG_STD_MAX,
     LOG_STD_MIN,
     MAX_GRAD_NORM,
+    ActionBatch,
     DistParams,
     LossReport,
     UpdateReport,
@@ -52,10 +58,10 @@ from specshare.ppo import (
     _picked,
     _probs_and_entropy,
     forward,
+    log_prob,
     mode_action,
     mode_cont,
     mode_slots,
-    sample_action,
 )
 from specshare.topology import TIER_UAV, build_topology
 from topo_helpers import beam_of_region, region_of_hap, region_transmitter_rows, region_user_slice
@@ -518,6 +524,12 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
 # -- greedy hdrl --------------------------------------------------------------------
 
 
+def batch_of(stacked: DistParams, s: int) -> DistParams:
+    """Batch ``s`` of a stacked forward's (S, B, ·) params, in the (B, ·)
+    layout of a forward of that batch alone (``log_std`` is shared)."""
+    return DistParams(stacked.logits[s], stacked.mean[s], stacked.log_std, stacked.value[s], stacked.schema)
+
+
 def hdrl_greedy_act_loop(agent, obs: dict, t: int) -> dict:
     """``HdrlAgent.act(obs, t, explore=False)`` with one ``mode_action`` per
     HAP and per region, each on its batch of the tier's stacked forward."""
@@ -534,7 +546,7 @@ def hdrl_greedy_act_loop(agent, obs: dict, t: int) -> dict:
         stacked = forward(agent.net_r, hap_obs[:, None, :])
         cats = []
         for hap in range(cfg.num_haps):
-            action = mode_action(stacked[hap])
+            action = mode_action(batch_of(stacked, hap))
             cats.append(action.cat[0])
         # a HAP's slots are its regions' slots in region order
         bundle["regional"] = slots_to_region(np.array(cats).reshape(cfg.num_regions, n), m)
@@ -543,7 +555,7 @@ def hdrl_greedy_act_loop(agent, obs: dict, t: int) -> dict:
     stacked = forward(agent.net_l, local_obs.reshape(cfg.num_regions, m, -1))
     cats, conts = [], []
     for region in range(cfg.num_regions):
-        action = mode_action(stacked[region])
+        action = mode_action(batch_of(stacked, region))
         cats.append(action.cat)
         conts.append(action.cont)
     cont = np.concatenate(conts)
@@ -724,13 +736,38 @@ def end_episode_loop(agent, books: dict) -> None:
 # entities now.
 
 
+def sample_action_loop(params: DistParams, rng: np.random.Generator) -> tuple[ActionBatch, np.ndarray]:
+    """``sample_action`` on one (B, ·) batch, as it ran before it took stacks:
+    one uniform draw for the batch's logits, then one standard-normal draw of
+    the means' shape, and the Gumbel argmax, squash and log-prob on B rows."""
+    schema = params.schema
+    B = params.logits.shape[0]
+    cat = np.zeros((B, schema.num_cat), dtype=np.int64)
+    neg_gumbel = np.log(-np.log(rng.uniform(1e-12, 1.0, size=B * schema.num_logits)))
+    start = 0
+    for slot_start, n, arity, logit_start in schema._runs:
+        size = B * n * arity
+        lg = params.logits[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
+        noise = neg_gumbel[start : start + size].reshape(B, n, arity)
+        cat[:, slot_start : slot_start + n] = (lg - noise).argmax(axis=-1)
+        start += size
+    if schema.num_cont:
+        box = schema._box
+        z = params.mean + np.exp(params.log_std) * rng.standard_normal(params.mean.shape)
+        cont = box.lo + box.width * (np.tanh(z) + 1.0) / 2.0
+    else:
+        cont = np.zeros((B, 0))
+    action = ActionBatch(cat=cat, cont=cont)
+    return action, log_prob(params, action)
+
+
 def _sample_tier(agent, book, stacked, entity_obs):
     """Sample a tier's stacked forward batch by batch; entity ``s * B + i``
     is row ``i`` of batch ``s``."""
     cats, conts = [], []
     for s in range(stacked.value.shape[0]):
-        params = stacked[s]
-        action, logp = sample_action(params, agent.rng)
+        params = batch_of(stacked, s)
+        action, logp = sample_action_loop(params, agent.rng)
         rows = len(logp)
         for i in range(rows):
             entity = s * rows + i
@@ -749,7 +786,7 @@ def hdrl_act_loop(agent, books: dict, obs: dict, t: int, explore: bool) -> dict:
     if t % cfg.decision_intervals[0] == 0:
         params = forward(agent.net_g, obs["global"][None])
         if explore:
-            action, logp = sample_action(params, agent.rng)
+            action, logp = sample_action_loop(params, agent.rng)
             books["global"].start(0, obs["global"], action.cat[0], action.cont[0], logp[0], params.value[0])
         else:
             action = mode_action(params)
@@ -785,7 +822,7 @@ def sadrl_act_loop(agent, books: dict, obs: dict, t: int, explore: bool) -> dict
     X = agent.flat_obs(obs)
     params = forward(agent.policy.net, X[None])
     if explore:
-        action, logp = sample_action(params, agent.rng)
+        action, logp = sample_action_loop(params, agent.rng)
         books["policy"].start(0, X, action.cat[0], action.cont[0], logp[0], params.value[0])
         cat, cont = action.cat[0], action.cont[0]
 
@@ -828,7 +865,7 @@ def madrl_act_loop(agent, books: dict, obs: dict, t: int, explore: bool) -> dict
         X = region_obs[region]
         params = forward(slot.net, X[None])
         if explore:
-            action, logp = sample_action(params, agent.rng)
+            action, logp = sample_action_loop(params, agent.rng)
             book.start(0, X, action.cat[0], action.cont[0], logp[0], params.value[0])
         else:
             action = mode_action(params)

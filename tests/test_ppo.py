@@ -13,9 +13,11 @@ import specshare.ppo
 from reference_loops import (
     AdamLoop,
     EntityTrajectory,
+    batch_of,
     clip_grad_norm_loop,
     loss_and_grads_loop,
     ppo_update_loop,
+    sample_action_loop,
 )
 from specshare.config import PpoConfig
 from specshare.ppo import (
@@ -41,6 +43,10 @@ from specshare.ppo import (
     ppo_update,
     sample_action,
     save_checkpoint,
+    _log_softmax_runs,
+    _max_last,
+    _probs_and_entropy,
+    _sum_last,
     _Workspace,
 )
 
@@ -143,9 +149,9 @@ def test_zero_width_bounds_stay_finite():
 
 
 def test_stacked_forward_matches_separate_forwards_bitwise():
-    # hdrl runs its shared nets as one stacked forward and samples entity by
-    # entity; that only keeps its outputs unchanged if every stacked batch
-    # gets exactly the numbers of a forward of that batch alone
+    # hdrl runs its shared nets as one stacked forward and decides the stack
+    # in one call; that only keeps its outputs unchanged if every stacked
+    # batch gets exactly the numbers of a forward of that batch alone
     rng = np.random.default_rng(11)
     for trial in range(40):
         stack, rows, dim = (int(x) for x in rng.integers(1, 9, size=3))
@@ -154,7 +160,7 @@ def test_stacked_forward_matches_separate_forwards_bitwise():
         stacked = forward(net, obs)
         for i in range(stack):
             alone = forward(net, obs[i])
-            part = stacked[i]
+            part = batch_of(stacked, i)
             for name in ("logits", "mean", "value"):
                 assert getattr(part, name).tobytes() == getattr(alone, name).tobytes(), name
             assert part.log_std.tobytes() == alone.log_std.tobytes()
@@ -201,12 +207,97 @@ def test_stacked_mode_action_matches_per_batch_calls(arities, boxes, stack, rows
     got_slots = mode_slots(stacked, start)
     assert np.array_equal(got_slots, got.cat[..., start:])  # the tail of the full decode
     for s in range(stack):
-        want = mode_action(stacked[s])
+        want = mode_action(batch_of(stacked, s))
         for name in ("cat", "cont"):
             a, b = getattr(got, name)[s], getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-        a, b = got_slots[s], mode_slots(stacked[s], start)
+        a, b = got_slots[s], mode_slots(batch_of(stacked, s), start)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@example(arities=[1, 12], boxes=[(0.0, 0.0), (-1.0, 20.0)], stack=6, rows=5, flat=False, seed=3)
+@example(arities=[2, 2, 2], boxes=[], stack=1, rows=5, flat=True, seed=4)
+@given(
+    arities=st.lists(st.integers(1, 12), max_size=6),
+    boxes=st.lists(
+        st.tuples(st.floats(-10.0, 10.0), st.sampled_from([0.0, 0.5, 1.0, 20.0])), max_size=4
+    ),
+    stack=st.integers(1, 6),
+    rows=st.integers(1, 5),
+    flat=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_sample_action_matches_per_batch_calls(arities, boxes, stack, rows, flat, seed):
+    # an exploring policy slot samples all its entities with one call on its
+    # (S, B, ·) forward; each batch must draw what a call on it alone draws,
+    # in the same order, so the result is the per-batch results concatenated
+    # bit for bit and the generator ends in the same state
+    schema = ActionSchema(
+        cat_arities=tuple(arities), cont_bounds=tuple((lo, lo + width) for lo, width in boxes)
+    )
+    rng = np.random.default_rng(seed)
+    scale = float(rng.choice([1.0, 30.0]))
+    C = schema.num_cont
+    stacked = DistParams(
+        rng.normal(scale=scale, size=(stack, rows, schema.num_logits)),
+        rng.normal(scale=scale, size=(stack, rows, C)),
+        np.clip(rng.normal(size=C), LOG_STD_MIN, LOG_STD_MAX),
+        rng.normal(size=(stack, rows)),
+        schema,
+    )
+    # a (B, ·) batch counts as a stack of one
+    params = batch_of(stacked, 0) if flat and stack == 1 else stacked
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    got, got_logp = sample_action(params, got_rng)
+    wants = [sample_action_loop(batch_of(stacked, s), want_rng) for s in range(stack)]
+    for name in ("cat", "cont"):
+        a = getattr(got, name)
+        b = np.concatenate([getattr(action, name) for action, _ in wants])
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    want_logp = np.concatenate([logp for _, logp in wants])
+    assert (got_logp.shape, got_logp.tobytes()) == (want_logp.shape, want_logp.tobytes())
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _bits(x: np.ndarray) -> tuple:
+    return x.dtype, x.shape, x.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    arity=st.integers(1, 12),
+    rows=st.integers(1, 6),
+    slots=st.integers(1, 5),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_folds_give_the_bits_of_numpy_reductions(arity, rows, slots, zeros, seed):
+    # the log-softmax folds its short arity axis by hand; the folds must give
+    # the bits of numpy's .max and .sum over it, signed zeros included, and
+    # the log-softmax and entropy the bits of the written-out formulas
+    rng = np.random.default_rng(seed)
+    shape = (rows, slots, arity)
+    lg = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    if zeros:
+        lg[rng.random(shape) < 0.3] = 0.0
+        lg[rng.random(shape) < 0.3] = -0.0
+    assert _bits(_max_last(lg)) == _bits(lg.max(axis=-1))
+    m = lg.max(axis=-1, keepdims=True)
+    e = np.exp(lg - m)
+    assert _bits(_sum_last(e)) == _bits(e.sum(axis=-1))
+    assert _bits(_sum_last(lg)) == _bits(lg.sum(axis=-1))
+    logp = lg - (m + np.log(e.sum(axis=-1, keepdims=True)))
+    prob = np.exp(logp)
+    assert _bits(_sum_last(prob * logp)) == _bits((prob * logp).sum(axis=-1))
+
+    schema = ActionSchema(cat_arities=(arity,) * slots)
+    params = DistParams(lg.reshape(rows, -1), np.zeros((rows, 0)), np.zeros(0), np.zeros(rows), schema)
+    ((_, _, _, got),) = _log_softmax_runs(params)
+    assert _bits(got) == _bits(logp)
+    got_prob, got_h = _probs_and_entropy(got)
+    assert _bits(got_prob) == _bits(prob)
+    assert _bits(got_h) == _bits(-(prob * logp).sum(axis=-1, keepdims=True))
 
 
 def test_uniform_categorical_entropy():

@@ -16,9 +16,12 @@ versions that ``perfbench/run.py`` reports, the line count of ``src/``, and
 ``calls_per_step``: for each agent kind, cProfile's count of function
 calls over one seeded desk episode of ``act`` and ``env.step`` (learned
 kinds exploring, after one unprofiled warm-up episode), divided by its
-steps.  The count does not depend on the host's speed; it is measured twice
-in subprocesses on the tree's ``src/``, before the timed runs, and the two
-must agree.
+steps.  ``calls_per_step_r16`` is the same count for hdrl on a 16-region
+scenario (``default.cfg`` with 8 HAPs per beam, one region per HAP and
+50-step episodes), where an exploring decision's per-batch cost shows at
+scale.  The counts do not depend on the host's speed; each is measured
+twice in subprocesses on the tree's ``src/``, before the timed runs, and the
+two must agree.
 
 With ``--against TREE FILE`` the same runs are made on a second checkout and
 written to FILE; the two trees alternate run by run, and which goes first
@@ -39,18 +42,21 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 2
+SCHEMA = 3
 AGENT_KINDS = ("random", "exhaustive", "sadrl", "madrl", "hdrl")
+# default.cfg's scenario at 16 regions: 2 beams x 8 HAPs x 1 region
+R16 = {"haps_per_beam": 8, "regions_per_hap": 1, "steps_per_episode": 50}
 
 
 def src_lines(tree: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
 
 
-def print_calls_per_step(config: str) -> None:
+def print_calls_per_step(config: str, kinds=AGENT_KINDS, overrides=None) -> None:
     """Print ``{kind: calls per step}`` as JSON for the ``specshare`` first
-    on ``sys.path``: each kind runs one warm-up episode of criterion 1's
-    loop, then one profiled episode of ``act`` (exploring) and ``env.step``."""
+    on ``sys.path``, on ``config`` with ``overrides`` set: each kind runs one
+    warm-up episode of criterion 1's loop, then one profiled episode of
+    ``act`` (exploring) and ``env.step``."""
     import cProfile
 
     from specshare.agents import make_agent
@@ -58,8 +64,11 @@ def print_calls_per_step(config: str) -> None:
     from specshare.env import SpectrumSharingEnv
 
     cfg = load_config(config)
+    for key, value in (overrides or {}).items():
+        setattr(cfg, key, value)
+    cfg.validate()
     counts = {}
-    for kind in AGENT_KINDS:
+    for kind in kinds:
         env, agent = SpectrumSharingEnv(cfg), make_agent(kind, cfg)
         obs = env.reset(seed=1)
         agent.begin_episode(env)
@@ -81,20 +90,29 @@ def print_calls_per_step(config: str) -> None:
     print(json.dumps(counts))
 
 
-def calls_per_step(tree: Path) -> dict:
-    """``print_calls_per_step`` on desk, in a subprocess on ``tree/src``,
-    twice; exits naming the kind if the two counts differ."""
+def calls_per_step(tree: Path, config: str = "desk", kinds=AGENT_KINDS, overrides=None) -> dict:
+    """``print_calls_per_step`` on ``configs/<config>.cfg``, in a subprocess
+    on ``tree/src``, twice; exits naming the kind if the two counts differ."""
     code = (f"import sys; sys.path[:0] = [{str(tree / 'src')!r}, {str(ROOT / 'tools')!r}]; "
-            f"import bench_point; bench_point.print_calls_per_step({str(tree / 'configs/desk.cfg')!r})")
+            f"import bench_point; bench_point.print_calls_per_step("
+            f"{str(tree / 'configs' / f'{config}.cfg')!r}, {tuple(kinds)!r}, {overrides!r})")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     cmd = [sys.executable, "-c", code]
     runs = [json.loads(subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
             for _ in range(2)]
-    for kind in AGENT_KINDS:
+    for kind in kinds:
         if runs[0][kind] != runs[1][kind]:
-            sys.exit(f"{tree}: calls per step of {kind} differ between two runs: "
+            sys.exit(f"{tree}: calls per step of {kind} on {config} differ between two runs: "
                      f"{runs[0][kind]} and {runs[1][kind]}")
     return runs[0]
+
+
+def all_calls_per_step(tree: Path) -> dict:
+    """The two call-count fields of a BENCH file: every kind on desk, and hdrl on 16 regions."""
+    return {
+        "calls_per_step": calls_per_step(tree),
+        "calls_per_step_r16": calls_per_step(tree, "default", ("hdrl",), R16),
+    }
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -108,7 +126,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
 
 def summarize(tree: Path, seconds: float, seeds: list[int], runs: dict, calls: dict) -> dict:
     """The BENCH document for one tree from ``runs[workload] = [(line,
-    detail), ...]`` and its ``calls_per_step``."""
+    detail), ...]`` and its ``all_calls_per_step``."""
     first = next(iter(runs.values()))[0][1]
     workloads = {}
     for name, pairs in runs.items():
@@ -130,14 +148,15 @@ def summarize(tree: Path, seconds: float, seeds: list[int], runs: dict, calls: d
         "seeds": seeds,
         "machine": {k: first[k] for k in ("blas", "cpus", "python", "numpy")},
         "src_lines": src_lines(tree),
-        "calls_per_step": calls,
+        **calls,
         "workloads": workloads,
     }
 
 
 def compare(mine: dict, other: dict, better: dict) -> None:
-    for kind, calls in mine["calls_per_step"].items():
-        print(f"{'calls_per_step':16s} {kind:17s} {other['calls_per_step'][kind]:10.4g} -> {calls:10.4g}")
+    for field in ("calls_per_step", "calls_per_step_r16"):
+        for kind, calls in mine[field].items():
+            print(f"{field:18s} {kind:15s} {other[field][kind]:10.4g} -> {calls:10.4g}")
     for name, w in mine["workloads"].items():
         for key, m in w["metrics"].items():
             o = other["workloads"][name]["metrics"][key]
@@ -159,7 +178,7 @@ def main(argv=None) -> int:
     trees = [(ROOT, Path(args.out))]
     if args.against:
         trees.append((Path(args.against[0]).resolve(), Path(args.against[1])))
-    calls = [calls_per_step(tree) for tree, _ in trees]
+    calls = [all_calls_per_step(tree) for tree, _ in trees]
     seeds = list(range(1, args.runs + 1))
     runs = [{w: [] for w in workloads} for _ in trees]
     for seed in seeds:
