@@ -60,6 +60,7 @@ from .ppo import (
     Adam,
     PolicyNet,
     Trajectory,
+    UpdateReport,
     forward,
     load_checkpoint,
     mode_action,
@@ -150,19 +151,19 @@ class _PolicySlot:
         """One step's rewards, one per entity, for the latest decisions."""
         self.traj.reward(r)
 
-    def end_episode(self, ppo_cfg: PpoConfig, rng: np.random.Generator) -> bool:
+    def end_episode(self, ppo_cfg: PpoConfig, rng: np.random.Generator) -> UpdateReport | None:
         """Move the episode's trajectory into the buffer and update once it
-        holds a batch; True when an update ran."""
+        holds a batch; the update's report, or None when no update ran."""
         if len(self.traj):
             self.buffer.append(self.traj.finalize(ppo_cfg.discount, ppo_cfg.gae_lambda))
         self.traj = Trajectory()
         if sum(part["obs"].shape[0] for part in self.buffer) < self.threshold:
-            return False
+            return None
         batch = {k: np.concatenate([part[k] for part in self.buffer], axis=0) for k in self.buffer[0]}
         # looked up on the module at call time, so a replaced ppo.ppo_update is the one that runs
-        ppo.ppo_update(self.net, batch, ppo_cfg, rng, optimizer=self.opt)
+        report = ppo.ppo_update(self.net, batch, ppo_cfg, rng, optimizer=self.opt)
         self.buffer = []
-        return True
+        return report
 
 
 # -- agents ---------------------------------------------------------------------
@@ -416,7 +417,7 @@ class _PpoAgentBase:
     def _end_episode(self) -> None:
         self.episodes_trained += 1
         for slot in self.slots.values():
-            self.updates += slot.end_episode(self.ppo, self.rng)
+            self.updates += slot.end_episode(self.ppo, self.rng) is not None
 
     def save(self, path) -> None:
         meta = {"episodes_trained": self.episodes_trained, "updates": self.updates}

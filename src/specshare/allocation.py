@@ -39,15 +39,25 @@ class Violation:
 
 
 # Each allocation array in trace order: its trace key, its AllocationState
-# attribute, its dtype, and its shape as a function of the config.
-# ``global`` is a Python keyword, hence the attribute ``global_alloc``.
+# attribute, its dtype, and its shape as a function of the config's
+# ``shape_dims``.  ``global`` is a Python keyword, hence the attribute
+# ``global_alloc``.
 ALLOCATION_ARRAYS = (
-    ("global", "global_alloc", np.int8, lambda cfg: (cfg.beams, cfg.num_subbands)),
-    ("regional", "regional", np.int8, lambda cfg: (cfg.num_transmitters, cfg.num_subbands)),
-    ("beta", "beta", np.int8, lambda cfg: (cfg.num_transmitters, cfg.num_subbands)),
-    ("alpha", "alpha", np.float64, lambda cfg: (cfg.num_transmitters, cfg.num_subbands)),
-    ("dp", "dp", np.float64, lambda cfg: (cfg.num_transmitters, 2)),
+    ("global", "global_alloc", np.int8, lambda beams, t, n: (beams, n)),
+    ("regional", "regional", np.int8, lambda beams, t, n: (t, n)),
+    ("beta", "beta", np.int8, lambda beams, t, n: (t, n)),
+    ("alpha", "alpha", np.float64, lambda beams, t, n: (t, n)),
+    ("dp", "dp", np.float64, lambda beams, t, n: (t, 2)),
 )
+# the global and regional tiers come first: a step that holds both checks
+# only the arrays from here on
+_LOCAL_ARRAYS = 2
+
+
+def shape_dims(cfg: ScenarioConfig) -> tuple[int, int, int]:
+    """(beams, transmitters, subbands): what the shapes in
+    ``ALLOCATION_ARRAYS`` are functions of."""
+    return cfg.beams, cfg.num_transmitters, cfg.num_subbands
 
 
 @dataclass
@@ -69,8 +79,9 @@ class AllocationState:
     @classmethod
     def zeros(cls, cfg: ScenarioConfig) -> "AllocationState":
         arrays = {}
+        sizes = shape_dims(cfg)
         for _, attr, dtype, shape in ALLOCATION_ARRAYS:
-            arrays[attr] = np.zeros(shape(cfg), dtype=dtype)
+            arrays[attr] = np.zeros(shape(*sizes), dtype=dtype)
         return cls(**arrays)
 
     def to_dict(self) -> dict:
@@ -99,33 +110,20 @@ def _first_non_binary(x: np.ndarray):
         bad = x & ~1  # nonzero exactly where x is not 0 or 1
     else:
         bad = ~((x == 0) | (x == 1))
-    if not bad.any():
+    if not np.logical_or.reduce(bad, axis=None):
         return None
     return tuple(np.argwhere(bad)[0].tolist())
 
 
-def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
-    """Return the first violated constraint, or None when feasible.
-
-    Checks run in a fixed order (the shapes ``ALLOCATION_ARRAYS`` gives,
-    global, regional region by region, beta, alpha, movement); within the
-    regional stage the lowest region with a fault wins, and inside it a
-    region conflict precedes a grant-nesting fault.  Each stage first asks
-    one whole-array question and only locates the fault when the answer is
-    no.  The env runs it on each step's new allocation before committing
-    it, and ``replay`` on every traced step.
-    """
-    for key, attr, _, shape in ALLOCATION_ARRAYS:
-        arr = getattr(state, attr)
-        if arr.shape != shape(cfg):
-            return Violation("shape", arr.shape, f"{key} has wrong shape")
+def _check_grants(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
+    """``validate``'s global and regional stages, on arrays of the right shape."""
     g = state.global_alloc
     n_sub = cfg.num_subbands
     bad = _first_non_binary(g)
     if bad is not None:
         return Violation("binary", bad, "global allocation entries must be 0/1")
-    col = g.sum(axis=0)
-    if col.max() > 1:
+    col = np.add.reduce(g, axis=0)
+    if np.maximum.reduce(col) > 1:
         n = int(np.argmax(col > 1))
         return Violation("beam-conflict", (n,), f"subband {n} granted to {col[n]} beams")
 
@@ -135,15 +133,15 @@ def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
     # nodes on each (region, subband), regions grouped by beam: a beam's
     # regions are contiguous in region order
     beams = cfg.beams
-    col = state.regional.reshape(beams, -1, cfg.nodes_per_region, n_sub).sum(axis=2)
+    col = np.add.reduce(state.regional.reshape(beams, -1, cfg.nodes_per_region, n_sub), axis=2)
     # with 0/1 entries, col > grant flags both a conflict (col >= 2) and a
     # subband used without its beam's grant (col == 1, grant == 0)
     over = (col > g[:, None, :]).reshape(-1, n_sub)  # (R, N)
-    if over.any():
+    if np.logical_or.reduce(over, axis=None):
         col = col.reshape(-1, n_sub)
-        region = int(np.argmax(over.any(axis=1)))
+        region = int(np.argmax(np.logical_or.reduce(over, axis=1)))
         conflict = col[region] > 1
-        if conflict.any():
+        if np.logical_or.reduce(conflict):
             n = int(np.argmax(conflict))
             return Violation(
                 "region-conflict", (region, n),
@@ -154,12 +152,44 @@ def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
         return Violation(
             "grant-nesting", (region, n), f"region {region} uses subband {n} not granted to beam {beam}"
         )
+    return None
+
+
+def validate(
+    state: AllocationState, cfg: ScenarioConfig, held_checked: bool = False
+) -> Violation | None:
+    """Return the first violated constraint, or None when feasible.
+
+    Checks run in a fixed order (the shapes ``ALLOCATION_ARRAYS`` gives,
+    global, regional region by region, beta, alpha, movement); within the
+    regional stage the lowest region with a fault wins, and inside it a
+    region conflict precedes a grant-nesting fault.  Each stage first asks
+    one whole-array question and only locates the fault when the answer is
+    no.  The env runs it on each step's new allocation before committing
+    it, and ``replay`` on every traced step.
+
+    ``held_checked`` says the global and regional matrices passed this
+    check before and cannot have changed since; their shape, global and
+    regional stages are then skipped.  The env passes it only on a step
+    that reads neither tier and holds the read-only matrices a validated
+    step committed; every other caller gets the full check.
+    """
+    sizes = shape_dims(cfg)
+    first = _LOCAL_ARRAYS if held_checked else 0
+    for key, attr, _, shape in ALLOCATION_ARRAYS[first:]:
+        arr = getattr(state, attr)
+        if arr.shape != shape(*sizes):
+            return Violation("shape", arr.shape, f"{key} has wrong shape")
+    if not held_checked:
+        violation = _check_grants(state, cfg)
+        if violation is not None:
+            return violation
 
     bad = _first_non_binary(state.beta)
     if bad is not None:
         return Violation("binary", bad, "beta entries must be 0/1")
     over = state.beta > state.regional  # beta 1 where regional 0, both binary here
-    if over.any():
+    if np.logical_or.reduce(over, axis=None):
         row, n = np.argwhere(over)[0]
         return Violation("access-mask", (int(row), int(n)), "beta set on an ungranted subband")
 
@@ -169,7 +199,7 @@ def validate(state: AllocationState, cfg: ScenarioConfig) -> Violation | None:
     if not (np.minimum.reduce(alpha, axis=None) >= 0 and np.maximum.reduce(alpha, axis=None) <= 1):
         row, n = np.argwhere(~((alpha >= 0) & (alpha <= 1)))[0]
         return Violation("power-range", (int(row), int(n)), "alpha outside [0, 1]")
-    used = (state.beta * alpha).sum(axis=1)
+    used = np.add.reduce(state.beta * alpha, axis=1)
     if np.fmax.reduce(used) > 1.0 + BUDGET_TOL:
         row = int(np.argmax(used))
         return Violation("power-budget", (row,), f"active power fractions sum to {used[row]:.6f}")
@@ -203,7 +233,7 @@ def clamp_local(
     # np.minimum(hi, np.maximum(lo, x)) is np.clip(x, lo, hi) bit for bit,
     # signed zeros included, without the wrapper overhead
     a = np.minimum(1.0, np.maximum(0.0, alpha))
-    used = (b * a).sum(axis=-1, keepdims=True)
+    used = np.add.reduce(b * a, axis=-1, keepdims=True)
     np.divide(a, used, out=a, where=used > 1.0 + _RESCALE_TOL)
     d = np.minimum(uav_step, np.maximum(-uav_step, dp))
     return b, a, np.where(is_uav[:, None], d, 0.0)

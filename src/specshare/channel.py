@@ -62,7 +62,7 @@ def path_loss_db(distance_m, carrier_hz: float, out=None) -> np.ndarray:
     d = np.asarray(distance_m, dtype=float)
     # min(d) <= 0 reads like (d <= 0).any() (NaN passes both) without a
     # boolean array the size of d
-    if d.min(initial=np.inf) <= 0:
+    if np.minimum.reduce(d, axis=None, initial=np.inf) <= 0:
         raise ValueError("distance must be > 0")
     if carrier_hz <= 0:
         raise ValueError("carrier frequency must be > 0")
@@ -226,12 +226,12 @@ def associate_users(topo: Topology, gains: np.ndarray, regional: np.ndarray) -> 
     through, so (C, T, N) gives (C, U).
     """
     lead = regional.shape[:-2]
-    holds = regional.any(axis=-1).reshape(lead + (topo.cfg.num_regions, -1, 1))
+    holds = np.logical_or.reduce(regional, axis=-1).reshape(lead + (topo.num_regions, -1, 1))
     # gains are >= _MIN_GAIN > -inf, so a holder always beats a masked row
     best = np.where(holds, topo.own_region_gains(gains), -np.inf).argmax(axis=-2)  # (..., R, k)
     association = best + topo.region_first_row
     # a region without a grant holder serves nobody
-    return np.where(holds.any(axis=-2), association, -1).reshape(lead + (-1,))
+    return np.where(np.logical_or.reduce(holds, axis=-2), association, -1).reshape(lead + (-1,))
 
 
 def co_channel_interference(
@@ -251,16 +251,16 @@ def co_channel_interference(
     lead = tx_psd.shape[:-2]
     if cfg.interference_scope == "region":
         blocks = topo.own_region_gains(gains)  # (R, m, k)
-        psd = tx_psd.reshape(lead + (cfg.num_regions, cfg.nodes_per_region, cfg.num_subbands))
+        psd = tx_psd.reshape(lead + (topo.num_regions, topo.nodes_per_region, cfg.num_subbands))
         total = np.matmul(blocks.transpose(0, 2, 1), psd)
-        total = total.reshape(lead + (cfg.num_users, cfg.num_subbands))
+        total = total.reshape(lead + (topo.num_users, cfg.num_subbands))
     elif lead:
         total = gains.T @ tx_psd  # (C, U, N)
     else:
         total = _serial_matmul(gains.T, tx_psd)  # (U, N)
     # remove each user's own serving contribution; served[-1] holds the users,
     # served[:-1] their candidates
-    served = np.nonzero(association >= 0)
+    served = (association >= 0).nonzero()
     if served[-1].size:
         s_rows = association[served]
         own = gains[s_rows, served[-1]][:, None] * tx_psd[served[:-1] + (s_rows,)]

@@ -31,7 +31,7 @@ from .agents import (
     make_agent,
     train,
 )
-from .allocation import ALLOCATION_ARRAYS, AllocationState, validate
+from .allocation import ALLOCATION_ARRAYS, AllocationState, shape_dims, validate
 from .channel import compute_snapshot
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .env import SpectrumSharingEnv
@@ -416,8 +416,9 @@ def _misshapen(ln: dict, cfg: ScenarioConfig) -> str | None:
     region, so the recomputed metrics would not show it."""
     t = cfg.num_transmitters
     arrays = []
+    sizes = shape_dims(cfg)
     for key, _, dtype, shape in ALLOCATION_ARRAYS:
-        arrays.append((f"allocation.{key}", ln["allocation"][key], dtype, shape(cfg)))
+        arrays.append((f"allocation.{key}", ln["allocation"][key], dtype, shape(*sizes)))
     arrays.append(("tx_positions", ln["tx_positions"], float, (t, 3)))
     arrays.append(("gains", ln["gains"], float, (t, cfg.num_users)))
     for field, value, dtype, shape in arrays:

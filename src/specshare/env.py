@@ -7,9 +7,13 @@ actions arrive every step.  A step reads the next allocation top-down into
 a new state: the global grant masks regional matrices, regional grants
 mask local access, and local actions are clamped onto the feasible set
 rather than rejected.  ``validate`` checks that state before it replaces
-the held one, and before any physics runs.  UAVs move by their (clamped)
-``dp`` each step and are penalized, not blocked, for leaving their region;
-only a hard wall at three region sizes clips them.
+the held one, and before any physics runs.  Committed global and regional
+matrices are read-only, so on a step that reads neither tier ``validate``
+skips their stages; it does so only while they are the objects a validated
+step committed.  UAVs move by their (clamped) ``dp`` each step and are
+penalized, not blocked, for leaving their region; only a hard wall at three
+region sizes clips them.  The step reads the scenario's counts from the
+topology's fields, not from the config's properties.
 
 Episodes never terminate early; they truncate after ``steps_per_episode``
 steps.  Supplying a tier's action off schedule, or omitting it when due,
@@ -34,6 +38,7 @@ from .topology import Topology, build_topology
 # dBm range used to squash interference into [0, 1] observation features;
 # zero interference maps to the floor.
 INTERFERENCE_DBM_RANGE = (-150.0, -40.0)
+_MIN_POSITIVE = float(np.nextafter(0.0, 1.0))
 
 
 class ScheduleError(ValueError):
@@ -47,7 +52,7 @@ def interference_to_unit(interference_w) -> np.ndarray:
     far below the range and clips to 0.
     """
     lo, hi = INTERFERENCE_DBM_RANGE
-    return db_to_unit(interference_w, float(np.nextafter(0.0, 1.0)), 30.0, lo, hi - lo)
+    return db_to_unit(interference_w, _MIN_POSITIVE, 30.0, lo, hi - lo)
 
 
 def _first_claimant(mat: np.ndarray, axis: int) -> np.ndarray:
@@ -118,6 +123,8 @@ class SpectrumSharingEnv:
         self._auto_seed = cfg.seed
         self._trace_path = Path(trace_path) if trace_path else None
         self._trace_fh = None
+        # the read-only (global, regional) pair the last validated step committed
+        self._checked: tuple = (None, None)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -134,6 +141,7 @@ class SpectrumSharingEnv:
         self.state = EnvState(
             t=0, alloc=alloc, tx_positions=tx_positions, snapshot=snapshot, metrics=None
         )
+        self._checked = (None, None)
         if self._trace_path:
             if self._trace_fh is None:
                 self._trace_fh = open(self._trace_path, "w")
@@ -161,6 +169,9 @@ class SpectrumSharingEnv:
         checked against the schedule first, then read into a new allocation
         (a tier not due keeps the held matrix), which replaces the held one
         only once ``validate`` accepts it: a step that raises changes nothing.
+        The committed global and regional matrices are made read-only; while
+        both are the ones a validated step committed, a step that reads
+        neither tier has ``validate`` skip their stages.
         """
         if self.state is None:
             raise RuntimeError("call reset() before step()")
@@ -181,9 +192,20 @@ class SpectrumSharingEnv:
         grant = self._read_global(actions["global"]) if global_due else held.global_alloc
         regional = self._read_regional(actions["regional"], grant) if regional_due else held.regional
         alloc = AllocationState(grant, regional, *self._read_local(actions["local"], regional))
-        violation = validate(alloc, cfg)
+        checked = self._checked
+        held_checked = (
+            not regional_due
+            and grant is checked[0]
+            and regional is checked[1]
+            and not (grant.flags.writeable or regional.flags.writeable)
+        )
+        violation = validate(alloc, cfg, held_checked)
         if violation is not None:
             raise RuntimeError(f"internal allocation violation in step: {violation}")
+        if not held_checked:
+            grant.setflags(write=False)
+            regional.setflags(write=False)
+            self._checked = (grant, regional)
         state.alloc = alloc
 
         self._move_uavs()
@@ -194,8 +216,8 @@ class SpectrumSharingEnv:
         if self._trace_fh is not None:
             decisions = {
                 "global": global_due,
-                "regional": list(range(cfg.num_haps)) if regional_due else [],
-                "local": cfg.num_transmitters,
+                "regional": list(range(self.topology.num_haps)) if regional_due else [],
+                "local": self.topology.num_transmitters,
             }
             self._write_trace(t, decisions, state)
 
@@ -219,31 +241,32 @@ class SpectrumSharingEnv:
     def _read_regional(self, regional, grant: np.ndarray) -> np.ndarray:
         """The (T, N) regional matrix: binarized, one node per subband inside
         each region (the lowest-index claimant), and only on ``grant``."""
-        cfg = self.cfg
-        n = cfg.num_subbands
+        topo = self.topology
+        n = self.cfg.num_subbands
         regional = np.asarray(regional)
-        shape = (cfg.num_regions, cfg.nodes_per_region, n)
+        shape = (topo.num_regions, topo.nodes_per_region, n)
         if regional.shape != shape:
             raise ValueError(f"regional action must be {shape}, got {regional.shape}")
         cleaned = _first_claimant((regional > 0.5).astype(np.int8), axis=1)
-        cleaned &= grant[self.topology.region_beam][:, None, :]
-        return cleaned.reshape(cfg.num_transmitters, n)
+        cleaned &= grant[topo.region_beam][:, None, :]
+        return cleaned.reshape(topo.num_transmitters, n)
 
     def _read_local(self, local: dict, granted: np.ndarray) -> tuple:
         """(beta, alpha, dp) clamped onto ``granted``; a wrong shape or a
         non-finite ``alpha`` or ``dp`` raises ValueError."""
-        cfg = self.cfg
+        topo = self.topology
         beta = np.asarray(local["beta"])
         alpha = np.asarray(local["alpha"], dtype=float)
         dp = np.asarray(local["dp"], dtype=float)
-        shape = (cfg.num_transmitters, cfg.num_subbands)
-        if beta.shape != shape or alpha.shape != shape or dp.shape != (cfg.num_transmitters, 2):
+        t = topo.num_transmitters
+        shape = (t, self.cfg.num_subbands)
+        if beta.shape != shape or alpha.shape != shape or dp.shape != (t, 2):
             raise ValueError("local action arrays have wrong shape")
         # the clamp carries a NaN through: refuse it by name
         for name, arr in (("alpha", alpha), ("dp", dp)):
-            if not np.isfinite(arr).all():
+            if not np.logical_and.reduce(np.isfinite(arr), axis=None):
                 raise ValueError(f"local action {name!r} holds a non-finite value")
-        return clamp_local(beta, alpha, dp, granted, cfg.uav_step, self.topology.is_uav)
+        return clamp_local(beta, alpha, dp, granted, self.cfg.uav_step, topo.is_uav)
 
     def _move_uavs(self) -> None:
         state = self.state
@@ -264,15 +287,16 @@ class SpectrumSharingEnv:
         (B,), plus each region's mean interference per subband in unit form
         (R, N).
         """
-        cfg = self.cfg
+        cfg, topo = self.cfg, self.topology
         snap = self.state.snapshot
-        t, k = cfg.num_transmitters, cfg.users_per_region
-        blocks = self.topology.own_region_gains(snap.gains)  # (R, m, k)
-        row_means = blocks.sum(axis=2).reshape(-1) / k
+        t, k = topo.num_transmitters, cfg.users_per_region
+        blocks = topo.own_region_gains(snap.gains)  # (R, m, k)
+        row_means = np.add.reduce(blocks, axis=2).reshape(-1) / k
         # each beam's regions, and so its rows, are contiguous
         per_beam = row_means.reshape(cfg.beams, -1)
-        beam_means = per_beam.sum(axis=1) / per_beam.shape[1]
-        interf = snap.interference.reshape(cfg.num_regions, k, cfg.num_subbands).sum(axis=1) / k
+        beam_means = np.add.reduce(per_beam, axis=1) / per_beam.shape[1]
+        interf = snap.interference.reshape(topo.num_regions, k, cfg.num_subbands)
+        interf = np.add.reduce(interf, axis=1) / k
         # the three gain sets share one mapping pass
         unit = gain_to_unit(np.concatenate([blocks.reshape(-1), row_means, beam_means]))
         return (
@@ -283,22 +307,22 @@ class SpectrumSharingEnv:
         )
 
     def _observe_global(self, beam_gain: np.ndarray) -> np.ndarray:
-        avail = 1.0 - self.state.alloc.global_alloc.any(axis=0)
+        avail = 1.0 - np.logical_or.reduce(self.state.alloc.global_alloc, axis=0)
         return np.concatenate([avail, self._beam_user_share, beam_gain])
 
     def _observe_regional(self, node_gain: np.ndarray) -> np.ndarray:
         """(num_haps, D) regional observations: beam grant, node load, node gain."""
-        cfg = self.cfg
+        cfg, topo = self.cfg, self.topology
         state = self.state
-        n = cfg.num_subbands
-        per_hap = cfg.regions_per_hap * cfg.nodes_per_region
-        out = np.empty((cfg.num_haps, n + 2 * per_hap))
+        n, haps = cfg.num_subbands, topo.num_haps
+        per_hap = cfg.regions_per_hap * topo.nodes_per_region
+        out = np.empty((haps, n + 2 * per_hap))
         out[:, :n] = state.alloc.global_alloc[self._hap_beam]
         assoc = state.snapshot.association
-        counts = np.bincount(assoc[assoc >= 0], minlength=cfg.num_transmitters)
+        counts = np.bincount(assoc[assoc >= 0], minlength=topo.num_transmitters)
         hap_users = cfg.regions_per_hap * cfg.users_per_region
-        out[:, n : n + per_hap] = (counts / hap_users).reshape(cfg.num_haps, per_hap)
-        out[:, n + per_hap :] = node_gain.reshape(cfg.num_haps, per_hap)
+        out[:, n : n + per_hap] = (counts / hap_users).reshape(haps, per_hap)
+        out[:, n + per_hap :] = node_gain.reshape(haps, per_hap)
         return out
 
     def _observe_local(self, row_gain: np.ndarray, interf: np.ndarray) -> np.ndarray:

@@ -10,9 +10,12 @@ network-wide figures are floats.  Rewards compose the per-region metrics
 bottom-up: regions feed HAP means, HAP means feed the satellite-level
 scalar.
 
-The step's metrics read the scenario only from the ``Topology`` (``topo.cfg``
-and ``topo.tx_power_w``); the reward scales, like the noise power, are
-computed from the config where they are used.
+The step's metrics read the scenario only from the ``Topology``: the
+counts, the noise power and the reward scales are fields it sets once from
+the config (``topo.num_users``, ``topo.noise_power_w``, ``topo.rate_norm``),
+beside ``topo.cfg`` and ``topo.tx_power_w``.  Reductions call the ufuncs'
+``reduce`` (``np.add.reduce`` for ``.sum``), the same operation and bits
+without the method's Python wrapper.
 """
 
 from __future__ import annotations
@@ -23,12 +26,7 @@ import numpy as np
 
 from .allocation import AllocationState
 from .channel import ChannelSnapshot
-from .config import ScenarioConfig
 from .topology import Topology
-
-# Reference SINR anchoring the reward scales: a link at this SINR counts as
-# "full rate" for normalization purposes.
-REFERENCE_SINR = 100.0
 
 
 def sinr(gain, alpha, power_w, interference_w, noise_w):
@@ -45,7 +43,7 @@ def sinr(gain, alpha, power_w, interference_w, noise_w):
 def user_rate(sinr_values: np.ndarray, total_bandwidth: float, num_subbands: int) -> np.ndarray:
     """Shannon rate in bps of each user, summed over its subbands."""
     per = total_bandwidth / num_subbands
-    return per * np.log2(1.0 + sinr_values).sum(axis=-1)
+    return per * np.add.reduce(np.log2(1.0 + sinr_values), axis=-1)
 
 
 def spectral_efficiency(rates: np.ndarray, total_bandwidth: float) -> np.ndarray:
@@ -55,12 +53,18 @@ def spectral_efficiency(rates: np.ndarray, total_bandwidth: float) -> np.ndarray
 
 def _jain_from_sums(total, sum_sq, k: int) -> np.ndarray:
     """Jain's index from a rate vector's sum and sum of squares; 1 where the sum is 0."""
-    return np.divide(total * total, k * sum_sq, out=np.ones_like(total), where=total != 0.0)
+    # adding the 0/1 flag turns an all-zero vector's 0/0 into 0/1 + 1 and
+    # leaves every other ratio's bits alone (x + 0.0 is x for x >= 0): the
+    # bits of a masked divide into ones, in plain arithmetic
+    zero = total == 0.0
+    return total * total / (k * sum_sq + zero) + zero
 
 
 def jain_fairness(rates: np.ndarray) -> np.ndarray:
     """Jain's index in [1/K, 1]; defined as 1 for an all-zero rate vector."""
-    return _jain_from_sums(rates.sum(axis=-1), (rates * rates).sum(axis=-1), rates.shape[-1])
+    return _jain_from_sums(
+        np.add.reduce(rates, axis=-1), np.add.reduce(rates * rates, axis=-1), rates.shape[-1]
+    )
 
 
 def qos_violation(rates: np.ndarray, r_min: float) -> np.ndarray:
@@ -75,12 +79,12 @@ def uav_penalty(positions: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     xmin, ymin, xmax, ymax."""
     b = bounds[:, None, :]
     xy = positions[..., :2]
-    outside = ((xy < b[..., :2]) | (xy > b[..., 2:])).any(axis=-1)
-    return outside.sum(axis=-1) / positions.shape[1]
+    outside = np.logical_or.reduce((xy < b[..., :2]) | (xy > b[..., 2:]), axis=-1)
+    return np.add.reduce(outside, axis=-1) / positions.shape[1]
 
 
 def compose_rewards(
-    cfg: ScenarioConfig,
+    topo: Topology,
     region_rate_mean: np.ndarray,
     region_eta: np.ndarray,
     region_fairness: np.ndarray,
@@ -89,11 +93,10 @@ def compose_rewards(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Region rewards, then HAP means, then the satellite-level mean.  Rates
     are scaled by the one-subband rate at ``REFERENCE_SINR``, efficiency by
-    that of all subbands at it, keeping each term O(1)."""
-    weights, regions_per_hap = cfg.reward_weights, cfg.regions_per_hap
-    log_term = np.log2(1.0 + REFERENCE_SINR)
-    rate_norm = float(cfg.subband_bandwidth * log_term)
-    eff_norm = float(cfg.num_subbands * log_term)
+    that of all subbands at it (``topo.rate_norm``, ``topo.eff_norm``),
+    keeping each term O(1)."""
+    weights, regions_per_hap = topo.cfg.reward_weights, topo.cfg.regions_per_hap
+    rate_norm, eff_norm = topo.rate_norm, topo.eff_norm
     r_l = (
         weights.w_rate * region_rate_mean / rate_norm
         + weights.w_eff * region_eta / eff_norm
@@ -102,8 +105,8 @@ def compose_rewards(
         + weights.w_qos * region_qos / rate_norm
     )
     # sum / count is ndarray.mean bit for bit, without the wrapper overhead
-    r_h = r_l.reshape(-1, regions_per_hap).sum(axis=1) / regions_per_hap
-    r_s = float(r_h.sum() / r_h.size)
+    r_h = np.add.reduce(r_l.reshape(-1, regions_per_hap), axis=1) / regions_per_hap
+    r_s = float(np.add.reduce(r_h) / r_h.size)
     return r_l, r_h, r_s
 
 
@@ -149,7 +152,7 @@ def served_user_rates(
     """
     cfg = topo.cfg
     # served[-1] holds the served users, served[:-1] their candidates
-    served = np.nonzero(snap.association >= 0)
+    served = (snap.association >= 0).nonzero()
     rows = snap.association[served]
     at = served[:-1] + (rows,)
     sinr_matrix = np.zeros(snap.interference.shape)
@@ -158,7 +161,7 @@ def served_user_rates(
         alloc.alpha[at] * alloc.beta[at],  # beta is 0/1, exact as a float factor
         topo.tx_power_w[rows, None],
         snap.interference[served],
-        cfg.noise_power_w,
+        topo.noise_power_w,
     )
     return sinr_matrix, user_rate(sinr_matrix, cfg.total_bandwidth, cfg.num_subbands)
 
@@ -170,14 +173,14 @@ def compute_step_metrics(
     tx_positions: np.ndarray,
 ) -> StepMetrics:
     cfg = topo.cfg
-    n_users = cfg.num_users
+    n_users = topo.num_users
     sinr_matrix, user_rates = served_user_rates(topo, alloc, snap)
 
-    n_regions, k = cfg.num_regions, cfg.users_per_region
+    n_regions, k = topo.num_regions, cfg.users_per_region
     rates = user_rates.reshape(n_regions, k)
-    region_total = rates.sum(axis=1)
+    region_total = np.add.reduce(rates, axis=1)
     region_eta = region_total / cfg.total_bandwidth
-    region_fair = _jain_from_sums(region_total, (rates * rates).sum(axis=1), k)
+    region_fair = _jain_from_sums(region_total, np.add.reduce(rates * rates, axis=1), k)
     region_qos = qos_violation(rates, cfg.r_min)
     region_rate_mean = region_total / k
     # UAV rows come region by region, the same number in each region
@@ -187,12 +190,12 @@ def compute_step_metrics(
     )
 
     r_l, r_h, r_s = compose_rewards(
-        cfg, region_rate_mean, region_eta, region_fair, region_uav, region_qos
+        topo, region_rate_mean, region_eta, region_fair, region_uav, region_qos
     )
 
-    total = user_rates.sum()
-    granted = int(alloc.regional.sum())
-    utilization = int(alloc.beta.sum()) / granted if granted else 0.0
+    total = np.add.reduce(user_rates)
+    granted = int(np.add.reduce(alloc.regional, axis=None))
+    utilization = int(np.add.reduce(alloc.beta, axis=None)) / granted if granted else 0.0
 
     return StepMetrics(
         sinr=sinr_matrix,
@@ -204,7 +207,7 @@ def compute_step_metrics(
         region_rate_mean=region_rate_mean,
         r_avg=float(total / n_users),
         eta=float(total / cfg.total_bandwidth),
-        fairness=float(_jain_from_sums(total, (user_rates * user_rates).sum(), n_users)),
+        fairness=float(_jain_from_sums(total, np.add.reduce(user_rates * user_rates), n_users)),
         r_l=r_l,
         r_h=r_h,
         r_s=r_s,

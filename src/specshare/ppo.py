@@ -740,10 +740,14 @@ class Adam:
 
 @dataclass
 class UpdateReport:
+    """The last minibatch's losses, clip fraction and pre-clip gradient norm,
+    and the number of minibatch steps the update took."""
+
     policy_loss: float
     value_loss: float
     entropy: float
     clip_fraction: float
+    grad_norm: float
     grad_steps: int
 
 
@@ -779,7 +783,7 @@ def ppo_update(
             idx = perm[start : start + mb]
             minibatch = {k: v[idx] for k, v in batch.items()}
             report, grads = loss_and_grads(net, minibatch, cfg, ws)
-            clip_grad_norm(grads, ws.grad, MAX_GRAD_NORM, ws.scratch[0])
+            norm = clip_grad_norm(grads, ws.grad, MAX_GRAD_NORM, ws.scratch[0])
             optimizer.step(net.flat, ws.grad, ws.scratch)
             last = report
             steps += 1
@@ -788,6 +792,7 @@ def ppo_update(
         value_loss=last.value_loss,
         entropy=last.entropy,
         clip_fraction=last.clip_fraction,
+        grad_norm=norm,
         grad_steps=steps,
     )
 

@@ -9,7 +9,7 @@ and the HAPs only decide how spectrum is split; they place no transmitter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -19,6 +19,10 @@ from .config import ScenarioConfig
 # TBS antennas sit on a short mast so transmitter-user distances stay
 # strictly positive (users are at ground level).
 TBS_MAST_HEIGHT_M = 10.0
+
+# Reference SINR anchoring the reward scales: a link at this SINR counts as
+# "full rate" for normalization purposes.
+REFERENCE_SINR = 100.0
 
 TIER_TBS = "tbs"
 TIER_UAV = "uav"
@@ -45,10 +49,37 @@ class Node:
 
 @dataclass
 class Topology:
+    """The built scene, and the scenario values the step reads from it.
+
+    The counts, the noise power and the reward scales are plain fields, set
+    once from ``cfg`` at construction: ``cfg``'s properties recompute them
+    on every read, and the step reads them dozens of times.
+    """
+
     cfg: ScenarioConfig
     nodes: list[Node]  # the transmitters, region-major: row i of every per-row array
     user_positions: np.ndarray  # (num_users, 3), region-major order
     region_bounds: np.ndarray  # (num_regions, 4): xmin, ymin, xmax, ymax
+    num_haps: int = field(init=False)
+    num_regions: int = field(init=False)
+    nodes_per_region: int = field(init=False)
+    num_transmitters: int = field(init=False)
+    num_users: int = field(init=False)
+    noise_power_w: float = field(init=False)  # thermal noise per subband
+    rate_norm: float = field(init=False)  # one subband's rate at REFERENCE_SINR, bps
+    eff_norm: float = field(init=False)  # every subband's efficiency at it, bps/Hz
+
+    def __post_init__(self) -> None:
+        cfg = self.cfg
+        self.num_haps = cfg.num_haps
+        self.num_regions = cfg.num_regions
+        self.nodes_per_region = cfg.nodes_per_region
+        self.num_transmitters = cfg.num_transmitters
+        self.num_users = cfg.num_users
+        self.noise_power_w = cfg.noise_power_w
+        log_term = np.log2(1.0 + REFERENCE_SINR)
+        self.rate_norm = float(cfg.subband_bandwidth * log_term)
+        self.eff_norm = float(cfg.num_subbands * log_term)
 
     def transmitters(self) -> list[Node]:
         return self.nodes
@@ -85,7 +116,7 @@ class Topology:
     @cached_property
     def region_first_row(self) -> np.ndarray:
         """(num_regions, 1) first transmitter row of each region."""
-        return _frozen(self._region_index[:, None] * self.cfg.nodes_per_region)
+        return _frozen(self._region_index[:, None] * self.nodes_per_region)
 
     @cached_property
     def user_xyz(self) -> np.ndarray:
@@ -94,15 +125,14 @@ class Topology:
 
     @cached_property
     def _region_index(self) -> np.ndarray:
-        return _frozen(np.arange(self.cfg.num_regions))
+        return _frozen(np.arange(self.num_regions))
 
     def own_region_gains(self, gains: np.ndarray) -> np.ndarray:
         """(R, m, k) blocks of a (num_transmitters, num_users) matrix: each
         region's rows against that region's own users."""
-        cfg = self.cfg
         r = self._region_index
         blocks = gains.reshape(
-            cfg.num_regions, cfg.nodes_per_region, cfg.num_regions, cfg.users_per_region
+            self.num_regions, self.nodes_per_region, self.num_regions, self.cfg.users_per_region
         )
         return blocks[r, :, r, :]
 

@@ -42,7 +42,7 @@ from specshare.agents import SearchRefusedError, count_joint_candidates, slots_t
 from specshare.allocation import BUDGET_TOL, AllocationState, Violation
 from specshare.channel import associate_users, co_channel_interference, link_gains
 from specshare.config import ScenarioConfig
-from specshare.metrics import REFERENCE_SINR, StepMetrics, sinr, user_rate
+from specshare.metrics import StepMetrics, sinr, user_rate
 from specshare.ppo import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -63,7 +63,7 @@ from specshare.ppo import (
     mode_cont,
     mode_slots,
 )
-from specshare.topology import TIER_UAV, build_topology
+from specshare.topology import REFERENCE_SINR, TIER_UAV, build_topology
 from topo_helpers import beam_of_region, region_of_hap, region_transmitter_rows, region_user_slice
 
 _RESCALE_TOL = 1e-12
@@ -1035,7 +1035,7 @@ def ppo_update_loop(
             idx = perm[start : start + mb]
             minibatch = {k: v[idx] for k, v in batch.items()}
             report, grads = loss_and_grads_loop(net, minibatch, cfg)
-            clip_grad_norm_loop(grads, MAX_GRAD_NORM)
+            norm = clip_grad_norm_loop(grads, MAX_GRAD_NORM)
             optimizer.step(net.params, grads)
             last = report
             steps += 1
@@ -1044,5 +1044,6 @@ def ppo_update_loop(
         value_loss=last.value_loss,
         entropy=last.entropy,
         clip_fraction=last.clip_fraction,
+        grad_norm=norm,
         grad_steps=steps,
     )

@@ -232,6 +232,40 @@ def test_updates_fire_once_the_buffer_fills(kind, monkeypatch):
     assert agent.updates == sum(want.values())
 
 
+def test_slot_end_episode_returns_the_update_report(monkeypatch):
+    # each slot hands back the report of the update it ran, with the last
+    # minibatch's pre-clip gradient norm, and None on an episode without one
+    cfg = _cfg(steps_per_episode=20)
+    cfg.ppo.batch_size, cfg.ppo.minibatch_size, cfg.ppo.sgd_iters = 500, 250, 1
+    env, agent = SpectrumSharingEnv(cfg), make_agent("hdrl", cfg)
+    real_update, made = specshare.ppo.ppo_update, []
+
+    def keeping_update(*args, **kwargs):
+        made.append(real_update(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(specshare.ppo, "ppo_update", keeping_update)
+    returned = {name: [] for name in agent.slots}
+    for name, slot in agent.slots.items():
+
+        def end(*args, _end=slot.end_episode, _got=returned[name]):
+            _got.append(_end(*args))
+            return _got[-1]
+
+        monkeypatch.setattr(slot, "end_episode", end)
+    episodes = 10
+    train(agent, env, episodes=episodes)
+    want = _expected_updates("hdrl", cfg, episodes)
+    for name, got in returned.items():
+        ran = [i for i, report in enumerate(got) if report is not None]
+        period = episodes // want[name]
+        assert ran == list(range(period - 1, episodes, period)), name
+    reports = [report for got in returned.values() for report in got if report is not None]
+    assert sorted(map(id, reports)) == sorted(map(id, made))
+    assert agent.updates == len(made) == sum(want.values())
+    assert all(np.isfinite(r.grad_norm) and r.grad_norm > 0.0 for r in made)
+
+
 @pytest.mark.parametrize("kind", ["sadrl", "madrl", "hdrl"])
 def test_checkpoint_round_trip_reproduces_greedy_policy(kind, tmp_path):
     cfg = _cfg()

@@ -50,7 +50,12 @@ def test_hdrl_training_calls_the_ppo_module_update(monkeypatch):
     env = SpectrumSharingEnv(cfg)
     agent = make_agent("hdrl", cfg)
     called = []
-    monkeypatch.setattr(specshare.ppo, "ppo_update", lambda net, *args, **kwargs: called.append(net))
+
+    def stub_update(net, *args, **kwargs):
+        called.append(net)
+        return "report"  # a slot counts an update by the report it returns
+
+    monkeypatch.setattr(specshare.ppo, "ppo_update", stub_update)
     # one desk episode fills the local tier's batch (6 nodes x 100 steps = batch_size)
     train(agent, env, episodes=1)
     assert called == [agent.net_l]

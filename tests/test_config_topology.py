@@ -18,6 +18,7 @@ from specshare.config import (
     load_config,
 )
 from specshare.topology import (
+    REFERENCE_SINR,
     TIER_TBS,
     TIER_UAV,
     TBS_MAST_HEIGHT_M,
@@ -426,3 +427,32 @@ def test_user_placement_is_seeded():
     t3 = build_topology(cfg, np.random.default_rng(8))
     assert np.array_equal(t1.user_positions, t2.user_positions)
     assert not np.array_equal(t1.user_positions, t3.user_positions)
+
+
+_SMALL_COUNT = st.integers(1, 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cfg=_valid_configs(), data=st.data())
+def test_topology_caches_the_configs_derived_values_bit_for_bit(cfg, data):
+    # the step reads these from the topology instead of the config's
+    # properties; any other radio and reward field, and small counts so the
+    # scene can be built
+    counts = ("beams", "haps_per_beam", "regions_per_hap", "uavs_per_region", "users_per_region")
+    cfg = dataclasses.replace(cfg, **{key: data.draw(_SMALL_COUNT, label=key) for key in counts})
+    topo = build_topology(cfg, np.random.default_rng(0))
+    log_term = np.log2(1.0 + REFERENCE_SINR)
+    want = {
+        "num_haps": cfg.num_haps,
+        "num_regions": cfg.num_regions,
+        "nodes_per_region": cfg.nodes_per_region,
+        "num_transmitters": cfg.num_transmitters,
+        "num_users": cfg.num_users,
+        "noise_power_w": cfg.noise_power_w,
+        "rate_norm": float(cfg.subband_bandwidth * log_term),
+        "eff_norm": float(cfg.num_subbands * log_term),
+    }
+    for name, value in want.items():
+        got = getattr(topo, name)
+        assert type(got) is type(value), name  # plain int or float
+        assert got.hex() == value.hex() if isinstance(value, float) else got == value, name

@@ -1,5 +1,7 @@
+import cProfile
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from hypothesis import strategies as st
 
 from specshare.allocation import ALLOCATION_ARRAYS, AllocationState, validate
 from specshare import env as env_module
-from specshare.config import ScenarioConfig, config_from_dict
+from specshare.agents import make_agent
+from specshare.config import ScenarioConfig, config_from_dict, load_config
 from specshare.env import ScheduleError, SpectrumSharingEnv, episode_summary
 from specshare.metrics import compute_step_metrics
 from specshare.channel import compute_snapshot
 from specshare.topology import build_topology
 from topo_helpers import beam_of_region, small_scenarios
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _cfg(**overrides):
@@ -355,6 +360,95 @@ def test_step_refuses_an_infeasible_read_and_keeps_the_held_state(monkeypatch):
     with pytest.raises(RuntimeError, match="power-budget"):
         env.step(_bundle(env, np.random.default_rng(10), 1))
     assert _state_bits(env) == before
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    cfg=small_scenarios(),
+    intervals=st.sampled_from([(2, 2, 1), (4, 2, 1), (4, 4, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+    tier=st.sampled_from(["global", "regional"]),
+    how=st.sampled_from(["copy", "read-only copy", "made writable"]),
+    spoil=st.booleans(),
+    data=st.data(),
+)
+def test_held_tiers_are_read_only_and_checked_again_once_rebound(
+    cfg, intervals, seed, tier, how, spoil, data
+):
+    # every committed allocation passes the full check and its global and
+    # regional matrices refuse in-place writes; a held tier that is no longer
+    # the read-only object a validated step committed (rebound to a copy,
+    # even a read-only one, or made writable again) gets the full check on
+    # the next step, which refuses it by name when it was spoiled and steps
+    # as a twin env would when it was not
+    cfg.decision_intervals = intervals
+    cfg.steps_per_episode = 8
+    rng = np.random.default_rng(seed)
+    bundles = [_raw_bundle(cfg, rng, t) for t in range(cfg.steps_per_episode)]
+    held = data.draw(st.sampled_from([t for t in range(1, 8) if not cfg.regional_due(t)]))
+    env, twin = SpectrumSharingEnv(cfg), SpectrumSharingEnv(cfg)
+    for e in (env, twin):
+        e.reset(seed=seed % 1000)
+    for t in range(held):
+        for e in (env, twin):
+            e.step(bundles[t])
+        alloc = env.state.alloc
+        assert validate(alloc, cfg) is None
+        for arr in (alloc.global_alloc, alloc.regional):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1 - arr[(0,) * arr.ndim]
+    attr = "global_alloc" if tier == "global" else tier
+    arr = getattr(env.state.alloc, attr)
+    if how == "made writable":
+        arr.setflags(write=True)
+    else:
+        arr = arr.copy()  # never validated
+        setattr(env.state.alloc, attr, arr)
+    if spoil:
+        arr[tuple(int(rng.integers(0, n)) for n in arr.shape)] = 2
+    if how == "read-only copy":
+        arr.setflags(write=False)
+    before = _state_bits(env)
+    if spoil:
+        with pytest.raises(RuntimeError, match=f"binary at .*: {tier} allocation entries must be 0/1"):
+            env.step(bundles[held])
+        assert _state_bits(env) == before
+        return
+    obs, _, _, _, _ = env.step(bundles[held])
+    twin_obs, _, _, _, _ = twin.step(bundles[held])
+    assert _state_bits(env) == _state_bits(twin)
+    for key in obs:
+        assert obs[key].tobytes() == twin_obs[key].tobytes(), key
+    assert not getattr(env.state.alloc, attr).flags.writeable  # validated, so committed read-only
+
+
+# cProfile's count of Python-level calls per desk env.step was 123.89 when
+# this budget was set (Python 3.11, numpy 2.4); it leaves about 15% headroom
+DESK_STEP_CALL_BUDGET = 143
+
+
+def test_a_desk_step_stays_within_its_call_budget():
+    # one seeded desk episode of the random agent's bundles (after the
+    # episode that drew them, which also builds every cached array), replayed
+    # alone under cProfile: the count does not depend on the host's speed
+    cfg = load_config(ROOT / "configs" / "desk.cfg")
+    env, agent = SpectrumSharingEnv(cfg), make_agent("random", cfg)
+    obs = env.reset(seed=2)
+    agent.begin_episode(env)
+    bundles = []
+    for t in range(cfg.steps_per_episode):
+        bundles.append(agent.act(obs, t, True))
+        obs = env.step(bundles[-1])[0]
+    env.reset(seed=2)
+    step = env.step
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for bundle in bundles:
+        step(bundle)
+    profiler.disable()
+    # one entry per code object, as tools/bench_point.py counts them
+    calls = sum(e.callcount for e in profiler.getstats()) / cfg.steps_per_episode
+    assert calls <= DESK_STEP_CALL_BUDGET, f"{calls} calls per desk env.step"
 
 
 def test_episode_truncates_at_horizon():

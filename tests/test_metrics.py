@@ -83,6 +83,11 @@ def _reward_scales(cfg):
     return cfg.subband_bandwidth * LOG2_101, cfg.num_subbands * LOG2_101
 
 
+def _topo(cfg):
+    """The scenario's topology: ``compose_rewards`` reads its reward scales."""
+    return build_topology(cfg, np.random.default_rng(0))
+
+
 def test_reward_norms_from_default_config():
     # a region at the reference rate (or efficiency, or QoS shortfall) scores
     # its weight: the default config's scales are 20 MHz and 10 subbands
@@ -91,18 +96,18 @@ def test_reward_norms_from_default_config():
     zeros = np.zeros(cfg.num_regions)
     full = np.ones(cfg.num_regions)
     w = cfg.reward_weights
-    r_l, _, _ = compose_rewards(cfg, full * 20e6 * LOG2_101, zeros, zeros, zeros, zeros)
+    r_l, _, _ = compose_rewards(_topo(cfg), full * 20e6 * LOG2_101, zeros, zeros, zeros, zeros)
     assert r_l == pytest.approx(w.w_rate * full, rel=1e-12)
-    r_l, _, _ = compose_rewards(cfg, zeros, full * 10 * LOG2_101, zeros, zeros, zeros)
+    r_l, _, _ = compose_rewards(_topo(cfg), zeros, full * 10 * LOG2_101, zeros, zeros, zeros)
     assert r_l == pytest.approx(w.w_eff * full, rel=1e-12)
-    r_l, _, _ = compose_rewards(cfg, zeros, zeros, zeros, zeros, full * 20e6 * LOG2_101)
+    r_l, _, _ = compose_rewards(_topo(cfg), zeros, zeros, zeros, zeros, full * 20e6 * LOG2_101)
     assert r_l == pytest.approx(w.w_qos * full, rel=1e-12)
 
 
 def test_zero_network_earns_only_the_fairness_term():
     cfg = ScenarioConfig()
     zeros = np.zeros(cfg.num_regions)
-    r_l, r_h, r_s = compose_rewards(cfg, zeros, zeros, np.ones(cfg.num_regions), zeros, zeros)
+    r_l, r_h, r_s = compose_rewards(_topo(cfg), zeros, zeros, np.ones(cfg.num_regions), zeros, zeros)
     assert np.allclose(r_l, 0.5)  # w_fair * 1 with default weights
     assert np.allclose(r_h, 0.5)
     assert r_s == pytest.approx(0.5)
@@ -113,7 +118,7 @@ def test_reward_composition_hand_example():
     cfg = ScenarioConfig(beams=2, regions_per_hap=1, reward_weights=weights)
     rate_norm, eff_norm = _reward_scales(cfg)
     r_l, r_h, r_s = compose_rewards(
-        cfg,
+        _topo(cfg),
         region_rate_mean=np.array([2.0, 0.0]) * rate_norm,
         region_eta=np.array([2.0, 0.0]) * eff_norm,
         region_fairness=np.array([0.8, 1.0]),
@@ -131,7 +136,7 @@ def test_hap_reward_averages_its_regions():
     cfg = ScenarioConfig(beams=2, regions_per_hap=2, reward_weights=weights)
     rate_norm, _ = _reward_scales(cfg)
     r_l, r_h, r_s = compose_rewards(
-        cfg, np.array([1.0, 3.0, 5.0, 7.0]) * rate_norm, np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4)
+        _topo(cfg), np.array([1.0, 3.0, 5.0, 7.0]) * rate_norm, np.zeros(4), np.zeros(4), np.zeros(4), np.zeros(4)
     )
     assert r_h == pytest.approx([2.0, 6.0])
     assert r_s == pytest.approx(4.0)

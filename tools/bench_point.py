@@ -16,12 +16,15 @@ versions that ``perfbench/run.py`` reports, the line count of ``src/``, and
 ``calls_per_step``: for each agent kind, cProfile's count of function
 calls over one seeded desk episode of ``act`` and ``env.step`` (learned
 kinds exploring, after one unprofiled warm-up episode), divided by its
-steps.  ``calls_per_step_r16`` is the same count for hdrl on a 16-region
-scenario (``default.cfg`` with 8 HAPs per beam, one region per HAP and
-50-step episodes), where an exploring decision's per-batch cost shows at
-scale.  The counts do not depend on the host's speed; each is measured
-twice in subprocesses on the tree's ``src/``, before the timed runs, and the
-two must agree.
+steps.  ``calls_per_env_step`` counts ``env.step`` alone in the same way:
+the profiled episode's actions replayed on the env reset to the same seed,
+so a BENCH file separates the step's calls from the agent's.
+``calls_per_step_r16`` is the same count as ``calls_per_step`` for hdrl on
+a 16-region scenario (``default.cfg`` with 8 HAPs per beam, one region per
+HAP and 50-step episodes), where an exploring decision's per-batch cost
+shows at scale.  The counts do not depend on the host's speed; each is
+measured twice in subprocesses on the tree's ``src/``, before the timed
+runs, and the two must agree.
 
 With ``--against TREE FILE`` the same runs are made on a second checkout and
 written to FILE; the two trees alternate run by run, and which goes first
@@ -42,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 3
+SCHEMA = 4
 AGENT_KINDS = ("random", "exhaustive", "sadrl", "madrl", "hdrl")
 # default.cfg's scenario at 16 regions: 2 beams x 8 HAPs x 1 region
 R16 = {"haps_per_beam": 8, "regions_per_hap": 1, "steps_per_episode": 50}
@@ -52,11 +55,19 @@ def src_lines(tree: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in sorted((tree / "src").rglob("*.py")))
 
 
+def _calls(profiler, steps: int) -> float:
+    # one entry per code object: pstats keys by (file, line, name) and so
+    # drops all but one of the dataclass __init__s, every one <string>:2
+    return sum(e.callcount for e in profiler.getstats()) / steps
+
+
 def print_calls_per_step(config: str, kinds=AGENT_KINDS, overrides=None) -> None:
-    """Print ``{kind: calls per step}`` as JSON for the ``specshare`` first
-    on ``sys.path``, on ``config`` with ``overrides`` set: each kind runs one
-    warm-up episode of criterion 1's loop, then one profiled episode of
-    ``act`` (exploring) and ``env.step``."""
+    """Print ``{"step": {kind: calls per step}, "env": {kind: calls per
+    env.step}}`` as JSON for the ``specshare`` first on ``sys.path``, on
+    ``config`` with ``overrides`` set: each kind runs one warm-up episode of
+    criterion 1's loop, then one profiled episode of ``act`` (exploring) and
+    ``env.step``, then that episode's steps again, alone and profiled, on
+    the env reset to the same seed."""
     import cProfile
 
     from specshare.agents import make_agent
@@ -67,7 +78,7 @@ def print_calls_per_step(config: str, kinds=AGENT_KINDS, overrides=None) -> None
     for key, value in (overrides or {}).items():
         setattr(cfg, key, value)
     cfg.validate()
-    counts = {}
+    counts, env_counts = {}, {}
     for kind in kinds:
         env, agent = SpectrumSharingEnv(cfg), make_agent(kind, cfg)
         obs = env.reset(seed=1)
@@ -79,15 +90,23 @@ def print_calls_per_step(config: str, kinds=AGENT_KINDS, overrides=None) -> None
         obs = env.reset(seed=2)
         agent.begin_episode(env)
         act, step = agent.act, env.step
+        # filled by index: a list.append would count as one more call per step
+        actions = [None] * cfg.steps_per_episode
         profiler = cProfile.Profile()
         profiler.enable()
         for t in range(cfg.steps_per_episode):
-            obs = step(act(obs, t, True))[0]
+            actions[t] = act(obs, t, True)
+            obs = step(actions[t])[0]
         profiler.disable()
-        # one entry per code object: pstats keys by (file, line, name) and so
-        # drops all but one of the dataclass __init__s, every one <string>:2
-        counts[kind] = sum(e.callcount for e in profiler.getstats()) / cfg.steps_per_episode
-    print(json.dumps(counts))
+        counts[kind] = _calls(profiler, cfg.steps_per_episode)
+        env.reset(seed=2)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        for action in actions:
+            step(action)
+        profiler.disable()
+        env_counts[kind] = _calls(profiler, cfg.steps_per_episode)
+    print(json.dumps({"step": counts, "env": env_counts}))
 
 
 def calls_per_step(tree: Path, config: str = "desk", kinds=AGENT_KINDS, overrides=None) -> dict:
@@ -100,18 +119,22 @@ def calls_per_step(tree: Path, config: str = "desk", kinds=AGENT_KINDS, override
     cmd = [sys.executable, "-c", code]
     runs = [json.loads(subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
             for _ in range(2)]
-    for kind in kinds:
-        if runs[0][kind] != runs[1][kind]:
-            sys.exit(f"{tree}: calls per step of {kind} on {config} differ between two runs: "
-                     f"{runs[0][kind]} and {runs[1][kind]}")
+    for part in ("step", "env"):
+        for kind in kinds:
+            if runs[0][part][kind] != runs[1][part][kind]:
+                sys.exit(f"{tree}: calls per {part} step of {kind} on {config} differ between two "
+                         f"runs: {runs[0][part][kind]} and {runs[1][part][kind]}")
     return runs[0]
 
 
 def all_calls_per_step(tree: Path) -> dict:
-    """The two call-count fields of a BENCH file: every kind on desk, and hdrl on 16 regions."""
+    """The three call-count fields of a BENCH file: every kind on desk, with
+    and without its ``act``, and hdrl on 16 regions."""
+    desk = calls_per_step(tree)
     return {
-        "calls_per_step": calls_per_step(tree),
-        "calls_per_step_r16": calls_per_step(tree, "default", ("hdrl",), R16),
+        "calls_per_step": desk["step"],
+        "calls_per_env_step": desk["env"],
+        "calls_per_step_r16": calls_per_step(tree, "default", ("hdrl",), R16)["step"],
     }
 
 
@@ -154,7 +177,7 @@ def summarize(tree: Path, seconds: float, seeds: list[int], runs: dict, calls: d
 
 
 def compare(mine: dict, other: dict, better: dict) -> None:
-    for field in ("calls_per_step", "calls_per_step_r16"):
+    for field in ("calls_per_step", "calls_per_env_step", "calls_per_step_r16"):
         for kind, calls in mine[field].items():
             print(f"{field:18s} {kind:15s} {other[field][kind]:10.4g} -> {calls:10.4g}")
     for name, w in mine["workloads"].items():
