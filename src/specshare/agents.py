@@ -234,8 +234,8 @@ def count_joint_candidates(cfg: ScenarioConfig) -> int:
 class JointSearch:
     """What every exhaustive solve of one scenario shares: the topology,
     which alone records the scenario, the frozen gains at the transmitters'
-    home positions, and each distinct subband state's regional column and
-    grant.  Raises ``SearchRefusedError`` for a scenario it cannot solve."""
+    home positions and their own-region blocks, and each distinct subband
+    state's regional column and grant.  Raises ``SearchRefusedError`` for a scenario it cannot solve."""
 
     def __init__(self, topo: Topology):
         cfg = topo.cfg
@@ -249,6 +249,7 @@ class JointSearch:
         self.topo, self.total = topo, total
         home = np.stack([nd.position for nd in topo.transmitters()])
         self.gains = link_gains(topo, home, rng=None)
+        self.region_gains = topo.own_region_gains(self.gains)
         m = cfg.nodes_per_region
         per_beam, self.states = _subband_states(cfg)
         regions_per_beam = cfg.haps_per_beam * cfg.regions_per_hap
@@ -312,7 +313,7 @@ def exhaustive_solve(cfg: ScenarioConfig | None = None, *, search: JointSearch |
         alloc = AllocationState(
             global_alloc=None, regional=regional, beta=regional, alpha=alpha, dp=None
         )
-        assoc = associate_users(topo, gains, regional)
+        assoc = associate_users(topo, search.region_gains, regional)
         interference = co_channel_interference(topo, gains, alloc, assoc)
         _, rates = served_user_rates(topo, alloc, ChannelSnapshot(gains, assoc, interference))
         eta[idx] = spectral_efficiency(rates, cfg.total_bandwidth)

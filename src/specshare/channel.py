@@ -218,17 +218,18 @@ def link_gains(
     return np.minimum(1.0, gains, out=gains)
 
 
-def associate_users(topo: Topology, gains: np.ndarray, regional: np.ndarray) -> np.ndarray:
+def associate_users(topo: Topology, region_gains: np.ndarray, regional: np.ndarray) -> np.ndarray:
     """Serve each user from its region's best-gain node among grant holders.
 
-    Ties go to the lowest row; users of a region whose nodes hold no grant
-    get -1.  ``regional`` (T, N) gives (U,); leading candidate axes carry
-    through, so (C, T, N) gives (C, U).
+    ``region_gains`` is ``topo.own_region_gains(gains)``, each region's (m, k)
+    block.  Ties go to the lowest row; users of a region whose nodes hold no
+    grant get -1.  ``regional`` (T, N) gives (U,); leading candidate axes
+    carry through, so (C, T, N) gives (C, U).
     """
     lead = regional.shape[:-2]
     holds = np.logical_or.reduce(regional, axis=-1).reshape(lead + (topo.num_regions, -1, 1))
     # gains are >= _MIN_GAIN > -inf, so a holder always beats a masked row
-    best = np.where(holds, topo.own_region_gains(gains), -np.inf).argmax(axis=-2)  # (..., R, k)
+    best = np.where(holds, region_gains, -np.inf).argmax(axis=-2)  # (..., R, k)
     association = best + topo.region_first_row
     # a region without a grant holder serves nobody
     return np.where(np.logical_or.reduce(holds, axis=-2), association, -1).reshape(lead + (-1,))
@@ -300,10 +301,14 @@ def compute_snapshot(
     tx_positions: np.ndarray,
     rng: np.random.Generator | None = None,
     gains: np.ndarray | None = None,
-) -> ChannelSnapshot:
-    """Draw gains (unless supplied) and derive association and interference."""
+) -> tuple[ChannelSnapshot, np.ndarray]:
+    """Draw gains (unless supplied) and derive association and interference.
+
+    Also returns the gains' ``topo.own_region_gains`` blocks, built once for
+    the association and the env's observations."""
     if gains is None:
         gains = link_gains(topo, tx_positions, rng)
-    association = associate_users(topo, gains, alloc.regional)
+    region_gains = topo.own_region_gains(gains)
+    association = associate_users(topo, region_gains, alloc.regional)
     interference = co_channel_interference(topo, gains, alloc, association)
-    return ChannelSnapshot(gains=gains, association=association, interference=interference)
+    return ChannelSnapshot(gains=gains, association=association, interference=interference), region_gains

@@ -497,7 +497,7 @@ def cmd_replay(args) -> int:
             return 1
         tx_positions = np.asarray(entry["tx_positions"], dtype=float)
         gains = np.asarray(entry["gains"], dtype=float)
-        snap = compute_snapshot(topo, alloc, tx_positions, gains=gains)
+        snap = compute_snapshot(topo, alloc, tx_positions, gains=gains)[0]
         metrics = compute_step_metrics(topo, alloc, snap, tx_positions)
         recomputed = metrics.to_dict()
         for field, value in entry["metrics"].items():

@@ -66,6 +66,7 @@ class EnvState:
     alloc: AllocationState
     tx_positions: np.ndarray  # (num_transmitters, 3), current
     snapshot: ChannelSnapshot
+    region_gains: np.ndarray  # (R, m, k): topo.own_region_gains(snapshot.gains)
     metrics: StepMetrics | None
 
 
@@ -137,9 +138,10 @@ class SpectrumSharingEnv:
         self._chan_rng = np.random.default_rng((cfg.seed, 0x5EED, seed))
         alloc = AllocationState.zeros(cfg)
         tx_positions = self._home.copy()
-        snapshot = compute_snapshot(self.topology, alloc, tx_positions, rng=self._chan_rng)
+        snapshot, region_gains = compute_snapshot(self.topology, alloc, tx_positions, rng=self._chan_rng)
         self.state = EnvState(
-            t=0, alloc=alloc, tx_positions=tx_positions, snapshot=snapshot, metrics=None
+            t=0, alloc=alloc, tx_positions=tx_positions, snapshot=snapshot,
+            region_gains=region_gains, metrics=None,
         )
         self._checked = (None, None)
         if self._trace_path:
@@ -210,7 +212,9 @@ class SpectrumSharingEnv:
 
         self._move_uavs()
 
-        state.snapshot = compute_snapshot(self.topology, alloc, state.tx_positions, rng=self._chan_rng)
+        state.snapshot, state.region_gains = compute_snapshot(
+            self.topology, alloc, state.tx_positions, rng=self._chan_rng
+        )
         state.metrics = compute_step_metrics(self.topology, alloc, state.snapshot, state.tx_positions)
 
         if self._trace_fh is not None:
@@ -288,14 +292,14 @@ class SpectrumSharingEnv:
         (R, N).
         """
         cfg, topo = self.cfg, self.topology
-        snap = self.state.snapshot
+        state = self.state
         t, k = topo.num_transmitters, cfg.users_per_region
-        blocks = topo.own_region_gains(snap.gains)  # (R, m, k)
+        blocks = state.region_gains  # (R, m, k)
         row_means = np.add.reduce(blocks, axis=2).reshape(-1) / k
         # each beam's regions, and so its rows, are contiguous
         per_beam = row_means.reshape(cfg.beams, -1)
         beam_means = np.add.reduce(per_beam, axis=1) / per_beam.shape[1]
-        interf = snap.interference.reshape(topo.num_regions, k, cfg.num_subbands)
+        interf = state.snapshot.interference.reshape(topo.num_regions, k, cfg.num_subbands)
         interf = np.add.reduce(interf, axis=1) / k
         # the three gain sets share one mapping pass
         unit = gain_to_unit(np.concatenate([blocks.reshape(-1), row_means, beam_means]))

@@ -20,6 +20,14 @@ grad-norm clip sums its squares key by key in the order the gradients are
 computed.  ``forward``, the decision path, takes no workspace and allocates
 new activation arrays.
 
+A minibatch step does only the work that depends on the weights.  The
+values that depend only on the stored actions (``action_constants``: the
+one-hot of the taken categorical entries, the continuous slots' pre-squash
+values and log-Jacobian terms) are computed once per update, and each
+minibatch gathers its rows of them, with its other keys, into buffers
+allocated once per update.  The losses, which no gradient needs, are
+computed for the last minibatch only, whose report ``ppo_update`` returns.
+
 A ``Trajectory`` holds one policy's episode as (epochs, entities) arrays, the
 layout of a (steps, envs) rollout buffer, and ``gae`` runs over all its
 entities at once.
@@ -303,27 +311,53 @@ def _probs_and_entropy(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, -_sum_last(prob * logp)[..., None]
 
 
+def _pre_squash(schema: ActionSchema, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Box actions' pre-squash values z and their squash's log-Jacobian term."""
+    z, u = _unsquash(schema, cont)
+    return z, schema._box.log_half_width + np.log1p(-u * u)
+
+
+def action_constants(schema: ActionSchema, cat: np.ndarray, cont: np.ndarray) -> dict[str, np.ndarray]:
+    """The per-row values of a (B, ·) batch of actions that no weight enters:
+    ``onehot``, a (B, num_logits) bool array that is True at each slot's
+    taken entry (a run's columns read as its (B, n, arity) block); and, with
+    continuous slots, ``z``, their pre-squash values (B, C), and ``jac``,
+    their squash's log-Jacobian term (B, C).  ``loss_and_grads`` reads them
+    from its batch, and ``ppo_update`` computes them once per update."""
+    B = cat.shape[0]
+    onehot = np.empty((B, schema.num_logits), dtype=bool)
+    for slot_start, n, arity, logit_start in schema._runs:
+        block = onehot[:, logit_start : logit_start + n * arity].reshape(B, n, arity)
+        np.equal(cat[:, slot_start : slot_start + n, None], np.arange(arity), out=block)
+    if not schema.cont_bounds:
+        return {"onehot": onehot}
+    z, jac = _pre_squash(schema, cont)
+    return {"onehot": onehot, "z": z, "jac": jac}
+
+
 def _picked(logp: np.ndarray, acts: np.ndarray) -> np.ndarray:
     """Summed log-probability of one run's chosen entries: (B, n, arity), (B, n) -> (B,)."""
     B, n = acts.shape
-    return logp[np.arange(B)[:, None], np.arange(n), acts].sum(axis=1)
+    return np.add.reduce(logp[np.arange(B)[:, None], np.arange(n), acts], axis=1)
 
 
-def _cont_log_prob(params: DistParams, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-density of squashed continuous actions per row, and their pre-squash values z."""
-    box = params.schema._box
-    z, u = _unsquash(params.schema, cont)
+def _cont_log_prob(
+    params: DistParams, z: np.ndarray, jac: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-density per row of squashed continuous actions given as their
+    pre-squash ``z`` and log-Jacobian ``jac``; also returns the standardized
+    ``zc = (z - mean) / std`` and ``std``, which the backward reuses."""
     std = np.exp(params.log_std)
-    gauss = -0.5 * ((z - params.mean) / std) ** 2 - params.log_std - 0.5 * _LOG_2PI
-    jac = box.log_half_width + np.log1p(-u * u)
+    zc = (z - params.mean) / std
+    gauss = -0.5 * zc**2 - params.log_std - 0.5 * _LOG_2PI
     # pinned slots are deterministic and carry no density
-    return ((gauss - jac) * box.live).sum(axis=1), z
+    return np.add.reduce((gauss - jac) * params.schema._box.live, axis=1), zc, std
 
 
 def _cont_entropy(params: DistParams) -> float:
     """Pre-squash gaussian entropy of the live continuous slots (the same for every row)."""
     box = params.schema._box
-    return ((params.log_std + 0.5 * (1.0 + _LOG_2PI) + box.log_half_width) * box.live).sum()
+    return np.add.reduce((params.log_std + 0.5 * (1.0 + _LOG_2PI) + box.log_half_width) * box.live)
 
 
 def log_prob(params: DistParams, action: ActionBatch) -> np.ndarray:
@@ -331,8 +365,8 @@ def log_prob(params: DistParams, action: ActionBatch) -> np.ndarray:
     lp = np.zeros(params.logits.shape[0])
     for slot_start, n, _, logp in _log_softmax_runs(params):
         lp += _picked(logp, action.cat[:, slot_start : slot_start + n])
-    if params.schema.num_cont:
-        lp += _cont_log_prob(params, action.cont)[0]
+    if params.schema.cont_bounds:
+        lp += _cont_log_prob(params, *_pre_squash(params.schema, action.cont))[0]
     return lp
 
 
@@ -524,6 +558,10 @@ class LossReport:
     value_loss: float
     entropy: float
     clip_fraction: float
+    # CleanRL's estimator of KL(old || new), mean((ratio - 1) - log ratio)
+    approx_kl: float
+    # 1 - var(ret - value) / var(ret); NaN where the returns do not vary
+    explained_variance: float
 
 
 # The order the gradients are computed in; the grad-norm clip sums their
@@ -559,17 +597,23 @@ class _Workspace:
 
 
 def loss_and_grads(
-    net: PolicyNet, batch: dict, cfg: PpoConfig, ws: _Workspace | None = None
-) -> tuple[LossReport, dict[str, np.ndarray]]:
+    net: PolicyNet, batch: dict, cfg: PpoConfig, ws: _Workspace | None = None, report: bool = True
+) -> tuple[LossReport | None, dict[str, np.ndarray]]:
     """Clipped-surrogate PPO loss and analytic gradients for one minibatch.
 
-    batch keys: obs (B,D), cat (B,S), cont (B,C), logp (B,), adv (B,), ret (B,).
+    batch keys: obs (B,D), cat (B,S), logp (B,), adv (B,), ret (B,), and the
+    ``action_constants`` of its actions: onehot (B,L), and with continuous
+    slots z (B,C) and jac (B,C).  A minibatch step does only the work that
+    depends on the weights.
 
     The grads are views into a flat gradient vector laid out like the net's
     ``flat``: the workspace's ``grad``, which the next call with that
     workspace overwrites, or a new one when no workspace is given.  The
     hidden activations and their gradients live in the workspace's buffers
-    (the module docstring says why the bits are unchanged).
+    (the module docstring says why the bits are unchanged).  With ``report``
+    false the losses, which no gradient needs, are not computed and the
+    report is ``None``; ``ppo_update`` asks for the report of its last
+    minibatch only.
     """
     p = net.params
     schema = net.schema
@@ -577,8 +621,7 @@ def loss_and_grads(
     B = X.shape[0]
     adv = batch["adv"]
     ret = batch["ret"]
-    logp_old = batch["logp"]
-    cat, cont = batch["cat"], batch["cont"]
+    cat, onehot = batch["cat"], batch["onehot"]
 
     # forward pass, keeping activations for the backward pass
     if ws is None:
@@ -590,66 +633,62 @@ def loss_and_grads(
     # serve the log-prob, the entropy and the gradient alike
     runs = []
     logp_new = np.zeros(B)
-    ent = np.zeros(B)
+    ent = np.zeros(B) if report else None
     for slot_start, n, logit_start, logp_slot in _log_softmax_runs(params):
-        acts = cat[:, slot_start : slot_start + n]
+        width = n * logp_slot.shape[2]
+        taken = onehot[:, logit_start : logit_start + width].reshape(logp_slot.shape)
         prob, h_slot = _probs_and_entropy(logp_slot)
-        logp_new += _picked(logp_slot, acts)
-        ent += h_slot[..., 0].sum(axis=-1)
-        runs.append((logit_start, acts, logp_slot, prob, h_slot))
-    if schema.num_cont:
-        lp_cont, z = _cont_log_prob(params, cont)
+        logp_new += _picked(logp_slot, cat[:, slot_start : slot_start + n])
+        if report:
+            ent += np.add.reduce(h_slot[..., 0], axis=-1)
+        runs.append((logit_start, width, taken, logp_slot, prob, h_slot))
+    if schema.cont_bounds:
+        lp_cont, zc, std = _cont_log_prob(params, batch["z"], batch["jac"])
         logp_new += lp_cont
-        ent += _cont_entropy(params)
 
-    ratio = np.exp(logp_new - logp_old)
+    log_ratio = logp_new - batch["logp"]
+    ratio = np.exp(log_ratio)
     unclipped = ratio * adv
     clipped = _clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
-    # sum / B is ndarray.mean bit for bit, without the wrapper overhead
-    policy_loss = -(np.minimum(unclipped, clipped).sum() / B)
-    value_err = value - ret
-    value_loss = (value_err**2).sum() / B
-    entropy_mean = ent.sum() / B
-    loss = policy_loss + cfg.vf_coef * value_loss - cfg.entropy_coef * entropy_mean
-
     # d loss / d logp_new; zero where the clipped branch saturates
     use_unclipped = unclipped <= clipped
     g_lp = np.where(use_unclipped, -adv * ratio / B, 0.0)
+    value_err = value - ret
 
-    d_logits = np.zeros_like(logits)
-    d_mean = np.zeros_like(mean)
-    d_log_std = np.zeros_like(log_std)
+    # every run writes its columns, so d_logits needs no zero fill
+    d_logits = np.empty(logits.shape)
+    for logit_start, width, taken, logp_slot, prob, h_slot in runs:
+        # g * (onehot - p), then the entropy bonus d(-c*mean(H))/dlogits =
+        # (c/B) * p * (logp + H_slot), over prob and logp_slot, which the
+        # log-prob is done with
+        d_slot = d_logits[:, logit_start : logit_start + width].reshape(prob.shape)
+        np.subtract(taken, prob, out=d_slot)
+        d_slot *= g_lp[:, None, None]
+        prob *= cfg.entropy_coef / B
+        prob *= np.add(logp_slot, h_slot, out=logp_slot)
+        d_slot += prob
 
-    for logit_start, acts, logp_slot, prob, h_slot in runs:
-        _, n, arity = prob.shape
-        onehot = np.zeros_like(prob)
-        onehot[np.arange(B)[:, None], np.arange(n), acts] = 1.0
-        d_slot = g_lp[:, None, None] * (onehot - prob)
-        # entropy bonus: d(-c*mean(H))/dlogits = (c/B) * p * (logp + H_slot)
-        d_slot += (cfg.entropy_coef / B) * prob * (logp_slot + h_slot)
-        d_logits[:, logit_start : logit_start + n * arity] = d_slot.reshape(B, n * arity)
-
-    if schema.num_cont:
-        std = np.exp(log_std)
-        zc = (z - mean) / std
+    if schema.cont_bounds:
         d_mean = g_lp[:, None] * zc / std
-        d_log_std = (g_lp[:, None] * (zc * zc - 1.0)).sum(axis=0)
+        d_log_std = np.add.reduce(g_lp[:, None] * (zc * zc - 1.0), axis=0)
         # gaussian entropy depends on log_std alone
         d_log_std += -cfg.entropy_coef
         # clamp gate: no gradient where the raw parameter sits outside the clamp
         raw = p["log_std"]
-        d_log_std *= ((raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)).astype(float)
+        d_log_std *= (raw > LOG_STD_MIN) & (raw < LOG_STD_MAX)
+    else:
+        d_mean, d_log_std = mean, log_std  # (B, 0) and (0,): nothing to write
 
     d_value = cfg.vf_coef * 2.0 * value_err / B
 
     h0, h1 = net.hidden
     grads = ws.grads
     np.matmul(a2.T, d_logits, out=grads["Wl"])
-    np.sum(d_logits, axis=0, out=grads["bl"])
+    np.add.reduce(d_logits, axis=0, out=grads["bl"])
     np.matmul(a2.T, d_mean, out=grads["Wm"])
-    np.sum(d_mean, axis=0, out=grads["bm"])
+    np.add.reduce(d_mean, axis=0, out=grads["bm"])
     np.matmul(a2.T, d_value[:, None], out=grads["Wv"])
-    grads["bv"][0] = d_value.sum()
+    np.add.reduce(d_value, axis=0, keepdims=True, out=grads["bv"])
     grads["log_std"][...] = d_log_std
 
     # da2 = d_logits @ Wl.T + d_mean @ Wm.T + d_value[:, None] @ Wv.T, added left to right
@@ -662,22 +701,34 @@ def loss_and_grads(
     np.subtract(1.0, dz2, out=dz2)
     dz2 *= da2
     np.matmul(a1.T, dz2, out=grads["W1"])
-    np.sum(dz2, axis=0, out=grads["b1"])
+    np.add.reduce(dz2, axis=0, out=grads["b1"])
     da1 = np.matmul(dz2, p["W1"].T, out=ws.take(2, B, h0))
     dz1 = np.multiply(a1, a1, out=a1)
     np.subtract(1.0, dz1, out=dz1)
     dz1 *= da1
     np.matmul(X.T, dz1, out=grads["W0"])
-    np.sum(dz1, axis=0, out=grads["b0"])
+    np.add.reduce(dz1, axis=0, out=grads["b0"])
 
-    report = LossReport(
+    if not report:
+        return None, grads
+    # sum / B is ndarray.mean bit for bit, without the wrapper overhead
+    policy_loss = -(np.add.reduce(np.minimum(unclipped, clipped)) / B)
+    value_loss = np.add.reduce(value_err**2) / B
+    if schema.cont_bounds:
+        ent += _cont_entropy(params)
+    entropy_mean = np.add.reduce(ent) / B
+    loss = policy_loss + cfg.vf_coef * value_loss - cfg.entropy_coef * entropy_mean
+    var_ret = ret.var()
+    out = LossReport(
         loss=float(loss),
         policy_loss=float(policy_loss),
         value_loss=float(value_loss),
         entropy=float(entropy_mean),
         clip_fraction=float((~use_unclipped).mean()),
+        approx_kl=float(np.add.reduce((ratio - 1.0) - log_ratio) / B),
+        explained_variance=float(1.0 - (ret - value).var() / var_ret) if var_ret else math.nan,
     )
-    return report, grads
+    return out, grads
 
 
 def clip_grad_norm(
@@ -692,7 +743,8 @@ def clip_grad_norm(
     whole vector."""
     squares = 0.0
     for g in grads.values():
-        squares += float(np.multiply(g, g, out=scratch[: g.size].reshape(g.shape)).sum())
+        square = np.multiply(g, g, out=scratch[: g.size].reshape(g.shape))
+        squares += float(np.add.reduce(square, axis=None))
     total = float(np.sqrt(squares))
     if total > max_norm and total > 0.0:
         flat *= max_norm / total
@@ -740,13 +792,16 @@ class Adam:
 
 @dataclass
 class UpdateReport:
-    """The last minibatch's losses, clip fraction and pre-clip gradient norm,
-    and the number of minibatch steps the update took."""
+    """The last minibatch's losses, clip fraction, approximate KL and
+    explained variance (``LossReport``'s), its pre-clip gradient norm, and
+    the number of minibatch steps the update took."""
 
     policy_loss: float
     value_loss: float
     entropy: float
     clip_fraction: float
+    approx_kl: float
+    explained_variance: float
     grad_norm: float
     grad_steps: int
 
@@ -760,38 +815,54 @@ def ppo_update(
 ) -> UpdateReport:
     """Run sgd_iters epochs of shuffled clipped-surrogate minibatch updates.
 
-    Advantages are normalized once over the whole batch.  The minibatch
-    size shrinks to the batch size when the batch is smaller (high tiers
-    accumulate few decisions per episode).  ``optimizer`` is the net's Adam,
-    whose moments carry over from one update to the next.
+    Advantages are normalized once over the whole batch, and the actions'
+    ``action_constants`` are computed once over it.  Each minibatch gathers
+    its rows of every key into buffers allocated once per update.  The
+    minibatch size shrinks to the batch size when the batch is smaller (high
+    tiers accumulate few decisions per episode).  ``optimizer`` is the net's
+    Adam, whose moments carry over from one update to the next.
     """
     B = batch["obs"].shape[0]
     if B < 1:
         raise ValueError("ppo_update needs a non-empty batch")
     adv = batch["adv"]
-    batch = dict(batch)
-    batch["adv"] = (adv - adv.mean()) / (adv.std() + 1e-8)
+    rows = {
+        "obs": batch["obs"],
+        "cat": batch["cat"],
+        "logp": batch["logp"],
+        "adv": (adv - adv.mean()) / (adv.std() + 1e-8),
+        "ret": batch["ret"],
+        **action_constants(net.schema, batch["cat"], batch["cont"]),
+    }
 
     mb = min(cfg.minibatch_size, B)
     # every minibatch step works in these, so none allocates a (mb, hidden) array
     ws = _Workspace(net, mb)
-    last = None
-    steps = 0
+    gathered = {k: np.empty((mb,) + v.shape[1:], v.dtype) for k, v in rows.items()}
+    # the last minibatch of a batch that mb does not divide uses the leading rows
+    tail = B % mb
+    short = {k: v[:tail] for k, v in gathered.items()}
+    steps = cfg.sgd_iters * -(-B // mb)
+    step = 0
     for _ in range(cfg.sgd_iters):
         perm = rng.permutation(B)
         for start in range(0, B, mb):
             idx = perm[start : start + mb]
-            minibatch = {k: v[idx] for k, v in batch.items()}
-            report, grads = loss_and_grads(net, minibatch, cfg, ws)
+            minibatch = gathered if idx.size == mb else short
+            for key, v in rows.items():
+                # mode="clip" writes straight into out; "raise" buffers the copy
+                v.take(idx, axis=0, out=minibatch[key], mode="clip")
+            step += 1
+            report, grads = loss_and_grads(net, minibatch, cfg, ws, report=step == steps)
             norm = clip_grad_norm(grads, ws.grad, MAX_GRAD_NORM, ws.scratch[0])
             optimizer.step(net.flat, ws.grad, ws.scratch)
-            last = report
-            steps += 1
     return UpdateReport(
-        policy_loss=last.policy_loss,
-        value_loss=last.value_loss,
-        entropy=last.entropy,
-        clip_fraction=last.clip_fraction,
+        policy_loss=report.policy_loss,
+        value_loss=report.value_loss,
+        entropy=report.entropy,
+        clip_fraction=report.clip_fraction,
+        approx_kl=report.approx_kl,
+        explained_variance=report.explained_variance,
         grad_norm=norm,
         grad_steps=steps,
     )

@@ -52,11 +52,12 @@ from specshare.ppo import (
     LossReport,
     UpdateReport,
     _clip,
+    _LOG_2PI,
     _cont_entropy,
-    _cont_log_prob,
     _log_softmax_runs,
     _picked,
     _probs_and_entropy,
+    _unsquash,
     forward,
     log_prob,
     mode_action,
@@ -493,7 +494,7 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
                 alpha=alpha,
                 dp=np.zeros((cfg.num_transmitters, 2)),
             )
-            assoc = associate_users(topo, gains, regional)
+            assoc = associate_users(topo, topo.own_region_gains(gains), regional)
             interference = co_channel_interference(topo, gains, alloc, assoc)
             rates = np.zeros(cfg.num_users)
             served = np.nonzero(assoc >= 0)[0]
@@ -889,8 +890,22 @@ ACT_LOOPS = {"hdrl": hdrl_act_loop, "sadrl": sadrl_act_loop, "madrl": madrl_act_
 #
 # The PPO training step as it ran on per-key dicts before the flat buffers:
 # every forward and backward quantity a new array, one gradient array per
-# parameter, a per-key clip and a per-key Adam.  ``net`` is anything with a
+# parameter, a per-key clip and a per-key Adam.  Each minibatch unsquashes its
+# own actions and builds its own one-hot (``_cont_log_prob`` is the package's
+# helper of that formulation), and every minibatch computes its report,
+# approximate KL and explained variance included.  ``net`` is anything with a
 # ``params`` dict of separate arrays, a ``schema`` and a ``hidden``.
+
+
+def _cont_log_prob(params: DistParams, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-density of squashed continuous actions per row, and their pre-squash values z."""
+    box = params.schema._box
+    z, u = _unsquash(params.schema, cont)
+    std = np.exp(params.log_std)
+    gauss = -0.5 * ((z - params.mean) / std) ** 2 - params.log_std - 0.5 * _LOG_2PI
+    jac = box.log_half_width + np.log1p(-u * u)
+    # pinned slots are deterministic and carry no density
+    return ((gauss - jac) * box.live).sum(axis=1), z
 
 
 def loss_and_grads_loop(net, batch: dict, cfg) -> tuple[LossReport, dict[str, np.ndarray]]:
@@ -984,6 +999,10 @@ def loss_and_grads_loop(net, batch: dict, cfg) -> tuple[LossReport, dict[str, np
         value_loss=float(value_loss),
         entropy=float(entropy_mean),
         clip_fraction=float((~use_unclipped).mean()),
+        approx_kl=float(((ratio - 1.0) - (logp_new - logp_old)).mean()),
+        explained_variance=(
+            float("nan") if ret.var() == 0.0 else float(1.0 - (ret - value).var() / ret.var())
+        ),
     )
     return report, grads
 
@@ -1044,6 +1063,8 @@ def ppo_update_loop(
         value_loss=last.value_loss,
         entropy=last.entropy,
         clip_fraction=last.clip_fraction,
+        approx_kl=last.approx_kl,
+        explained_variance=last.explained_variance,
         grad_norm=norm,
         grad_steps=steps,
     )

@@ -20,7 +20,16 @@ from specshare.cli import main
 from specshare.config import PpoConfig, ScenarioConfig, load_config
 from specshare.env import SpectrumSharingEnv
 from specshare.metrics import compute_step_metrics, jain_fairness
-from specshare.ppo import ActionSchema, PolicyNet, forward, gae, grad_check, loss_and_grads, sample_action
+from specshare.ppo import (
+    ActionSchema,
+    PolicyNet,
+    action_constants,
+    forward,
+    gae,
+    grad_check,
+    loss_and_grads,
+    sample_action,
+)
 from specshare.topology import TIER_UAV, build_topology, dbm_to_watts
 from topo_helpers import region_transmitter_rows
 
@@ -192,7 +201,7 @@ def test_criterion_2_metric_oracle_equivalence():
 
         pos = np.stack([n.position for n in topo.transmitters()])
         pos[:, :2] += rng.normal(0, 250, size=(cfg.num_transmitters, 2))
-        snap = compute_snapshot(topo, state, pos, rng=None)
+        snap = compute_snapshot(topo, state, pos, rng=None)[0]
         got = compute_step_metrics(topo, state, snap, pos)
 
         # straight-line oracle: plain loops, no shared helpers
@@ -294,6 +303,7 @@ def test_criterion_4_gradient_correctness():
             "logp": logp,
             "adv": rng.normal(size=12),
             "ret": rng.normal(size=12),
+            **action_constants(schema, action.cat, action.cont),
         }
 
         def loss_fn(n):

@@ -127,7 +127,7 @@ def test_association_picks_best_granted_node_per_region():
     gains[0, 1] = 1e-9
     gains[2, 1] = 1e-8  # user 1 prefers row 2
     gains[1, 2] = 1e-3  # row 1 holds no grant, so it cannot serve user 2
-    assoc = associate_users(topo, gains, regional)
+    assoc = associate_users(topo, topo.own_region_gains(gains), regional)
     assert assoc[0] == 0
     assert assoc[1] == 2
     assert assoc[2] in (0, 2)
@@ -170,7 +170,7 @@ def test_interference_matches_explicit_sum():
         for _ in range(20):
             state = _random_state(cfg, rng)
             gains = 10 ** rng.uniform(-12, -6, size=(cfg.num_transmitters, cfg.num_users))
-            assoc = associate_users(topo, gains, state.regional)
+            assoc = associate_users(topo, topo.own_region_gains(gains), state.regional)
             got = co_channel_interference(topo, gains, state, assoc)
             want = np.zeros((cfg.num_users, cfg.num_subbands))
             for u in range(cfg.num_users):
@@ -192,8 +192,8 @@ def test_snapshot_accepts_precomputed_gains():
     topo = build_topology(cfg, np.random.default_rng(0))
     tx_pos = np.stack([n.position for n in topo.transmitters()])
     state = _random_state(cfg, np.random.default_rng(6))
-    snap = compute_snapshot(topo, state, tx_pos, rng=None)
-    replay = compute_snapshot(topo, state, tx_pos, gains=snap.gains)
+    snap = compute_snapshot(topo, state, tx_pos, rng=None)[0]
+    replay = compute_snapshot(topo, state, tx_pos, gains=snap.gains)[0]
     assert np.array_equal(replay.gains, snap.gains)
     assert np.array_equal(replay.association, snap.association)
     assert np.array_equal(replay.interference, snap.interference)

@@ -569,7 +569,7 @@ def test_trace_file_structure_and_replayability(tmp_path):
     alloc = AllocationState.from_dict(step["allocation"])
     pos = np.asarray(step["tx_positions"])
     gains = np.asarray(step["gains"])
-    snap = compute_snapshot(topo, alloc, pos, gains=gains)
+    snap = compute_snapshot(topo, alloc, pos, gains=gains)[0]
     metrics = compute_step_metrics(topo, alloc, snap, pos)
     for key, value in metrics.to_dict().items():
         traced = step["metrics"][key]

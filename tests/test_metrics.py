@@ -170,7 +170,7 @@ def test_step_metrics_match_straight_line_reference():
         state = random_feasible_state(cfg, rng)
         pos = tx_pos.copy()
         pos[:, :2] += rng.normal(0, 300, size=(cfg.num_transmitters, 2))
-        snap = compute_snapshot(topo, state, pos, rng=None)
+        snap = compute_snapshot(topo, state, pos, rng=None)[0]
         got = compute_step_metrics(topo, state, snap, pos)
 
         per_band = cfg.total_bandwidth / cfg.num_subbands
@@ -235,7 +235,7 @@ def test_spectrum_utilization_counts_active_over_granted():
     state.regional[2, 1] = 1
     state.beta[0, 0] = 1  # one of the two granted pairs is actually radiating
     state.alpha[0, 0] = 0.5
-    snap = compute_snapshot(topo, state, tx_pos, rng=None)
+    snap = compute_snapshot(topo, state, tx_pos, rng=None)[0]
     got = compute_step_metrics(topo, state, snap, tx_pos)
     assert got.spectrum_utilization == pytest.approx(0.5)
 
@@ -248,7 +248,7 @@ def test_step_metrics_on_random_scenarios_are_finite_and_bounded(cfg, seed):
     state = random_feasible_state(cfg, rng)
     pos = np.stack([n.position for n in topo.transmitters()])
     pos[topo.uav_rows, :2] += rng.normal(0, cfg.region_size[0] / 2, size=(topo.uav_rows.size, 2))
-    snap = compute_snapshot(topo, state, pos, rng=rng)
+    snap = compute_snapshot(topo, state, pos, rng=rng)[0]
     got = compute_step_metrics(topo, state, snap, pos)
 
     for f in dataclasses.fields(got):

@@ -1,3 +1,4 @@
+import cProfile
 import copy
 import json
 import tracemalloc
@@ -30,6 +31,7 @@ from specshare.ppo import (
     DistParams,
     PolicyNet,
     Trajectory,
+    action_constants,
     clip_grad_norm,
     entropy,
     forward,
@@ -77,6 +79,11 @@ def _batch(net, B=32, seed=1):
         "adv": rng.normal(size=B),
         "ret": rng.normal(size=B),
     }
+
+
+def _with_constants(net, batch):
+    """``batch`` with its actions' ``action_constants``, as ``loss_and_grads`` reads it."""
+    return {**batch, **action_constants(net.schema, batch["cat"], batch["cont"])}
 
 
 def test_schema_layout():
@@ -405,7 +412,7 @@ def test_analytic_gradients_match_finite_differences():
     cfg = PpoConfig(clip_eps=0.2, entropy_coef=0.01, vf_coef=1.0)
     for seed in range(3):
         net = _net(seed=seed)
-        batch = _batch(net, B=16, seed=seed + 10)
+        batch = _with_constants(net, _batch(net, B=16, seed=seed + 10))
 
         def loss_fn(n):
             report, grads = loss_and_grads(n, batch, cfg)
@@ -450,6 +457,20 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
+def _on_box_edges(batch: dict, schema: ActionSchema, seed: int) -> dict:
+    """``batch`` with about half its continuous actions moved exactly onto a
+    box edge, where the unsquash clips u to +-(1 - 1e-12)."""
+    rng = np.random.default_rng(seed)
+    box = schema._box
+    edge = np.where(rng.random(batch["cont"].shape) < 0.5, box.lo, box.lo + box.width)
+    return {**batch, "cont": np.where(rng.random(edge.shape) < 0.5, edge, batch["cont"])}
+
+
+def _report_bits(report) -> bytes:
+    """A report's fields as float64 bytes: equal reports, NaNs and signed zeros included."""
+    return np.array(astuple(report), dtype=float).tobytes()
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     kind=st.sampled_from(["cat", "cont", "mixed"]),
@@ -460,15 +481,16 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     minibatch=st.integers(1, 24),
     hidden=st.sampled_from([(4, 4), (8, 5), (3, 9)]),
     max_norm=st.sampled_from([1e-3, MAX_GRAD_NORM, 1e9]),
+    edges=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 # desk's local tier: 200-row minibatches through 128 hidden units
 @example(
     kind="mixed", arities=[2, 2, 2, 2], widths=[0.5, 0.0, 20.0], raw_log_std=None, rows=600,
-    minibatch=200, hidden=(128, 128), max_norm=MAX_GRAD_NORM, seed=0,
+    minibatch=200, hidden=(128, 128), max_norm=MAX_GRAD_NORM, edges=False, seed=0,
 )
 def test_update_matches_the_per_key_loops_bitwise(
-    kind, arities, widths, raw_log_std, rows, minibatch, hidden, max_norm, seed
+    kind, arities, widths, raw_log_std, rows, minibatch, hidden, max_norm, edges, seed
 ):
     # the flat buffers, the workspace and the in-place ops must give the bits
     # of the same update on per-key dicts of new arrays
@@ -484,14 +506,16 @@ def test_update_matches_the_per_key_loops_bitwise(
         params={k: v.copy() for k, v in net.params.items()}, schema=schema, hidden=net.hidden
     )
     batch = _batch(net, B=rows, seed=seed)
+    if edges:
+        batch = _on_box_edges(batch, schema, seed + 2)
     cfg = PpoConfig(learning_rate=3e-3, minibatch_size=minibatch, batch_size=rows, sgd_iters=2)
 
     # one step, in a workspace with rows to spare, and with clipping that
     # fires (1e-3), may fire (the update's cap) or does not (1e9)
     ws = _Workspace(net, rows + 3)
-    report, grads = loss_and_grads(net, batch, cfg, ws)
+    report, grads = loss_and_grads(net, _with_constants(net, batch), cfg, ws)
     want_report, want = loss_and_grads_loop(twin, batch, cfg)
-    assert astuple(report) == astuple(want_report)
+    assert _report_bits(report) == _report_bits(want_report)
     assert list(grads) == list(want)
     assert all(_same(grads[k], want[k]) for k in want)
     assert clip_grad_norm(grads, ws.grad, max_norm, ws.scratch[0]) == clip_grad_norm_loop(want, max_norm)
@@ -503,7 +527,7 @@ def test_update_matches_the_per_key_loops_bitwise(
     # then a whole update on the moments that step left
     rng_a, rng_b = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     got = ppo_update(net, batch, cfg, rng_a, opt)
-    assert astuple(got) == astuple(ppo_update_loop(twin, batch, cfg, rng_b, opt_ref))
+    assert _report_bits(got) == _report_bits(ppo_update_loop(twin, batch, cfg, rng_b, opt_ref))
     assert all(_same(net.params[k], twin.params[k]) for k in twin.params)
     m, v = net.views(opt.m), net.views(opt.v)
     assert all(_same(m[k], opt_ref.m[k]) and _same(v[k], opt_ref.v[k]) for k in twin.params)
@@ -539,13 +563,97 @@ def test_minibatch_steps_allocate_no_hidden_sized_arrays(monkeypatch):
     assert peak - base[0] < 200 * 128 * 8
 
 
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    kind=st.sampled_from(["cat", "cont", "mixed"]),
+    arities=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    widths=st.lists(st.sampled_from([0.0, 0.5, 20.0]), min_size=1, max_size=4),
+    edges=st.booleans(),
+    rows=st.integers(1, 40),
+    minibatch=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a batch the minibatch does not divide, with actions on their box edges
+@example(kind="mixed", arities=[2, 3, 3], widths=[0.5, 0.0], edges=True, rows=23, minibatch=5, seed=1)
+# desk's local tier
+@example(
+    kind="mixed", arities=[2, 2, 2, 2], widths=[0.5] * 6, edges=False, rows=600, minibatch=200,
+    seed=0,
+)
+def test_update_steps_read_the_action_constants_of_their_rows(
+    kind, arities, widths, edges, rows, minibatch, seed
+):
+    # ppo_update computes the action constants once over the whole batch and
+    # each minibatch gathers its rows of them; every step must read the bits
+    # that the constants of its rows alone have, and its rows of every other key
+    schema = ActionSchema(
+        cat_arities=() if kind == "cont" else tuple(arities),
+        cont_bounds=() if kind == "cat" else tuple((-1.0, -1.0 + w) for w in widths),
+    )
+    rng = np.random.default_rng(seed)
+    net = PolicyNet(3, schema, hidden=(4, 4), rng=rng)
+    batch = _batch(net, B=rows, seed=seed)
+    if edges:
+        batch = _on_box_edges(batch, schema, seed + 2)
+    cfg = PpoConfig(minibatch_size=minibatch, batch_size=rows, sgd_iters=2)
+    inner, seen = specshare.ppo.loss_and_grads, []
+
+    def recording(net, minibatch, *args, **kwargs):
+        seen.append({k: v.copy() for k, v in minibatch.items()})
+        return inner(net, minibatch, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(specshare.ppo, "loss_and_grads", recording)
+        ppo_update(net, batch, cfg, np.random.default_rng(seed + 1), Adam(net.flat, 1e-3))
+
+    adv = batch["adv"]
+    rows_of = {**batch, "adv": (adv - adv.mean()) / (adv.std() + 1e-8)}
+    perm_rng, mb, want = np.random.default_rng(seed + 1), min(minibatch, rows), []
+    for _ in range(cfg.sgd_iters):
+        perm = perm_rng.permutation(rows)
+        for start in range(0, rows, mb):
+            idx = perm[start : start + mb]
+            part = {k: rows_of[k][idx] for k in ("obs", "cat", "logp", "adv", "ret")}
+            want.append({**part, **action_constants(schema, batch["cat"][idx], batch["cont"][idx])})
+    assert len(seen) == len(want)
+    for got, expect in zip(seen, want):
+        assert list(got) == list(expect)
+        assert all(_same(got[k], expect[k]) for k in expect)
+
+
+# cProfile's count of Python-level calls per minibatch step of one ppo_update
+# at desk's local-tier shapes was 79.58 when this budget was set (Python 3.11,
+# numpy 2.4; 180.20 before the per-update work left the steps); it leaves
+# about 15% headroom
+UPDATE_STEP_CALL_BUDGET = 91
+
+
+def test_a_ppo_update_stays_within_its_call_budget():
+    # desk's local tier: 600 rows, 200-row minibatches, 15 iterations, 22
+    # inputs, four binary slots and six boxes; the count does not depend on
+    # the host's speed
+    schema = ActionSchema(cat_arities=(2,) * 4, cont_bounds=((0.0, 1.0),) * 6)
+    net = PolicyNet(22, schema, rng=np.random.default_rng(0))
+    batch = _batch(net, B=600, seed=1)
+    cfg = PpoConfig(minibatch_size=200, batch_size=600, sgd_iters=15)
+    opt = Adam(net.flat, cfg.learning_rate)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    report = ppo_update(net, batch, cfg, np.random.default_rng(2), opt)
+    profiler.disable()
+    assert report.grad_steps == 45
+    # one entry per code object, as tools/bench_point.py counts them
+    calls = sum(e.callcount for e in profiler.getstats()) / report.grad_steps
+    assert calls <= UPDATE_STEP_CALL_BUDGET, f"{calls} calls per minibatch step"
+
+
 def test_grad_norm_clip_allocates_no_gradient_sized_array():
     # the squares go into the workspace's scratch vector; a new g * g for W1
     # alone is 128 KiB at 128 hidden units
     schema = ActionSchema(cat_arities=(2, 2, 2, 2), cont_bounds=((0.0, 1.0),) * 6)
     net = PolicyNet(22, schema, rng=np.random.default_rng(0))
     ws = _Workspace(net, 200)
-    _, grads = loss_and_grads(net, _batch(net, B=200, seed=1), PpoConfig(), ws)
+    _, grads = loss_and_grads(net, _with_constants(net, _batch(net, B=200, seed=1)), PpoConfig(), ws)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -560,7 +668,7 @@ def test_grad_norm_clip_allocates_no_gradient_sized_array():
 def test_grads_without_a_workspace_are_new_arrays():
     # grad_check keeps the analytic grads while it calls the loss again
     net = _net()
-    batch = _batch(net, B=16)
+    batch = _with_constants(net, _batch(net, B=16))
     cfg = PpoConfig()
     _, first = loss_and_grads(net, batch, cfg)
     kept = {k: g.copy() for k, g in first.items()}

@@ -105,7 +105,8 @@ def _check_step(env, obs, bundle, rng):
 
     # channel
     assert _same_bits(snap.association, associate_users_loop(topo, snap.gains, state.alloc.regional))
-    assert _same_bits(associate_users(topo, snap.gains, state.alloc.regional), snap.association)
+    region_gains = topo.own_region_gains(snap.gains)
+    assert _same_bits(associate_users(topo, region_gains, state.alloc.regional), snap.association)
     want = interference_loop(
         topo, snap.gains, state.alloc, topo.tx_power_w, snap.association, cfg.interference_scope
     )

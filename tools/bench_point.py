@@ -22,9 +22,12 @@ so a BENCH file separates the step's calls from the agent's.
 ``calls_per_step_r16`` is the same count as ``calls_per_step`` for hdrl on
 a 16-region scenario (``default.cfg`` with 8 HAPs per beam, one region per
 HAP and 50-step episodes), where an exploring decision's per-batch cost
-shows at scale.  The counts do not depend on the host's speed; each is
-measured twice in subprocesses on the tree's ``src/``, before the timed
-runs, and the two must agree.
+shows at scale.  ``calls_per_minibatch_step`` counts hdrl's first
+local-tier ``ppo_update`` on desk (after one exploring episode of criterion
+1's loop fills its batch) in the same way, divided by its minibatch steps.
+The counts do not depend on the host's speed; each is measured twice in
+subprocesses on the tree's ``src/``, before the timed runs, and the two must
+agree.
 
 With ``--against TREE FILE`` the same runs are made on a second checkout and
 written to FILE; the two trees alternate run by run, and which goes first
@@ -45,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 4
+SCHEMA = 5
 AGENT_KINDS = ("random", "exhaustive", "sadrl", "madrl", "hdrl")
 # default.cfg's scenario at 16 regions: 2 beams x 8 HAPs x 1 region
 R16 = {"haps_per_beam": 8, "regions_per_hap": 1, "steps_per_episode": 50}
@@ -109,32 +112,78 @@ def print_calls_per_step(config: str, kinds=AGENT_KINDS, overrides=None) -> None
     print(json.dumps({"step": counts, "env": env_counts}))
 
 
-def calls_per_step(tree: Path, config: str = "desk", kinds=AGENT_KINDS, overrides=None) -> dict:
-    """``print_calls_per_step`` on ``configs/<config>.cfg``, in a subprocess
-    on ``tree/src``, twice; exits naming the kind if the two counts differ."""
+def print_calls_per_minibatch_step(config: str) -> None:
+    """Print ``{"hdrl_local": calls per minibatch step}`` as JSON for the
+    ``specshare`` first on ``sys.path``: cProfile's count of calls of hdrl's
+    first local-tier ``ppo_update`` on ``config``, divided by its minibatch
+    steps, with exploring episodes of criterion 1's loop run until it
+    updates."""
+    import cProfile
+
+    from specshare import ppo
+    from specshare.agents import make_agent
+    from specshare.config import load_config
+    from specshare.env import SpectrumSharingEnv
+
+    cfg = load_config(config)
+    env, agent = SpectrumSharingEnv(cfg), make_agent("hdrl", cfg)
+    update, counts = ppo.ppo_update, []
+
+    def profiled(net, *args, **kwargs):
+        if net is not agent.net_l or counts:
+            return update(net, *args, **kwargs)
+        profiler = cProfile.Profile()
+        profiler.enable()
+        report = update(net, *args, **kwargs)
+        profiler.disable()
+        counts.append(_calls(profiler, report.grad_steps))
+        return report
+
+    ppo.ppo_update = profiled  # the slots look it up on the module when they update
+    seed = 1
+    while not counts:
+        obs = env.reset(seed=seed)
+        agent.begin_episode(env)
+        for t in range(cfg.steps_per_episode):
+            obs, rewards, _, _, _ = env.step(agent.act(obs, t, explore=True))
+            agent.record(rewards)
+        agent.end_episode()
+        seed += 1
+    print(json.dumps({"hdrl_local": counts[0]}))
+
+
+def _measured_twice(tree: Path, call: str) -> dict:
+    """The JSON that ``bench_point.<call>`` prints, run in a subprocess on
+    ``tree/src`` twice; exits naming each entry on which the two runs differ."""
     code = (f"import sys; sys.path[:0] = [{str(tree / 'src')!r}, {str(ROOT / 'tools')!r}]; "
-            f"import bench_point; bench_point.print_calls_per_step("
-            f"{str(tree / 'configs' / f'{config}.cfg')!r}, {tuple(kinds)!r}, {overrides!r})")
+            f"import bench_point; bench_point.{call}")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     cmd = [sys.executable, "-c", code]
     runs = [json.loads(subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, text=True, check=True).stdout)
             for _ in range(2)]
-    for part in ("step", "env"):
-        for kind in kinds:
-            if runs[0][part][kind] != runs[1][part][kind]:
-                sys.exit(f"{tree}: calls per {part} step of {kind} on {config} differ between two "
-                         f"runs: {runs[0][part][kind]} and {runs[1][part][kind]}")
+    if runs[0] != runs[1]:
+        sys.exit(f"{tree}: {call} differs between two runs: {runs[0]} and {runs[1]}")
     return runs[0]
 
 
+def calls_per_step(tree: Path, config: str = "desk", kinds=AGENT_KINDS, overrides=None) -> dict:
+    """``print_calls_per_step`` on ``configs/<config>.cfg``, twice in
+    subprocesses on ``tree/src``."""
+    cfg = str(tree / "configs" / f"{config}.cfg")
+    return _measured_twice(tree, f"print_calls_per_step({cfg!r}, {tuple(kinds)!r}, {overrides!r})")
+
+
 def all_calls_per_step(tree: Path) -> dict:
-    """The three call-count fields of a BENCH file: every kind on desk, with
-    and without its ``act``, and hdrl on 16 regions."""
+    """The four call-count fields of a BENCH file: every kind on desk, with
+    and without its ``act``, hdrl on 16 regions, and hdrl's local-tier PPO
+    update on desk."""
     desk = calls_per_step(tree)
+    desk_cfg = str(tree / "configs" / "desk.cfg")
     return {
         "calls_per_step": desk["step"],
         "calls_per_env_step": desk["env"],
         "calls_per_step_r16": calls_per_step(tree, "default", ("hdrl",), R16)["step"],
+        "calls_per_minibatch_step": _measured_twice(tree, f"print_calls_per_minibatch_step({desk_cfg!r})"),
     }
 
 
@@ -177,9 +226,9 @@ def summarize(tree: Path, seconds: float, seeds: list[int], runs: dict, calls: d
 
 
 def compare(mine: dict, other: dict, better: dict) -> None:
-    for field in ("calls_per_step", "calls_per_env_step", "calls_per_step_r16"):
+    for field in ("calls_per_step", "calls_per_env_step", "calls_per_step_r16", "calls_per_minibatch_step"):
         for kind, calls in mine[field].items():
-            print(f"{field:18s} {kind:15s} {other[field][kind]:10.4g} -> {calls:10.4g}")
+            print(f"{field:24s} {kind:15s} {other[field][kind]:10.4g} -> {calls:10.4g}")
     for name, w in mine["workloads"].items():
         for key, m in w["metrics"].items():
             o = other["workloads"][name]["metrics"][key]
