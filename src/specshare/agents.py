@@ -19,9 +19,10 @@ Every learned policy decides through ``_PolicySlot.decide``: one stacked
 ``(S, B, D)`` forward, then one ``mode_action`` when greedy, or one
 ``sample_action`` on the stack when exploring (each batch makes the draws of
 a call on it alone), whose decisions for all ``S * B`` entities go into the
-slot's ``Trajectory`` as one epoch.  ``record`` hands each slot one step's
-rewards as one vector, one per entity, and at the episode's end the slot
-turns its trajectory into training rows with GAE over all entities at once.
+slot's ``Trajectory`` as one epoch.  Both return ``(S * B, ·)`` arrays in
+entity order.  ``record`` hands each slot's trajectory one step's rewards
+as one vector, one per entity, and at the episode's end the slot turns its
+trajectory into training rows with GAE over all entities at once.
 The one exception is the flat baseline's greedy step, which decodes only the
 slots the env takes at that step (``mode_slots`` from a start slot).  The
 hierarchical agent evaluates its shared local policy over all regions
@@ -70,9 +71,6 @@ from .ppo import (
     save_checkpoint,
 )
 from .topology import Topology, build_topology
-
-AGENT_KINDS = ("random", "exhaustive", "sadrl", "madrl", "hdrl")
-
 
 # -- observation/action sizing and codecs -------------------------------------
 
@@ -128,28 +126,20 @@ class _PolicySlot:
 
     def decide(self, obs: np.ndarray, rng: np.random.Generator, explore: bool) -> ActionBatch:
         """Actions for a stacked (S, B, D) observation whose entity ``s * B + i``
-        is row ``i`` of batch ``s``, as (S * B, ·) arrays in entity order.
+        is row ``i`` of batch ``s``, as (S * B, ·) arrays in entity order,
+        greedy and exploring alike.
 
         Greedy, one ``mode_action`` decides every entity.  Exploring, one
         ``sample_action`` on the stack draws batch by batch, in the order a
         call per batch would, and the decisions go into the trajectory as
-        one epoch.
+        one epoch; each step's rewards go to ``traj.reward``.
         """
-        S, B = obs.shape[:2]
         stacked = forward(self.net, obs)
         if not explore:
-            action = mode_action(stacked)
-            return ActionBatch(
-                cat=action.cat.reshape(S * B, action.cat.shape[-1]),
-                cont=action.cont.reshape(S * B, action.cont.shape[-1]),
-            )
+            return mode_action(stacked)
         action, logp = sample_action(stacked, rng)
-        self.traj.add(obs.reshape(S * B, -1), action.cat, action.cont, logp, stacked.value.reshape(S * B))
+        self.traj.add(obs.reshape(-1, obs.shape[-1]), action.cat, action.cont, logp, stacked.value.ravel())
         return action
-
-    def reward(self, r) -> None:
-        """One step's rewards, one per entity, for the latest decisions."""
-        self.traj.reward(r)
 
     def end_episode(self, ppo_cfg: PpoConfig, rng: np.random.Generator) -> UpdateReport | None:
         """Move the episode's trajectory into the buffer and update once it
@@ -314,7 +304,7 @@ def exhaustive_solve(cfg: ScenarioConfig | None = None, *, search: JointSearch |
             global_alloc=None, regional=regional, beta=regional, alpha=alpha, dp=None
         )
         assoc = associate_users(topo, search.region_gains, regional)
-        interference = co_channel_interference(topo, gains, alloc, assoc)
+        interference = co_channel_interference(topo, gains, search.region_gains, alloc, assoc)
         _, rates = served_user_rates(topo, alloc, ChannelSnapshot(gains, assoc, interference))
         eta[idx] = spectral_efficiency(rates, cfg.total_bandwidth)
         fairness[idx] = jain_fairness(rates)
@@ -511,10 +501,10 @@ class HdrlAgent(_PpoAgentBase):
         return bundle
 
     def record(self, rewards: dict) -> None:
-        self.g_slot.reward([rewards["r_s"]])
-        self.r_slot.reward(rewards["r_h"])
+        self.g_slot.traj.reward([rewards["r_s"]])
+        self.r_slot.traj.reward(rewards["r_h"])
         # a region's reward is each of its nodes'
-        self.l_slot.reward(np.repeat(rewards["r_l"], self.cfg.nodes_per_region))
+        self.l_slot.traj.reward(np.repeat(rewards["r_l"], self.cfg.nodes_per_region))
 
     def end_episode(self) -> None:
         self._end_episode()
@@ -580,7 +570,7 @@ class SadrlAgent(_PpoAgentBase):
         return bundle
 
     def record(self, rewards: dict) -> None:
-        self.policy.reward([rewards["r_s"]])
+        self.policy.traj.reward([rewards["r_s"]])
 
     def end_episode(self) -> None:
         self._end_episode()
@@ -650,24 +640,22 @@ class MadrlAgent(_PpoAgentBase):
 
     def record(self, rewards: dict) -> None:
         for region, slot in enumerate(self.region_slots):
-            slot.reward(rewards["r_l"][region : region + 1])
+            slot.traj.reward(rewards["r_l"][region : region + 1])
 
     def end_episode(self) -> None:
         self._end_episode()
 
 
+# each class names its kind and whether it is trainable; make_agent builds from this table
+_AGENTS = {cls.kind: cls for cls in (RandomAgent, ExhaustiveAgent, SadrlAgent, MadrlAgent, HdrlAgent)}
+AGENT_KINDS = tuple(_AGENTS)
+TRAINABLE_KINDS = tuple(kind for kind, cls in _AGENTS.items() if cls.trainable)
+
+
 def make_agent(kind: str, cfg: ScenarioConfig):
-    if kind == "random":
-        return RandomAgent(cfg)
-    if kind == "exhaustive":
-        return ExhaustiveAgent(cfg)
-    if kind == "sadrl":
-        return SadrlAgent(cfg)
-    if kind == "madrl":
-        return MadrlAgent(cfg)
-    if kind == "hdrl":
-        return HdrlAgent(cfg)
-    raise ValueError(f"unknown agent kind {kind!r}; choose from {AGENT_KINDS}")
+    if kind not in _AGENTS:
+        raise ValueError(f"unknown agent kind {kind!r}; choose from {AGENT_KINDS}")
+    return _AGENTS[kind](cfg)
 
 
 # -- training and evaluation loops ------------------------------------------------

@@ -236,24 +236,25 @@ def associate_users(topo: Topology, region_gains: np.ndarray, regional: np.ndarr
 
 
 def co_channel_interference(
-    topo: Topology, gains: np.ndarray, alloc: AllocationState, association: np.ndarray
+    topo: Topology, gains: np.ndarray, region_gains: np.ndarray, alloc: AllocationState,
+    association: np.ndarray,
 ) -> np.ndarray:
     """Interference per (user, subband) from other active co-channel nodes,
     at the topology's transmit powers and its scenario's interference scope.
 
-    Reads only ``alloc``'s beta and alpha: a feasible ``beta`` lies inside
-    the regional grant.  (T, N) arrays and a (U,) association give (U, N);
-    leading candidate axes on all four carry through, so (C, T, N) and
-    (C, U) give (C, U, N).
+    ``region_gains`` is ``topo.own_region_gains(gains)``, which the region
+    scope reads.  Reads only ``alloc``'s beta and alpha: a feasible ``beta``
+    lies inside the regional grant.  (T, N) arrays and a (U,) association
+    give (U, N); leading candidate axes on all four carry through, so (C,
+    T, N) and (C, U) give (C, U, N).
     """
     cfg = topo.cfg
     # beta is 0/1, exact under the cast to float
     tx_psd = alloc.beta * alloc.alpha * topo.tx_power_w[:, None]  # (..., T, N) radiated power
     lead = tx_psd.shape[:-2]
     if cfg.interference_scope == "region":
-        blocks = topo.own_region_gains(gains)  # (R, m, k)
         psd = tx_psd.reshape(lead + (topo.num_regions, topo.nodes_per_region, cfg.num_subbands))
-        total = np.matmul(blocks.transpose(0, 2, 1), psd)
+        total = np.matmul(region_gains.transpose(0, 2, 1), psd)  # (R, m, k) blocks
         total = total.reshape(lead + (topo.num_users, cfg.num_subbands))
     elif lead:
         total = gains.T @ tx_psd  # (C, U, N)
@@ -305,10 +306,10 @@ def compute_snapshot(
     """Draw gains (unless supplied) and derive association and interference.
 
     Also returns the gains' ``topo.own_region_gains`` blocks, built once for
-    the association and the env's observations."""
+    the association, a region-scope interference and the env's observations."""
     if gains is None:
         gains = link_gains(topo, tx_positions, rng)
     region_gains = topo.own_region_gains(gains)
     association = associate_users(topo, region_gains, alloc.regional)
-    interference = co_channel_interference(topo, gains, alloc, association)
+    interference = co_channel_interference(topo, gains, region_gains, alloc, association)
     return ChannelSnapshot(gains=gains, association=association, interference=interference), region_gains

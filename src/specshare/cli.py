@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .agents import (
     AGENT_KINDS,
+    TRAINABLE_KINDS,
     SearchRefusedError,
     evaluate,
     make_agent,
@@ -39,8 +40,6 @@ from .metrics import compute_step_metrics
 from .topology import build_topology
 
 log = logging.getLogger("specshare")
-
-TRAINABLE = ("sadrl", "madrl", "hdrl")
 
 BENCHMARK_COLUMNS = (
     "algo",
@@ -108,9 +107,11 @@ def _load_cfg(args) -> ScenarioConfig:
 
 
 def _parse_seeds(args, cfg: ScenarioConfig) -> list[int]:
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip() != ""]
         # every seed is checked here, before any output is written
+        if not seeds:
+            raise ConfigError(f"--seeds {args.seeds!r} lists no seed")
         for seed in seeds:
             if seed < 0:
                 raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -133,8 +134,8 @@ def _reseeded(cfg: ScenarioConfig, seed: int) -> ScenarioConfig:
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
-    if args.algo not in TRAINABLE:
-        log.error("agent kind %r is not trainable (choose from %s)", args.algo, TRAINABLE)
+    if args.algo not in TRAINABLE_KINDS:
+        log.error("agent kind %r is not trainable (choose from %s)", args.algo, TRAINABLE_KINDS)
         return 1
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,10 +171,10 @@ def cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     seeds = _parse_seeds(args, cfg)
     episodes = args.episodes if args.episodes is not None else 1
-    if args.algo in TRAINABLE and not args.checkpoint:
+    if args.algo in TRAINABLE_KINDS and not args.checkpoint:
         log.error("checkpoint required for learnable agent %r", args.algo)
         return 1
-    if args.algo not in TRAINABLE and args.checkpoint:
+    if args.algo not in TRAINABLE_KINDS and args.checkpoint:
         log.error("agent kind %r has no weights to load from a checkpoint", args.algo)
         return 1
     out = Path(args.out)
@@ -298,6 +299,8 @@ def _sweep_local_power(cfg: ScenarioConfig, algo: str, scales, train_episodes: i
 def cmd_benchmark(args) -> int:
     cfg = _load_cfg(args)
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
+    if not algos:
+        raise ConfigError(f"--algos {args.algos!r} lists no agent kind")
     for algo in algos:
         if algo not in AGENT_KINDS:
             log.error("unknown agent kind %r (choose from %s)", algo, AGENT_KINDS)

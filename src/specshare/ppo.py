@@ -18,7 +18,8 @@ The bits are those of the same update computed with new arrays key by key:
 ufunc keeps the operation order of the written-out expression, and the
 grad-norm clip sums its squares key by key in the order the gradients are
 computed.  ``forward``, the decision path, takes no workspace and allocates
-new activation arrays.
+new activation arrays.  ``sample_action`` and ``mode_action`` both return
+its stacked (S, B, ·) params' actions as (S·B, ·) arrays in entity order.
 
 A minibatch step does only the work that depends on the weights.  The
 values that depend only on the stored actions (``action_constants``: the
@@ -152,8 +153,8 @@ class DistParams:
 
 @dataclass
 class ActionBatch:
-    cat: np.ndarray  # (B, num_cat) int; greedy actions of a stacked forward are (S, B, num_cat)
-    cont: np.ndarray  # (B, C) squashed values inside their boxes, or (S, B, C)
+    cat: np.ndarray  # (B, num_cat) int; a stacked forward's S·B rows in entity order
+    cont: np.ndarray  # (B, C) squashed values inside their boxes
 
 
 class PolicyNet:
@@ -255,15 +256,6 @@ def _forward(
     return params, a1, a2
 
 
-def _unsquash(schema: ActionSchema, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Map box actions back to pre-squash gaussian space; returns (z, u)."""
-    box = schema._box
-    # zero-width bounds pin the slot to a constant; keep u finite there
-    u = np.where(box.live, 2.0 * (cont - box.lo) / box.safe_width - 1.0, 0.0)
-    u = _clip(u, -1.0 + _SQUASH_EPS, 1.0 - _SQUASH_EPS)
-    return np.arctanh(u), u
-
-
 # numpy reduces a short last axis slowly (~45 µs for the max over a (200, 4,
 # 2) array, ~3 µs as a fold of np.maximum), so a run's arity axis is folded by
 # hand.  Below 8 entries numpy reduces left to right (a sum from +0.0), as the
@@ -313,8 +305,11 @@ def _probs_and_entropy(logp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pre_squash(schema: ActionSchema, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Box actions' pre-squash values z and their squash's log-Jacobian term."""
-    z, u = _unsquash(schema, cont)
-    return z, schema._box.log_half_width + np.log1p(-u * u)
+    box = schema._box
+    # zero-width bounds pin the slot to a constant; keep u finite there
+    u = np.where(box.live, 2.0 * (cont - box.lo) / box.safe_width - 1.0, 0.0)
+    u = _clip(u, -1.0 + _SQUASH_EPS, 1.0 - _SQUASH_EPS)
+    return np.arctanh(u), box.log_half_width + np.log1p(-u * u)
 
 
 def action_constants(schema: ActionSchema, cat: np.ndarray, cont: np.ndarray) -> dict[str, np.ndarray]:
@@ -368,16 +363,6 @@ def log_prob(params: DistParams, action: ActionBatch) -> np.ndarray:
     if params.schema.cont_bounds:
         lp += _cont_log_prob(params, *_pre_squash(params.schema, action.cont))[0]
     return lp
-
-
-def entropy(params: DistParams) -> np.ndarray:
-    """Policy entropy per batch row (gaussian part uses the pre-squash entropy)."""
-    ent = np.zeros(params.logits.shape[0])
-    for *_, logp in _log_softmax_runs(params):
-        ent += _probs_and_entropy(logp)[1][..., 0].sum(axis=-1)
-    if params.schema.num_cont:
-        ent += _cont_entropy(params)
-    return ent
 
 
 def sample_action(
@@ -451,9 +436,12 @@ def mode_cont(params: DistParams) -> np.ndarray:
 
 
 def mode_action(params: DistParams) -> ActionBatch:
-    """Greedy action: categorical argmax, continuous squashed mean, with the
-    leading axes of ``params`` ((B,) or a stacked forward's (S, B))."""
-    return ActionBatch(cat=mode_slots(params), cont=mode_cont(params))
+    """Greedy action: categorical argmax, continuous squashed mean, for every
+    row of a (B, ·) batch or an (S, B, ·) stack of batches, as (S·B, ·)
+    arrays in entity order, the layout of ``sample_action``."""
+    cat, cont = mode_slots(params), mode_cont(params)
+    rows = params.value.size  # named: a zero-width (S, B, 0) has no -1 to infer
+    return ActionBatch(cat=cat.reshape(rows, cat.shape[-1]), cont=cont.reshape(rows, cont.shape[-1]))
 
 
 # -- advantage estimation ------------------------------------------------------
@@ -791,17 +779,10 @@ class Adam:
 
 
 @dataclass
-class UpdateReport:
-    """The last minibatch's losses, clip fraction, approximate KL and
-    explained variance (``LossReport``'s), its pre-clip gradient norm, and
+class UpdateReport(LossReport):
+    """The last minibatch's ``LossReport``, its pre-clip gradient norm, and
     the number of minibatch steps the update took."""
 
-    policy_loss: float
-    value_loss: float
-    entropy: float
-    clip_fraction: float
-    approx_kl: float
-    explained_variance: float
     grad_norm: float
     grad_steps: int
 
@@ -856,16 +837,7 @@ def ppo_update(
             report, grads = loss_and_grads(net, minibatch, cfg, ws, report=step == steps)
             norm = clip_grad_norm(grads, ws.grad, MAX_GRAD_NORM, ws.scratch[0])
             optimizer.step(net.flat, ws.grad, ws.scratch)
-    return UpdateReport(
-        policy_loss=report.policy_loss,
-        value_loss=report.value_loss,
-        entropy=report.entropy,
-        clip_fraction=report.clip_fraction,
-        approx_kl=report.approx_kl,
-        explained_variance=report.explained_variance,
-        grad_norm=norm,
-        grad_steps=steps,
-    )
+    return UpdateReport(**vars(report), grad_norm=norm, grad_steps=steps)
 
 
 def grad_check(net: PolicyNet, loss_fn, h: float = 1e-5) -> float:

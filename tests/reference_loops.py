@@ -57,7 +57,7 @@ from specshare.ppo import (
     _log_softmax_runs,
     _picked,
     _probs_and_entropy,
-    _unsquash,
+    _SQUASH_EPS,
     forward,
     log_prob,
     mode_action,
@@ -494,8 +494,9 @@ def exhaustive_solve_loop(cfg: ScenarioConfig, cap: int | None = None) -> dict:
                 alpha=alpha,
                 dp=np.zeros((cfg.num_transmitters, 2)),
             )
-            assoc = associate_users(topo, topo.own_region_gains(gains), regional)
-            interference = co_channel_interference(topo, gains, alloc, assoc)
+            region_gains = topo.own_region_gains(gains)
+            assoc = associate_users(topo, region_gains, regional)
+            interference = co_channel_interference(topo, gains, region_gains, alloc, assoc)
             rates = np.zeros(cfg.num_users)
             served = np.nonzero(assoc >= 0)[0]
             if served.size:
@@ -897,6 +898,15 @@ ACT_LOOPS = {"hdrl": hdrl_act_loop, "sadrl": sadrl_act_loop, "madrl": madrl_act_
 # ``params`` dict of separate arrays, a ``schema`` and a ``hidden``.
 
 
+def _unsquash(schema, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Map box actions back to pre-squash gaussian space; returns (z, u)."""
+    box = schema._box
+    # zero-width bounds pin the slot to a constant; keep u finite there
+    u = np.where(box.live, 2.0 * (cont - box.lo) / box.safe_width - 1.0, 0.0)
+    u = _clip(u, -1.0 + _SQUASH_EPS, 1.0 - _SQUASH_EPS)
+    return np.arctanh(u), u
+
+
 def _cont_log_prob(params: DistParams, cont: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Log-density of squashed continuous actions per row, and their pre-squash values z."""
     box = params.schema._box
@@ -1059,6 +1069,7 @@ def ppo_update_loop(
             last = report
             steps += 1
     return UpdateReport(
+        loss=last.loss,
         policy_loss=last.policy_loss,
         value_loss=last.value_loss,
         entropy=last.entropy,

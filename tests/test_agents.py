@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import specshare.ppo
+from reference_loops import batch_of
 from specshare.agents import (
     AGENT_KINDS,
     SearchRefusedError,
@@ -19,6 +21,8 @@ from specshare.agents import (
 from specshare.allocation import AllocationState, validate
 from specshare.config import ScenarioConfig, config_from_dict
 from specshare.env import SpectrumSharingEnv
+from specshare.ppo import forward, mode_action
+from topo_helpers import small_scenarios
 
 
 def _cfg(**overrides):
@@ -47,14 +51,54 @@ def desk_solution():
     return cfg, exhaustive_solve(cfg)
 
 
-def test_obs_dims_match_env_vectors():
-    for cfg in (_cfg(), ScenarioConfig()):
-        env = SpectrumSharingEnv(cfg)
-        obs = env.reset(seed=0)
-        dims = obs_dims(cfg)
-        assert obs["global"].shape == (dims["global"],)
-        assert obs["regional"][0].shape == (dims["regional"],)
-        assert obs["local"][0].shape == (dims["local"],)
+def _decided_stacks(agent, obs) -> list:
+    """Each policy slot with the stacked observation it decides in one
+    exploring step at t = 0, where every tier is due."""
+    seen = []
+    for slot in agent.slots.values():
+
+        def recording(x, rng, explore, slot=slot, decide=slot.decide):
+            seen.append((slot, x))
+            return decide(x, rng, explore)
+
+        slot.decide = recording
+    agent.act(obs, 0, explore=True)
+    for slot in agent.slots.values():
+        del slot.decide
+    return seen
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@example(cfg=_cfg())
+@example(cfg=ScenarioConfig())
+@given(cfg=small_scenarios())
+def test_obs_dims_match_env_vectors(cfg):
+    # the observations have the obs_dims widths, and every learned policy
+    # slot decides in one layout: greedy and exploring give the same (S·B, ·)
+    # shapes and dtypes, the greedy rows those of mode_action on each batch
+    # in entity order
+    env = SpectrumSharingEnv(cfg)
+    obs = env.reset(seed=0)
+    dims = obs_dims(cfg)
+    assert obs["global"].shape == (dims["global"],)
+    assert obs["regional"].shape == (cfg.num_haps, dims["regional"])
+    assert obs["local"].shape == (cfg.num_transmitters, dims["local"])
+    for kind in ("sadrl", "madrl", "hdrl"):
+        agent = make_agent(kind, cfg)
+        stacks = _decided_stacks(agent, obs)
+        assert len(stacks) == len(agent.slots)
+        for slot, x in stacks:
+            greedy = slot.decide(x, agent.rng, False)
+            exploring = slot.decide(x, agent.rng, True)
+            stacked = forward(slot.net, x)
+            S, B = x.shape[:2]
+            for name in ("cat", "cont"):
+                a, b = getattr(greedy, name), getattr(exploring, name)
+                assert a.ndim == 2 and a.shape[0] == S * B, (kind, name)
+                assert (a.shape, a.dtype) == (b.shape, b.dtype), (kind, name)
+                want = np.concatenate([getattr(mode_action(batch_of(stacked, s)), name) for s in range(S)])
+                got = (a.dtype, a.shape, a.tobytes())
+                assert got == (want.dtype, want.shape, want.tobytes()), (kind, name)
 
 
 def test_slot_decoders():

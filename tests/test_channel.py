@@ -170,8 +170,9 @@ def test_interference_matches_explicit_sum():
         for _ in range(20):
             state = _random_state(cfg, rng)
             gains = 10 ** rng.uniform(-12, -6, size=(cfg.num_transmitters, cfg.num_users))
-            assoc = associate_users(topo, topo.own_region_gains(gains), state.regional)
-            got = co_channel_interference(topo, gains, state, assoc)
+            region_gains = topo.own_region_gains(gains)
+            assoc = associate_users(topo, region_gains, state.regional)
+            got = co_channel_interference(topo, gains, region_gains, state, assoc)
             want = np.zeros((cfg.num_users, cfg.num_subbands))
             for u in range(cfg.num_users):
                 for n in range(cfg.num_subbands):

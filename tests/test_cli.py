@@ -613,6 +613,25 @@ def test_negative_listed_seed_fails_before_any_output(tmp_path, caplog, command)
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, listed, message",
+    [
+        ("evaluate", ["--algo", "random", "--seeds", ","], "--seeds ',' lists no seed"),
+        ("benchmark", ["--algos", "random", "--seeds", ","], "--seeds ',' lists no seed"),
+        ("benchmark", ["--algos", ","], "--algos ',' lists no agent kind"),
+    ],
+    ids=["evaluate-seeds", "benchmark-seeds", "benchmark-algos"],
+)
+def test_an_empty_list_fails_before_any_output(tmp_path, caplog, command, listed, message):
+    # a list of nothing is no run: no manifest, no NaN report, no
+    # header-only table
+    out = tmp_path / command
+    rc = main([command, "--config", _write_tiny_cfg(tmp_path), *listed, "--out", str(out)])
+    assert rc == 1
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_benchmark_fails_on_a_diverged_agent(tmp_path, caplog, monkeypatch):
     # only the exhaustive search's refusal makes a skipped row: an action
     # the env refuses stops the run and names the field

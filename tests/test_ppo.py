@@ -33,7 +33,6 @@ from specshare.ppo import (
     Trajectory,
     action_constants,
     clip_grad_norm,
-    entropy,
     forward,
     gae,
     grad_check,
@@ -151,7 +150,7 @@ def test_zero_width_bounds_stay_finite():
     assert (action.cont[:, 0] == 0.0).all()
     assert np.isfinite(logp).all()
     assert np.array_equal(logp, log_prob(params, action))
-    assert np.isfinite(entropy(params)).all()
+    assert np.isfinite(loss_and_grads(net, _with_constants(net, _batch(net)), PpoConfig())[0].entropy)
     assert np.isfinite(log_prob(params, mode_action(params))).all()
 
 
@@ -196,8 +195,9 @@ def test_mode_action_is_deterministic():
 )
 def test_stacked_mode_action_matches_per_batch_calls(arities, boxes, stack, rows, ties, seed, data):
     # a greedy policy slot decides all its entities with one call on its
-    # (S, B, ·) forward; each batch must get the bits, dtype and shape of a
-    # call on that batch alone, including argmax ties and zero-width boxes
+    # (S, B, ·) forward, as (S·B, ·) rows in entity order; each batch's rows
+    # must get the bits, dtype and shape of a call on that batch alone,
+    # including argmax ties and zero-width boxes
     schema = ActionSchema(
         cat_arities=tuple(arities), cont_bounds=tuple((lo, lo + width) for lo, width in boxes)
     )
@@ -212,11 +212,12 @@ def test_stacked_mode_action_matches_per_batch_calls(arities, boxes, stack, rows
     start = data.draw(st.integers(0, schema.num_cat))
     got = mode_action(stacked)
     got_slots = mode_slots(stacked, start)
-    assert np.array_equal(got_slots, got.cat[..., start:])  # the tail of the full decode
+    # the tail of the full decode
+    assert np.array_equal(got_slots.reshape(got.cat[:, start:].shape), got.cat[:, start:])
     for s in range(stack):
         want = mode_action(batch_of(stacked, s))
         for name in ("cat", "cont"):
-            a, b = getattr(got, name)[s], getattr(want, name)
+            a, b = getattr(got, name)[s * rows : (s + 1) * rows], getattr(want, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         a, b = got_slots[s], mode_slots(batch_of(stacked, s), start)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -312,8 +313,8 @@ def test_uniform_categorical_entropy():
     net = PolicyNet(3, schema, hidden=(8, 8), rng=np.random.default_rng(0))
     net.params["Wl"][:] = 0.0
     net.params["bl"][:] = 0.0
-    params = forward(net, np.zeros((1, 3)))
-    assert entropy(params)[0] == pytest.approx(2 * np.log(4), rel=1e-12)
+    report, _ = loss_and_grads(net, _with_constants(net, _batch(net, B=4)), PpoConfig())
+    assert report.entropy == pytest.approx(2 * np.log(4), rel=1e-12)
 
 
 def test_gae_undiscounted_reference():

@@ -43,7 +43,7 @@ from specshare.allocation import validate
 from specshare.channel import associate_users, co_channel_interference, link_gains
 from specshare.config import config_from_dict, load_config
 from specshare.env import SpectrumSharingEnv
-from specshare.topology import build_topology
+from specshare.topology import Topology, build_topology
 from test_acceptance import _fuzz_configs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -111,7 +111,7 @@ def _check_step(env, obs, bundle, rng):
         topo, snap.gains, state.alloc, topo.tx_power_w, snap.association, cfg.interference_scope
     )
     assert _same_bits(snap.interference, want)
-    got = co_channel_interference(topo, snap.gains, state.alloc, snap.association)
+    got = co_channel_interference(topo, snap.gains, region_gains, state.alloc, snap.association)
     assert _same_bits(got, want)
 
     # metrics
@@ -194,6 +194,33 @@ def test_block_step_matches_loop_oracle_at_128_regions():
         assert _same_bits(env.state.snapshot.gains, want)
         assert env._chan_rng.bit_generator.state == oracle.bit_generator.state
         _check_step(env, obs, bundle, rng)
+
+
+def test_a_region_scope_step_builds_the_own_region_blocks_once(monkeypatch):
+    # the association, the interference and the observations all read one
+    # set of (R, m, k) blocks per step, and the interference keeps the loop
+    # oracle's bits
+    cfg = _scenario("desk")
+    cfg.interference_scope = "region"
+    env = SpectrumSharingEnv(cfg)
+    agent = make_agent("random", cfg)
+    obs = env.reset(seed=3)
+    built = []
+    own_region_gains = Topology.own_region_gains
+
+    def counted(topo, gains):
+        built.append(gains)
+        return own_region_gains(topo, gains)
+
+    monkeypatch.setattr(Topology, "own_region_gains", counted)
+    for t in range(4):
+        built.clear()
+        obs = env.step(agent.act(obs, t, explore=True))[0]
+        state, topo = env.state, env.topology
+        assert len(built) == 1 and built[0] is state.snapshot.gains
+        want = interference_loop(topo, state.snapshot.gains, state.alloc, topo.tx_power_w,
+                                 state.snapshot.association, "region")
+        assert _same_bits(state.snapshot.interference, want)
 
 
 def _read_only(arr):

@@ -49,7 +49,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = 5
-AGENT_KINDS = ("random", "exhaustive", "sadrl", "madrl", "hdrl")
 # default.cfg's scenario at 16 regions: 2 beams x 8 HAPs x 1 region
 R16 = {"haps_per_beam": 8, "regions_per_hap": 1, "steps_per_episode": 50}
 
@@ -64,16 +63,17 @@ def _calls(profiler, steps: int) -> float:
     return sum(e.callcount for e in profiler.getstats()) / steps
 
 
-def print_calls_per_step(config: str, kinds=AGENT_KINDS, overrides=None) -> None:
+def print_calls_per_step(config: str, kinds=None, overrides=None) -> None:
     """Print ``{"step": {kind: calls per step}, "env": {kind: calls per
     env.step}}`` as JSON for the ``specshare`` first on ``sys.path``, on
-    ``config`` with ``overrides`` set: each kind runs one warm-up episode of
+    ``config`` with ``overrides`` set, for ``kinds`` (default: that
+    package's ``AGENT_KINDS``): each kind runs one warm-up episode of
     criterion 1's loop, then one profiled episode of ``act`` (exploring) and
     ``env.step``, then that episode's steps again, alone and profiled, on
     the env reset to the same seed."""
     import cProfile
 
-    from specshare.agents import make_agent
+    from specshare.agents import AGENT_KINDS, make_agent
     from specshare.config import load_config
     from specshare.env import SpectrumSharingEnv
 
@@ -82,7 +82,7 @@ def print_calls_per_step(config: str, kinds=AGENT_KINDS, overrides=None) -> None
         setattr(cfg, key, value)
     cfg.validate()
     counts, env_counts = {}, {}
-    for kind in kinds:
+    for kind in kinds or AGENT_KINDS:
         env, agent = SpectrumSharingEnv(cfg), make_agent(kind, cfg)
         obs = env.reset(seed=1)
         agent.begin_episode(env)
@@ -166,11 +166,12 @@ def _measured_twice(tree: Path, call: str) -> dict:
     return runs[0]
 
 
-def calls_per_step(tree: Path, config: str = "desk", kinds=AGENT_KINDS, overrides=None) -> dict:
+def calls_per_step(tree: Path, config: str = "desk", kinds=None, overrides=None) -> dict:
     """``print_calls_per_step`` on ``configs/<config>.cfg``, twice in
-    subprocesses on ``tree/src``."""
+    subprocesses on ``tree/src``; ``kinds`` defaults to the agent kinds of
+    that tree's package."""
     cfg = str(tree / "configs" / f"{config}.cfg")
-    return _measured_twice(tree, f"print_calls_per_step({cfg!r}, {tuple(kinds)!r}, {overrides!r})")
+    return _measured_twice(tree, f"print_calls_per_step({cfg!r}, {kinds!r}, {overrides!r})")
 
 
 def all_calls_per_step(tree: Path) -> dict:
